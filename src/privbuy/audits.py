@@ -21,7 +21,7 @@ from typing import Optional
 
 from .core import InputProfile, Mechanism, NeighborRelation, PlayerType
 from .distributions import DEFAULT_MASS_TOL, Interval, statistical_distance
-from .losses import LossModel, loss_expectation, max_neighbor_distance
+from .losses import LossModel, loss_expectation, neighbor_distances
 from .verifiers import (
     FAIL,
     INCONCLUSIVE,
@@ -29,7 +29,7 @@ from .verifiers import (
     CheckResult,
     DistinguishabilityQuery,
     check_accuracy,
-    check_distinguishable,
+    distinguishability_verdict,
 )
 
 # verdicts, in argument order
@@ -168,6 +168,13 @@ def _consecutive_distances(mech: Mechanism, inputs, mass_tol):
     return steps, statistical_distance(laws[0], laws[-1])
 
 
+def _distinguishability(mech: Mechanism, x: InputProfile, query: DistinguishabilityQuery, mass_tol):
+    """The query's verdict and the largest neighbor distance ``hi`` (0 when
+    no neighbor exists), from one pass over the neighbor laws."""
+    pairs = neighbor_distances(mech, x, query.player, query.relation, mass_tol)
+    return distinguishability_verdict(pairs, query, mech.name), max((d.hi for _, d in pairs), default=0.0)
+
+
 def _require_increasing_model(model: LossModel, relation: NeighborRelation, delta: float):
     if not model.respects_indifference:
         raise ValueError("audit needs a model that respects indifference")
@@ -219,10 +226,7 @@ def audit_general_impossibility(
     _require_increasing_model(model, NeighborRelation.GENERAL, delta)
 
     details: list[str] = []
-    pay_cap = -math.inf
-    for mask in range(2**n):
-        x = InputProfile.from_arrays([(mask >> j) & 1 for j in range(n)], [0.0] * n)
-        pay_cap = max(pay_cap, max(mech.pay_vector(x)))
+    pay_cap = mech.max_zero_valuation_pay()
     details.append(f"payment cap over all-indifferent inputs: P = {pay_cap:g}")
     if not math.isfinite(pay_cap):
         return AuditReport(
@@ -258,10 +262,9 @@ def audit_general_impossibility(
         )
         if not ok:
             truth_viol.append(i)
-        res = check_distinguishable(
-            mech, probe, DistinguishabilityQuery(i, delta, NeighborRelation.GENERAL), mass_tol
-        )
-        max_seen = max(max_seen, max_neighbor_distance(mech, probe, i, NeighborRelation.GENERAL, mass_tol).hi)
+        query = DistinguishabilityQuery(i, delta, NeighborRelation.GENERAL)
+        res, hi = _distinguishability(mech, probe, query, mass_tol)
+        max_seen = max(max_seen, hi)
         if res.verdict == "distinguishable":
             loss = loss_expectation(model, mech, probe, i, threshold, mass_tol)
             detail = (
@@ -386,10 +389,9 @@ def audit_monotonic_impossibility(
         )
         if not ok:
             truth_viol.append(i)
-        res = check_distinguishable(
-            mech, after, DistinguishabilityQuery(i, delta, NeighborRelation.MONOTONIC), mass_tol
-        )
-        max_seen = max(max_seen, max_neighbor_distance(mech, after, i, NeighborRelation.MONOTONIC, mass_tol).hi)
+        query = DistinguishabilityQuery(i, delta, NeighborRelation.MONOTONIC)
+        res, hi = _distinguishability(mech, after, query, mass_tol)
+        max_seen = max(max_seen, hi)
         if res.verdict == "distinguishable":
             loss = loss_expectation(model, mech, after, i, level, mass_tol)
             detail = (

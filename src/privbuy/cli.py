@@ -259,9 +259,10 @@ def _run_check(entry, mech, model, profiles, cfg, ctx) -> tuple[list[CheckResult
         fn = audit_general_impossibility if name == "audit_general" else audit_monotonic_impossibility
         audits.append(fn(mech, audit_model, delta=delta, mass_tol=tol))
     elif name == "audit_tradeoff":
+        max_pay = entry["max_pay"] if "max_pay" in entry else max_zero_valuation_pay(mech)
         params = TradeoffParams(
             _need(entry, "tau", ctx), _need(entry, "gamma", ctx), _need(entry, "eta", ctx),
-            _need(entry, "beta", ctx), entry.get("max_pay", max_zero_valuation_pay(mech)),
+            _need(entry, "beta", ctx), max_pay,
         )
         audits.append(audit_payment_accuracy_tradeoff(mech, growing_sd_model(), params, tol))
     else:

@@ -196,6 +196,17 @@ class Mechanism(ABC):
         self.require_profile(x)
         return self.pay_vector(x)[i]
 
+    def max_zero_valuation_pay(self) -> float:
+        """Max payment to any player declaring valuation 0, over all bit
+        vectors. Exact 2^n scan; mechanisms with a closed form override it,
+        and tests use this scan as their oracle."""
+        n = self.player_count
+        best = -math.inf
+        for mask in range(2**n):
+            x = InputProfile.from_arrays([(mask >> j) & 1 for j in range(n)], [0.0] * n)
+            best = max(best, max(self.pay_vector(x)))
+        return best
+
     @abstractmethod
     def _sample_count(self, x: InputProfile, rng: random.Random) -> int: ...
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain, repeat
+from operator import sub
 
 # Default certified truncation budget for constructed distributions.
 DEFAULT_MASS_TOL = 1e-12
@@ -193,11 +195,16 @@ def shifted_geom_dist(g: GeomParams, shift: int = 0, mass_tol: float = DEFAULT_M
     """Law of shift + noise, truncated to the smallest adequate window.
 
     The window is symmetric around the shift; truncation_mass is the exact
-    excluded tail 2 a^{t+1} / (1+a) for the chosen radius t.
+    excluded tail 2 a^{t+1} / (1+a) for the chosen radius t. Shifted laws
+    share the probability tuple of the unshifted one.
     """
+    if shift:
+        base = shifted_geom_dist(g, 0, mass_tol)
+        t = base.support[-1]
+        return CountDistribution(tuple(range(shift - t, shift + t + 1)), base.probs, base.truncation_mass)
     t = window_radius(g, mass_tol)
-    support = tuple(range(shift - t, shift + t + 1))
-    probs = tuple(geom_pmf(g, k - shift) for k in support)
+    support = tuple(range(-t, t + 1))
+    probs = tuple(geom_pmf(g, k) for k in support)
     trunc = 2.0 * g.alpha ** (t + 1) / (1.0 + g.alpha)
     return CountDistribution(support, probs, trunc)
 
@@ -209,13 +216,33 @@ def statistical_distance(d1: CountDistribution, d2: CountDistribution) -> Interv
     half the combined truncation mass. Use hi to certify "close" and lo to
     certify "far".
     """
-    keys = set(d1.support)
-    keys.update(d2.support)
-    a1, a2 = d1.atoms, d2.atoms
-    l1 = math.fsum(abs(a1.get(k, 0.0) - a2.get(k, 0.0)) for k in keys)
-    lo = 0.5 * l1
+    s1, s2 = d1.support, d2.support
+    if _is_range(s1) and _is_range(s2):
+        # Both supports are integer ranges (every geometric window and point
+        # mass): line the probability tuples up on their overlap instead of
+        # looking each key up in two dicts. Atoms outside the overlap meet a
+        # zero on the other side.
+        p1, p2 = d1.probs, d2.probs
+        start = max(s1[0], s2[0])
+        stop = max(start, min(s1[-1], s2[-1]) + 1)
+        i1, j1, i2, j2 = start - s1[0], stop - s1[0], start - s2[0], stop - s2[0]
+        terms = chain(
+            map(abs, chain(p1[:i1], p1[j1:], p2[:i2], p2[j2:])),
+            map(abs, map(sub, p1[i1:j1], p2[i2:j2])),
+        )
+    else:
+        keys = set(s1)
+        keys.update(s2)
+        a1, a2 = d1.atoms, d2.atoms
+        terms = map(abs, map(sub, map(a1.get, keys, repeat(0.0)), map(a2.get, keys, repeat(0.0))))
+    # fsum is correctly rounded, so neither path's term order can change lo
+    lo = 0.5 * math.fsum(terms)
     hi = lo + 0.5 * (d1.truncation_mass + d2.truncation_mass)
     return Interval(lo, hi)
+
+
+def _is_range(support: tuple[int, ...]) -> bool:
+    return bool(support) and support[-1] - support[0] == len(support) - 1
 
 
 def dp_level(d1: CountDistribution, d2: CountDistribution, support_tol: float = SUPPORT_ATOM_TOL) -> float:

@@ -257,15 +257,6 @@ def growing_sd_model(relation: NeighborRelation = NeighborRelation.MONOTONIC) ->
     )
 
 
-def growing_sd_loss(mech: Mechanism, x: InputProfile, i: int, mass_tol: float = DEFAULT_MASS_TOL) -> float:
-    """Certified lower bound v_i * max monotonic-neighbor distance (its lo
-    endpoint); the functional the tradeoff audit reasons about."""
-    v = x.players[i].valuation
-    if v == 0.0:
-        return 0.0
-    return v * max_neighbor_distance(mech, x, i, NeighborRelation.MONOTONIC, mass_tol).lo
-
-
 _EXPECTATION_CACHE: dict = {}
 
 

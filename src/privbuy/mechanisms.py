@@ -125,6 +125,10 @@ class BudgetMechanism(Mechanism):
             for p in x.players
         )
 
+    def max_zero_valuation_pay(self) -> float:
+        # valuation 0 always qualifies (B > 0), whatever the bits
+        return self.params.per_player_pay
+
     def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
         return self.counted_bit_sum(x) + sample_geom(self.geom, rng)
 
@@ -194,6 +198,9 @@ class SubsampleMechanism(Mechanism):
         self.require_profile(x)
         return (self.params.flat_pay,) * self.params.n
 
+    def max_zero_valuation_pay(self) -> float:
+        return self.params.flat_pay
+
     def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
         n, k = self.params.n, self.params.sample_size
         chosen = rng.sample(range(n), k)
@@ -251,6 +258,9 @@ class PayDeclaredMechanism(Mechanism):
         self.require_profile(x)
         return tuple(p.valuation * self.epsilon for p in x.players)
 
+    def max_zero_valuation_pay(self) -> float:
+        return 0.0
+
     def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
         return x.bit_sum() + sample_geom(self.geom, rng)
 
@@ -303,6 +313,9 @@ class ExactSumMechanism(Mechanism):
         self.require_profile(x)
         return (self.flat_pay,) * self.player_count
 
+    def max_zero_valuation_pay(self) -> float:
+        return self.flat_pay
+
     def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
         return x.bit_sum()
 
@@ -341,10 +354,5 @@ def exact_sum(n: int, flat_pay: float = 0.0) -> ExactSumMechanism:
 
 def max_zero_valuation_pay(mech: Mechanism) -> float:
     """Max payment the mechanism makes to any player declaring valuation 0,
-    over all bit vectors. Exact 2^n scan; fine at audit scale."""
-    n = mech.player_count
-    best = -math.inf
-    for mask in range(2**n):
-        x = InputProfile.from_arrays([(mask >> j) & 1 for j in range(n)], [0.0] * n)
-        best = max(best, max(mech.pay_vector(x)))
-    return best
+    over all bit vectors."""
+    return mech.max_zero_valuation_pay()

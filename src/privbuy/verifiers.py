@@ -251,37 +251,49 @@ def check_distinguishable(
     mass_tol: float = DEFAULT_MASS_TOL,
     profile_id: str = "",
 ) -> CheckResult:
-    """Whether some admissible neighbor's law is >= delta away.
+    """Whether some admissible neighbor's law is >= delta away; see
+    ``distinguishability_verdict``."""
+    mech.require_profile(x)
+    pairs = neighbor_distances(mech, x, query.player, query.relation, mass_tol)
+    return distinguishability_verdict(pairs, query, mech.name, profile_id)
+
+
+def distinguishability_verdict(
+    pairs: list[tuple[InputProfile, Interval]],
+    query: DistinguishabilityQuery,
+    mechanism: str,
+    profile_id: str = "",
+) -> CheckResult:
+    """Verdict of a distinguishability query from its (neighbor, distance)
+    pairs, as ``neighbor_distances`` returns them.
 
     "distinguishable" needs a certified lower bound at or above delta;
     "not_distinguishable" needs every neighbor certified below. Verdicts
     carry the maximizing neighbor as witness; straddles report the
     mass_tol refinement that would settle them.
     """
-    mech.require_profile(x)
     i, delta = query.player, query.delta
-    pairs = neighbor_distances(mech, x, i, query.relation, mass_tol)
     if not pairs:
         return CheckResult(
-            "distinguishability", mech.name, profile_id, i, "not_distinguishable", delta, "no admissible neighbors"
+            "distinguishability", mechanism, profile_id, i, "not_distinguishable", delta, "no admissible neighbors"
         )
     by_lo = max(pairs, key=lambda pd: pd[1].lo)
     by_hi = max(pairs, key=lambda pd: pd[1].hi)
     if by_lo[1].lo >= delta:
         nbr = by_lo[0].players[i]
         return CheckResult(
-            "distinguishability", mech.name, profile_id, i,
+            "distinguishability", mechanism, profile_id, i,
             "distinguishable", by_lo[1].lo - delta, f"neighbor type {nbr}, distance {by_lo[1]}",
         )
     if by_hi[1].hi < delta:
         nbr = by_hi[0].players[i]
         return CheckResult(
-            "distinguishability", mech.name, profile_id, i,
+            "distinguishability", mechanism, profile_id, i,
             "not_distinguishable", delta - by_hi[1].hi, f"closest neighbor type {nbr}, distance {by_hi[1]}",
         )
     needed = min((delta - d.lo) for _, d in pairs if d.hi >= delta > d.lo) / 2.0
     return CheckResult(
-        "distinguishability", mech.name, profile_id, i,
+        "distinguishability", mechanism, profile_id, i,
         INCONCLUSIVE, by_hi[1].hi - delta, f"straddles delta={delta:g}; refine mass_tol to <= {needed:.3g}",
     )
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from privbuy.audits import (
 from privbuy.core import NeighborRelation
 from privbuy.distributions import Interval
 from privbuy.losses import growing_sd_model, increasing_threshold_model, zero_loss
-from privbuy.mechanisms import alg1, exact_sum, subsample
+from privbuy.mechanisms import alg1, exact_sum, max_zero_valuation_pay, subsample
 
 from conftest import ConstantMechanism, profile
 
@@ -265,3 +267,52 @@ def test_emitted_chains_satisfy_invariants():
     rep = audit_monotonic_impossibility(mech, monotonic_model(1.0 / 6.0))
     total = sum(d.hi for d in rep.chain.step_distances)
     assert rep.chain.end_to_end.lo <= total + 1e-12
+
+
+# --- report regression pin ---------------------------------------------------
+
+# sha256 of json.dumps(report.to_json_dict(), sort_keys=True). A change to
+# how the audits compute (payment caps, neighbor distances, windows) must
+# leave every report byte for byte as it was; update a digest only with a
+# change that means to alter that report.
+REPORT_SHA256 = {
+    ("general", "alg1", 6): "d647822e3d3f4c17f8d69c81dfb6a1265f2398da8897ac4e94583384daaa601b",
+    ("monotonic", "alg1", 6): "a7d3e95c1c9c231bbf044611260fc2737c09146b60b362428c310964f77ada96",
+    ("tradeoff", "alg1", 6): "782a39e6a6bda8901ecbc4296d56444c14a5439bf26887e849acc6b7b52f3311",
+    ("general", "exact_sum", 6): "e9b524fd798f1d84538b4753cae25eeca584261a993eb3f1e293c8db045ab77c",
+    ("monotonic", "exact_sum", 6): "b2f19886e498c1dfb7e88daf572b3c8f012cafa6e0ef1207c565f0942c679e52",
+    ("tradeoff", "exact_sum", 6): "a1f313398fa01d3a86b22255cf1a8f72443c0927b0da38badd4d9f822f37a993",
+    ("general", "subsample", 6): "c47fdc4f8f286dcd77f8c8dc76defdfdb81e9c8ecbec7531472b241b0fa197db",
+    ("monotonic", "subsample", 6): "e0075a5956014ed41fc469e868dd2107e258e1edcab23481ca4a66185fe5fdcc",
+    ("tradeoff", "subsample", 6): "97134038959b692157ca61f485282d3e3fad825b78700e38cde890e3dcde6d77",
+    ("general", "alg1", 8): "11f280895804d4d0d5e82e07fe989365adb1c040aec4fd282a7675c9162d9e4c",
+    ("monotonic", "alg1", 8): "8c8494227b8ac8dc916ff108f973e7c1020938f6d89f1e139be7231f415f42a5",
+    ("tradeoff", "alg1", 8): "f581c69ddf9fc11f4483178b518cfef5fc05ad70265c4d3a46af9256888b75bd",
+    ("general", "exact_sum", 8): "9b0e873122fee7ed6dc7398999b45b9c1b34a096d84adb42f9101491a97c188c",
+    ("monotonic", "exact_sum", 8): "40c03098ed7f4b7e6b734dd3f943edc95220e6c4c16e43073b25898533893521",
+    ("tradeoff", "exact_sum", 8): "064e89dee88f5320b81bb07fe3fc7cf385acc35f7a390c35a7330024b7077878",
+    ("general", "subsample", 8): "2b5b1740c598f1e2daad05534890e1d47b57da253004d73d91c903e56ad4c392",
+    ("monotonic", "subsample", 8): "ec6e32de0a2790c89a7e2a6ba4d7dc72201246a82d332348520fb48265120852",
+    ("tradeoff", "subsample", 8): "f13046c9f6a704ccce206b74c86deee04c7af56e863ff7d146d6b5abe2eb2e31",
+}
+
+
+def _pinned_report(audit, name, n):
+    mech = {
+        "alg1": lambda: alg1(n / 2.0, LN2, n),
+        "exact_sum": lambda: exact_sum(n),
+        # a finite distinguishability budget C puts the max-seen note in
+        "subsample": lambda: subsample(1.0, n // 2, n, float(n)),
+    }[name]()
+    if audit == "general":
+        return audit_general_impossibility(mech, general_model(1.0 / (6 * n)))
+    if audit == "monotonic":
+        return audit_monotonic_impossibility(mech, monotonic_model(1.0 / (3 * n)))
+    params = TradeoffParams(tau=8.0, gamma=1.0 / n, eta=2.0 / n, beta=0.25, max_pay=max_zero_valuation_pay(mech))
+    return audit_payment_accuracy_tradeoff(mech, growing_sd_model(), params)
+
+
+@pytest.mark.parametrize("audit,name,n", list(REPORT_SHA256))
+def test_report_bytes_pinned(audit, name, n):
+    blob = json.dumps(_pinned_report(audit, name, n).to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == REPORT_SHA256[audit, name, n]

@@ -135,6 +135,21 @@ def test_shift_translates_atoms():
     assert moved.probs == base.probs
 
 
+@pytest.mark.parametrize("eps", EPS_GRID)
+@pytest.mark.parametrize("tol", (1e-3, 1e-12, 1e-15))
+def test_shifted_window_equals_direct_construction(eps, tol):
+    g = GeomParams(eps)
+    t = window_radius(g, tol)
+    for shift in (-1000, -7, -1, 1, 3, 250):
+        # shifted laws reuse the unshifted window; start from an empty cache
+        # so the shifted law is the one that builds it
+        shifted_geom_dist.cache_clear()
+        d = shifted_geom_dist(g, shift, tol)
+        assert d.support == tuple(range(shift - t, shift + t + 1))
+        assert d.probs == tuple(geom_pmf(g, k - shift) for k in d.support)
+        assert d.truncation_mass == 2.0 * g.alpha ** (t + 1) / (1.0 + g.alpha)
+
+
 @given(
     st.floats(min_value=0.05, max_value=4.0, allow_nan=False),
     st.integers(-20, 20),
@@ -199,6 +214,53 @@ def test_distance_triangle_inequality(sa, sb, sc):
     da, db, dc = (shifted_geom_dist(g, s) for s in (sa, sb, sc))
     ab, bc, ac = statistical_distance(da, db), statistical_distance(db, dc), statistical_distance(da, dc)
     assert ac.lo <= ab.hi + bc.hi + 1e-15
+
+
+def oracle_distance(d1, d2):
+    """The dict/generator formula the distance kernel must reproduce bit for bit."""
+    keys = set(d1.support)
+    keys.update(d2.support)
+    a1, a2 = d1.atoms, d2.atoms
+    lo = 0.5 * math.fsum(abs(a1.get(k, 0.0) - a2.get(k, 0.0)) for k in keys)
+    return lo, lo + 0.5 * (d1.truncation_mass + d2.truncation_mass)
+
+
+@st.composite
+def count_laws(draw):
+    """Laws on integer ranges (overlapping, touching or disjoint ones) and on
+    sets with gaps, with zero, tiny and ordinary atoms and some truncation."""
+    if draw(st.booleans()):
+        start = draw(st.integers(-80, 80))
+        support = range(start, start + draw(st.integers(1, 50)))
+    else:
+        support = sorted(draw(st.sets(st.integers(-80, 80), min_size=1, max_size=40)))
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-300, 1e-12), st.floats(1e-6, 1.0)),
+            min_size=len(support),
+            max_size=len(support),
+        )
+    )
+    weights[0] += 1.0
+    trunc = draw(st.sampled_from((0.0, 1e-13, 1e-4)))
+    total = math.fsum(weights)
+    return CountDistribution(tuple(support), tuple(w * (1.0 - trunc) / total for w in weights), trunc)
+
+
+@given(count_laws(), count_laws())
+@settings(deadline=None, max_examples=300)
+def test_distance_equals_dict_formula(d1, d2):
+    got = statistical_distance(d1, d2)
+    assert (got.lo, got.hi) == oracle_distance(d1, d2)
+
+
+@given(st.sampled_from(EPS_GRID), st.integers(-300, 300), st.integers(-300, 300), st.sampled_from((1e-3, 1e-12)))
+@settings(deadline=None, max_examples=100)
+def test_geometric_distance_equals_dict_formula(eps, s1, s2, tol):
+    g = GeomParams(eps)
+    d1, d2 = shifted_geom_dist(g, s1, tol), shifted_geom_dist(g, s2, 1e-3)
+    got = statistical_distance(d1, d2)
+    assert (got.lo, got.hi) == oracle_distance(d1, d2)
 
 
 def test_tightening_mass_tol_shrinks_hi():

@@ -12,7 +12,6 @@ import pytest
 from privbuy.core import NeighborRelation
 from privbuy.distributions import Interval
 from privbuy.losses import (
-    growing_sd_loss,
     growing_sd_model,
     increasing_threshold_model,
     loss_expectation,
@@ -196,11 +195,12 @@ def test_growing_sd_loss_values():
     x = profile([1, 0, 0, 0], [v, 0.0, 0.0, 0.0])
     # qualifying bit-1 player: worst monotonic neighbor drops the shift by 1,
     # and the unit-shift distance at eps=ln2 is 1/3
-    assert growing_sd_loss(mech, x, 0) == pytest.approx(v / 3.0, abs=1e-9)
+    model = growing_sd_model()
+    assert loss_expectation(model, mech, x, 0, v).lo == pytest.approx(v / 3.0, abs=1e-9)
     high = profile([1, 0, 0, 0], [9.0 * theta, 0.0, 0.0, 0.0])
-    assert growing_sd_loss(mech, high, 0) == 0.0
+    assert loss_expectation(model, mech, high, 0, 9.0 * theta).lo == 0.0
     indifferent = profile([1, 0, 0, 0], [0.0, 0.0, 0.0, 0.0])
-    assert growing_sd_loss(mech, indifferent, 0) == 0.0
+    assert loss_expectation(model, mech, indifferent, 0, 0.0).lo == 0.0
 
 
 def test_growing_sd_model_interval():

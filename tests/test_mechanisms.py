@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privbuy.core import InputProfile, NeighborRelation, PlayerType, i_neighbor_profiles
+from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType, i_neighbor_profiles
 from privbuy.distributions import GeomParams, dp_level, shifted_geom_dist
 from privbuy.mechanisms import (
     BudgetParams,
@@ -268,6 +268,26 @@ def test_max_zero_valuation_pay():
     assert max_zero_valuation_pay(alg1(8.0, 0.5, 4)) == 2.0
     assert max_zero_valuation_pay(exact_sum(3, 0.25)) == 0.25
     assert max_zero_valuation_pay(pay_declared(0.5, 2)) == 0.0
+
+
+def _bundled_mechanisms(n):
+    for budget in (0.1, 1.0, 8.0, 3.0 * n):
+        for eps in (0.05, 0.5, math.log(2.0), 3.0):
+            yield alg1(budget, eps, n)
+            yield alg1_prime(budget, eps, n)
+    for eps in (0.05, 0.5, 3.0):
+        yield pay_declared(eps, n)
+    for pay in (0.0, 0.25, 1.0 / 3.0, 7.5):
+        yield exact_sum(n, pay)
+        for k in sorted({1, (n + 1) // 2, n}):
+            yield subsample(pay, k, n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_max_zero_valuation_pay_closed_forms_match_scan(n):
+    # the base-class 2^n scan is the oracle for every closed form
+    for mech in _bundled_mechanisms(n):
+        assert mech.max_zero_valuation_pay() == Mechanism.max_zero_valuation_pay(mech), mech.cache_token
 
 
 # --- sampling agrees with the exact laws ------------------------------------
