@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, product, repeat
+from operator import is_not, itemgetter, ne
 from typing import Optional
 
 from .core import InputProfile, Mechanism, NeighborRelation, PlayerType
@@ -42,6 +44,14 @@ ACCURACY_VIOLATED = "accuracy_violated"
 THEOREM_CONTRADICTED = "theorem_contradicted"
 
 _NONTRIVIAL = AccuracySpec(0.5, 0.5, 1.0 / 3.0)  # "non-trivial accuracy"
+
+
+def _changed_players(a: InputProfile, b: InputProfile) -> int:
+    """Number of players whose types differ. Consecutive hybrids share their
+    unchanged PlayerType objects, so only the pairs that are not the same
+    object reach the dataclass ``!=``."""
+    moved = list(map(is_not, a.players, b.players))
+    return sum(map(ne, compress(a.players, moved), compress(b.players, moved)))
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,7 @@ class HybridChain:
         if len(self.step_distances) != len(self.inputs) - 1:
             raise ValueError("need one step distance per consecutive pair")
         for a, b in zip(self.inputs, self.inputs[1:]):
-            if a.n != b.n or sum(pa != pb for pa, pb in zip(a.players, b.players)) != 1:
+            if a.n != b.n or _changed_players(a, b) != 1:
                 raise ValueError("consecutive chain inputs must differ in exactly one player")
         total = math.fsum(d.hi for d in self.step_distances)
         if self.end_to_end.lo > total + 1e-12:  # triangle inequality, float headroom
@@ -235,10 +245,10 @@ def audit_general_impossibility(
             (), tuple(details), (("delta", delta), ("n", float(n))),
         )
 
-    threshold = max(
-        model.threshold_fn(pay_cap, tuple((mask >> j) & 1 for j in range(n)), (0.0,) * (n - 1))
-        for mask in range(2**n)
-    )
+    # every bit vector in mask order (bit j of mask is player j's bit), so
+    # ties in max resolve as they always have
+    bit_vectors = map(itemgetter(slice(None, None, -1)), product((0, 1), repeat=n))
+    threshold = max(map(model.threshold_fn, repeat(pay_cap), bit_vectors, repeat((0.0,) * (n - 1))))
     details.append(f"threshold valuation: L = {threshold:g}")
 
     inputs = [_zeros(n)]

@@ -91,14 +91,16 @@ class InputProfile:
 
     @cached_property
     def bits(self) -> tuple[int, ...]:
-        return tuple(p.bit for p in self.players)
+        return tuple([p.bit for p in self.players])
 
     @cached_property
     def valuations(self) -> tuple[float, ...]:
-        return tuple(p.valuation for p in self.players)
+        return tuple([p.valuation for p in self.players])
 
     def bit_sum(self) -> int:
-        return sum(self.bits)
+        # not through ``bits``: on Python < 3.12 a cached_property's first
+        # read takes a lock shared by every instance
+        return sum([p.bit for p in self.players])
 
     def with_player(self, i: int, player: PlayerType) -> "InputProfile":
         if not 0 <= i < self.n:

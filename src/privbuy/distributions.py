@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from operator import sub
+from operator import lt, sub
 
 # Default certified truncation budget for constructed distributions.
 DEFAULT_MASS_TOL = 1e-12
@@ -121,14 +121,15 @@ class CountDistribution:
     def __post_init__(self):
         if len(self.support) != len(self.probs):
             raise ValueError("support and probs must have equal length")
-        if any(b <= a for a, b in zip(self.support, self.support[1:])):
+        if not all(map(lt, self.support, self.support[1:])):
             raise ValueError("support must be strictly increasing")
-        if any(p < 0.0 for p in self.probs):
+        if not min(self.probs, default=0.0) >= 0.0:
             raise ValueError("atom probabilities must be >= 0")
         if self.truncation_mass < 0.0:
             raise ValueError("truncation_mass must be >= 0")
         total = math.fsum(self.probs) + self.truncation_mass
-        if abs(total - 1.0) > _MASS_INVARIANT_SLOP:
+        # written so that a NaN atom fails too
+        if not abs(total - 1.0) <= _MASS_INVARIANT_SLOP:
             raise ValueError(f"total mass {total} deviates from 1 by more than {_MASS_INVARIANT_SLOP}")
         object.__setattr__(self, "_hash", hash((self.support, self.probs, self.truncation_mass)))
 

@@ -203,10 +203,16 @@ def increasing_threshold_model(
         v = x.players[i].valuation
         if v == 0.0:
             return Interval(0.0, 0.0)
-        dist = max_neighbor_distance(mech, x, i, relation, mass_tol)
-        if dist.lo >= delta:
-            return Interval(v, v)
-        if dist.hi < delta:
+        # the first neighbor certified delta-far settles it; otherwise the
+        # largest upper bound decides between 0 and a straddle
+        base = mech.output_dist(x, mass_tol)
+        straddles = False
+        for nbr in mech.neighbor_profiles(x, i, relation):
+            dist = statistical_distance(base, mech.output_dist(nbr, mass_tol))
+            if dist.lo >= delta:
+                return Interval(v, v)
+            straddles = straddles or dist.hi >= delta
+        if not straddles:
             return Interval(0.0, 0.0)
         return Interval(min(0.0, v), max(0.0, v))
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .core import InputProfile, Mechanism, PlayerType
@@ -99,8 +98,9 @@ class BudgetMechanism(Mechanism):
 
     def counted_bit_sum(self, x: InputProfile) -> int:
         """Sum of b'_i where b'_i = b_i if the player qualifies, else 0."""
-        q = self.params.qualifies
-        return sum(p.bit for p in x.players if q(p.valuation))
+        # BudgetParams.qualifies, hoisted: same operands, same floats
+        two_eps, share = 2.0 * self.params.epsilon, self.params.budget / self.params.n
+        return sum([p.bit for p in x.players if two_eps * p.valuation <= share])
 
     def output_dist(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         self.require_profile(x)
@@ -119,11 +119,21 @@ class BudgetMechanism(Mechanism):
 
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
         self.require_profile(x)
-        share, q = self.params.per_player_pay, self.params.qualifies
+        two_eps, share = 2.0 * self.params.epsilon, self.params.budget / self.params.n
+        zero_bits = self.pay_all_zero_bits
         return tuple(
-            share if q(p.valuation) or (self.pay_all_zero_bits and p.bit == 0) else 0.0
-            for p in x.players
+            [
+                share if two_eps * p.valuation <= share or (zero_bits and p.bit == 0) else 0.0
+                for p in x.players
+            ]
         )
+
+    def expected_pay(self, x: InputProfile, i: int) -> float:
+        self.require_profile(x)
+        p = x.players[i]
+        if self.params.qualifies(p.valuation) or (self.pay_all_zero_bits and p.bit == 0):
+            return self.params.per_player_pay
+        return 0.0
 
     def max_zero_valuation_pay(self) -> float:
         # valuation 0 always qualifies (B > 0), whatever the bits
@@ -155,15 +165,22 @@ class BudgetMechanism(Mechanism):
         )
 
 
+def _rescaled_count(n: int, m: int, k: int) -> int:
+    """round_half_even(n*m/k) in integer arithmetic."""
+    q, r = divmod(n * m, k)
+    return q + 1 if 2 * r > k or (2 * r == k and q % 2) else q
+
+
 @lru_cache(maxsize=None)
 def _subsample_law(n: int, k: int, ones: int) -> CountDistribution:
     """Exact law of round_half_even(n*m/k) with m hypergeometric(n, ones, k)."""
     total = math.comb(n, k)
     atoms: dict[int, float] = {}
     for m in range(max(0, k - (n - ones)), min(k, ones) + 1):
-        weight = Fraction(math.comb(ones, m) * math.comb(n - ones, k - m), total)
-        count = round(Fraction(n * m, k))
-        atoms[count] = atoms.get(count, 0.0) + float(weight)
+        # int true division is correctly rounded, as float(Fraction(...)) is
+        weight = math.comb(ones, m) * math.comb(n - ones, k - m) / total
+        count = _rescaled_count(n, m, k)
+        atoms[count] = atoms.get(count, 0.0) + weight
     return CountDistribution.from_atoms(atoms, 0.0)
 
 
@@ -198,6 +215,10 @@ class SubsampleMechanism(Mechanism):
         self.require_profile(x)
         return (self.params.flat_pay,) * self.params.n
 
+    def expected_pay(self, x: InputProfile, i: int) -> float:
+        self.require_profile(x)
+        return self.params.flat_pay
+
     def max_zero_valuation_pay(self) -> float:
         return self.params.flat_pay
 
@@ -205,7 +226,7 @@ class SubsampleMechanism(Mechanism):
         n, k = self.params.n, self.params.sample_size
         chosen = rng.sample(range(n), k)
         m = sum(x.players[j].bit for j in chosen)
-        return round(Fraction(n * m, k))
+        return _rescaled_count(n, m, k)
 
     def candidate_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
         p = x.players[i]
@@ -257,6 +278,10 @@ class PayDeclaredMechanism(Mechanism):
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
         self.require_profile(x)
         return tuple(p.valuation * self.epsilon for p in x.players)
+
+    def expected_pay(self, x: InputProfile, i: int) -> float:
+        self.require_profile(x)
+        return x.players[i].valuation * self.epsilon
 
     def max_zero_valuation_pay(self) -> float:
         return 0.0
@@ -312,6 +337,10 @@ class ExactSumMechanism(Mechanism):
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
         self.require_profile(x)
         return (self.flat_pay,) * self.player_count
+
+    def expected_pay(self, x: InputProfile, i: int) -> float:
+        self.require_profile(x)
+        return self.flat_pay
 
     def max_zero_valuation_pay(self) -> float:
         return self.flat_pay

@@ -10,7 +10,9 @@ would settle it. Truncation can therefore never flip a verdict.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .core import InputProfile, Mechanism, NeighborRelation
@@ -145,7 +147,7 @@ def check_truthful(
         raise ValueError("deviations must be nonempty")
 
     truth_pay = mech.expected_pay(x, i)
-    truth_dist = mech.output_dist(x.with_valuation(i, truth), mass_tol)
+    truth_dist = mech.output_dist(x, mass_tol)
     truth_loss = None  # computed lazily; identical-law deviations never need it
 
     # one certified profitable deviation fails the check no matter what the
@@ -217,7 +219,11 @@ def check_accuracy(
 
     if method == "exact":
         dist = mech.output_dist(x, mass_tol)
-        out_lo = math.fsum(p for k, p in zip(dist.support, dist.probs) if k <= lo_edge or k >= hi_edge)
+        # the support is increasing: atoms at or below lo_edge are a prefix,
+        # those at or above hi_edge a suffix, and fsum ignores term order
+        below = bisect_right(dist.support, lo_edge)
+        above = max(below, bisect_left(dist.support, hi_edge))
+        out_lo = math.fsum(chain(dist.probs[:below], dist.probs[above:]))
         out = Interval(out_lo, min(1.0, out_lo + dist.truncation_mass))
         detail = f"Pr[outside ({lo_edge:g}, {hi_edge:g})] in {out}"
     elif method == "monte_carlo":

@@ -247,6 +247,41 @@ def test_chain_rejects_multi_player_jumps():
         HybridChain((a, b), (0.0,), (0.0,), (Interval(0.0, 1.0),), Interval(0.0, 1.0))
 
 
+def test_chain_compares_player_values_not_identities():
+    a = profile([0, 0, 0], [0.0, 1.0, 2.0])
+    # every PlayerType of b is a fresh object; only player 1's value changes
+    b = profile([0, 1, 0], [0.0, 1.0, 2.0])
+    assert all(pa is not pb for pa, pb in zip(a.players, b.players))
+    step, end = (Interval(0.0, 1.0),), Interval(0.0, 1.0)
+    HybridChain((a, b), (0.0,), (0.0,), step, end)
+    same = profile([0, 0, 0], [0.0, 1.0, 2.0])  # equal to a, no object shared
+    with pytest.raises(ValueError):
+        HybridChain((a, same), (0.0,), (0.0,), step, end)
+    with pytest.raises(ValueError):
+        HybridChain((a, a), (0.0,), (0.0,), step, end)
+    two = profile([0, 1, 0], [0.0, 1.0, 3.0])
+    with pytest.raises(ValueError):
+        HybridChain((a, two), (0.0,), (0.0,), step, end)
+    # a shared object next to a changed one still counts one change
+    shared = a.with_player(2, two.players[2])
+    HybridChain((a, shared), (0.0,), (0.0,), step, end)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_general_threshold_scan_sees_mask_order(n):
+    seen = []
+
+    def recording_threshold(ell, bits, v_minus):
+        seen.append((ell, bits, v_minus))
+        return ell + 1.0
+
+    model = increasing_threshold_model(1.0 / (6 * n), recording_threshold, GEN)
+    audit_general_impossibility(exact_sum(n, 0.5), model)
+    masks = [tuple((mask >> j) & 1 for j in range(n)) for mask in range(2**n)]
+    assert [bits for _, bits, _ in seen] == masks
+    assert all(ell == 0.5 and v_minus == (0.0,) * (n - 1) for ell, _, v_minus in seen)
+
+
 def test_chain_rejects_distance_count_mismatch():
     a = profile([0, 0], [0.0, 0.0])
     b = profile([1, 0], [0.0, 0.0])

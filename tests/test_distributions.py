@@ -174,6 +174,27 @@ def test_count_distribution_validation():
         CountDistribution((0,), (1.5,), -0.5)
 
 
+@pytest.mark.parametrize(
+    "support,probs",
+    [
+        ((0, 0), (0.5, 0.5)),  # repeated atom
+        ((0, 1, 2), (0.75, -0.25, 0.5)),  # negative atom inside
+        ((0, 1, 2), (-0.25, 0.75, 0.5)),  # negative atom first
+        ((0, 1, 2), (math.nan, 0.5, 0.5)),
+        ((0, 1, 2), (0.5, math.nan, 0.5)),
+        ((0, 1, 2), (math.nan, -0.5, 1.5)),
+    ],
+)
+def test_count_distribution_rejects_bad_atoms(support, probs):
+    with pytest.raises(ValueError):
+        CountDistribution(support, probs, 0.0)
+
+
+def test_count_distribution_accepts_empty_and_zero_atoms():
+    assert CountDistribution((), (), 1.0).truncation_mass == 1.0
+    assert CountDistribution((-3, 5), (0.0, 1.0), 0.0).prob(5) == 1.0
+
+
 def test_count_distribution_roundtrip():
     d = shifted_geom_dist(GeomParams(0.5), 3, 1e-6)
     again = CountDistribution.from_json_dict(d.to_json_dict())

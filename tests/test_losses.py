@@ -16,6 +16,7 @@ from privbuy.losses import (
     increasing_threshold_model,
     loss_expectation,
     max_neighbor_distance,
+    neighbor_distances,
     tight_dp_loss,
     zero_loss,
 )
@@ -179,6 +180,52 @@ def test_increasing_threshold_not_distinguishable_is_zero():
     model = increasing_threshold_model(1.0 / 24.0, relation=MON)
     x = profile([1, 0, 0, 0], [5.0, 0.0, 0.0, 0.0])
     assert loss_expectation(model, mech, x, 0, 5.0) == Interval(0.0, 0.0)
+
+
+def _max_distance_formula(delta, relation, mech, x, i, mass_tol):
+    # the expectation as it was written before the early exit: from the
+    # enclosure of the supremum neighbor distance
+    v = x.players[i].valuation
+    if v == 0.0:
+        return Interval(0.0, 0.0)
+    dist = max_neighbor_distance(mech, x, i, relation, mass_tol)
+    if dist.lo >= delta:
+        return Interval(v, v)
+    if dist.hi < delta:
+        return Interval(0.0, 0.0)
+    return Interval(min(0.0, v), max(0.0, v))
+
+
+@pytest.mark.parametrize("relation", [GEN, MON])
+@pytest.mark.parametrize("v", [1.5, -2.0, 0.0])
+def test_increasing_threshold_expectation_matches_max_distance(relation, v):
+    mass_tol = 1e-3  # wide enough enclosures to place delta inside one
+    cases = [
+        (alg1(8.0, 0.5, 4), profile([1, 0, 1, 0], [v, 0.0, 1.0, 0.0])),
+        (exact_sum(3), profile([1, 0, 0], [v, 2.0, 0.0])),
+        (pay_declared(LN2, 3), profile([0, 1, 1], [v, 1.0, 0.0])),
+    ]
+    for mech, x in cases:
+        pairs = neighbor_distances(mech, x, 0, relation, mass_tol)
+        lo = max((d.lo for _, d in pairs), default=0.0)
+        hi = max((d.hi for _, d in pairs), default=0.0)
+        deltas = {min(1.0, lo), min(1.0, hi * 1.5) or 0.5, 0.999}
+        if lo < hi:
+            deltas.add((lo + hi) / 2.0)  # straddles
+        for delta in sorted(d for d in deltas if d > 0.0):
+            model = increasing_threshold_model(delta, relation=relation)
+            got = loss_expectation(model, mech, x, 0, v, mass_tol)
+            assert got == _max_distance_formula(delta, relation, mech, x, 0, mass_tol), (mech.name, delta)
+
+
+def test_increasing_threshold_expectation_covers_all_three_outcomes():
+    mech, x, mass_tol = alg1(8.0, 0.5, 4), profile([1, 0, 1, 0], [1.5, 0.0, 1.0, 0.0]), 1e-3
+    d = max_neighbor_distance(mech, x, 0, GEN, mass_tol)
+    outcomes = {
+        delta: loss_expectation(increasing_threshold_model(delta, relation=GEN), mech, x, 0, 1.5, mass_tol)
+        for delta in (d.lo, (d.lo + d.hi) / 2.0, 0.999)
+    }
+    assert list(outcomes.values()) == [Interval(1.5, 1.5), Interval(0.0, 1.5), Interval(0.0, 0.0)]
 
 
 def test_increasing_threshold_delta_validation():

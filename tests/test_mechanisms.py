@@ -12,6 +12,7 @@ from privbuy.distributions import GeomParams, dp_level, shifted_geom_dist
 from privbuy.mechanisms import (
     BudgetParams,
     SubsampleParams,
+    _subsample_law,
     alg1,
     alg1_prime,
     exact_sum,
@@ -20,7 +21,9 @@ from privbuy.mechanisms import (
     subsample,
 )
 
-from conftest import bit_vectors, profile
+from conftest import ConstantMechanism, bit_vectors, profile
+
+LN2 = math.log(2.0)
 
 
 # --- budget mechanism ------------------------------------------------------
@@ -102,6 +105,57 @@ def test_alg1_prime_payments():
     assert base.pay_vector(x) == (0.0, 2.0, 0.0, 2.0)
     # output law identical to the base mechanism
     assert mech.output_dist(x) == base.output_dist(x)
+
+
+def _restated_qualifies(budget, eps, n, v):
+    # the paper's rule 2 eps v <= B/n, spelled out independently of BudgetParams
+    return 2.0 * eps * v <= budget / n
+
+
+_BUDGET_CASES = [
+    # exact tie 2 * 0.5 * 1.0 == 4 / 4
+    (4.0, 0.5, [1, 0, 1, 1], [1.0, 1.0, 0.0, 2.0]),
+    (8.0, 0.5, [1, 1, 0, 1], [1.0, 3.0, 0.0, 2.0]),
+    (8.0, 0.5, [1, 0, 1, 0], [-1.0, -1e9, -0.0, 5.0]),
+    # 2 eps v overflows to +-inf
+    (3.0, 3.0, [1, 1, 0, 0, 1], [1e300, -1e300, 1.7e308, 1e-300, -1.7e308]),
+    (0.1, LN2, [1, 1, 1, 0, 0, 1], [0.0, 0.03, 0.04, 1e18, -1e18, 0.0360674]),
+]
+
+
+@pytest.mark.parametrize("budget,eps,bits,vals", _BUDGET_CASES)
+def test_budget_mechanism_matches_restated_rule(budget, eps, bits, vals):
+    n = len(bits)
+    x = profile(bits, vals)
+    q = [_restated_qualifies(budget, eps, n, v) for v in x.valuations]
+    assert alg1(budget, eps, n).counted_bit_sum(x) == sum(b for b, ok in zip(bits, q) if ok)
+    for mech, zero_bits in ((alg1(budget, eps, n), False), (alg1_prime(budget, eps, n), True)):
+        want = tuple(budget / n if ok or (zero_bits and b == 0) else 0.0 for b, ok in zip(bits, q))
+        assert mech.counted_bit_sum(x) == alg1(budget, eps, n).counted_bit_sum(x)
+        assert mech.pay_vector(x) == want
+        assert tuple(mech.expected_pay(x, i) for i in range(n)) == want
+
+
+def _every_mechanism(n):
+    yield alg1(2.0 * n, 0.5, n)
+    yield alg1_prime(2.0 * n, 0.5, n)
+    yield subsample(1.5, max(1, n // 2), n)
+    yield pay_declared(0.5, n)
+    yield exact_sum(n, 0.25)
+    yield ConstantMechanism(n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_expected_pay_is_pay_vector_entry(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        x = profile(
+            [rng.randint(0, 1) for _ in range(n)],
+            [rng.choice([0.0, -0.0, 1.0, 2.0, 3.5, -2.0, 1e12]) for _ in range(n)],
+        )
+        for mech in _every_mechanism(n):
+            pays = mech.pay_vector(x)
+            assert tuple(mech.expected_pay(x, i) for i in range(n)) == pays, mech.name
 
 
 def test_budget_params_validation():
@@ -222,6 +276,26 @@ def test_subsample_law_matches_subset_enumeration():
     for c, p in zip(law.support, law.probs):
         assert p == pytest.approx(oracle[c], abs=1e-12)
     assert law.truncation_mass == 0.0
+
+
+def _fraction_subsample_law(n, k, ones):
+    # the law with every weight and count taken through Fraction, summed in
+    # the same order as the implementation
+    atoms = {}
+    for m in range(max(0, k - (n - ones)), min(k, ones) + 1):
+        weight = Fraction(math.comb(ones, m) * math.comb(n - ones, k - m), math.comb(n, k))
+        count = round(Fraction(n * m, k))
+        atoms[count] = atoms.get(count, 0.0) + float(weight)
+    return tuple(sorted(atoms)), tuple(atoms[c] for c in sorted(atoms))
+
+
+def test_subsample_law_equals_fraction_oracle():
+    law = _subsample_law.__wrapped__  # bypass the cache: ~22k laws
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            for ones in range(n + 1):
+                d = law(n, k, ones)
+                assert (d.support, d.probs) == _fraction_subsample_law(n, k, ones), (n, k, ones)
 
 
 def test_subsample_ignores_declarations():

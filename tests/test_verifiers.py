@@ -3,8 +3,9 @@ import math
 import pytest
 
 from privbuy.core import NeighborRelation
+from privbuy.distributions import Interval
 from privbuy.losses import tight_dp_loss, zero_loss
-from privbuy.mechanisms import alg1, alg1_prime, exact_sum, pay_declared
+from privbuy.mechanisms import alg1, alg1_prime, exact_sum, pay_declared, subsample
 from privbuy.verifiers import (
     FAIL,
     INCONCLUSIVE,
@@ -134,6 +135,34 @@ def test_accuracy_fail_and_inconclusive():
     # with a coarse truncation the enclosure straddles a beta placed inside it
     coarse = check_accuracy(mech, x, AccuracySpec(0.5, 0.5, 2.0 / 3.0 - 0.003), mass_tol=0.01)
     assert coarse.verdict == INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "mech,x",
+    [
+        (alg1(8.0, 0.5, 4), profile([1, 1, 0, 1], [0.0, 0.0, 0.0, 0.0])),
+        (exact_sum(4), profile([1, 0, 1, 0], [0.0, 0.0, 0.0, 0.0])),
+        (subsample(1.0, 3, 7), profile([1, 1, 0, 1, 0, 0, 1], [0.0] * 7)),  # support with gaps
+    ],
+)
+def test_accuracy_window_sum_equals_atom_filter(mech, x):
+    # the excluded mass summed atom by atom, as a filter over the support
+    dist = mech.output_dist(x, 1e-9)
+    for alpha, alpha_prime in ((0.0, 0.0), (0.25, 0.0), (0.5, 0.5), (0.75, 0.25), (3.0, 3.0), (0.3, 0.7)):
+        lo_edge = x.bit_sum() - alpha * x.n
+        hi_edge = x.bit_sum() + alpha_prime * x.n
+        out_lo = math.fsum(p for k, p in zip(dist.support, dist.probs) if k <= lo_edge or k >= hi_edge)
+        want = f"Pr[outside ({lo_edge:g}, {hi_edge:g})] in {Interval(out_lo, min(1.0, out_lo + dist.truncation_mass))}"
+        hi = min(1.0, out_lo + dist.truncation_mass)
+        for beta in (0.0, out_lo, 0.5):
+            got = check_accuracy(mech, x, AccuracySpec(alpha, alpha_prime, beta), mass_tol=1e-9)
+            assert got.witness == want
+            if hi <= beta:
+                assert (got.verdict, got.margin) == (PASS, beta - hi)
+            elif out_lo > beta:
+                assert (got.verdict, got.margin) == (FAIL, beta - out_lo)
+            else:
+                assert (got.verdict, got.margin) == (INCONCLUSIVE, beta - hi)
 
 
 def test_accuracy_monte_carlo():
