@@ -237,3 +237,12 @@ class Mechanism(ABC):
 
     def neighbor_profiles(self, x: InputProfile, i: int, relation: NeighborRelation) -> list[InputProfile]:
         return i_neighbor_profiles(x, i, relation, self.candidate_types(x, i))
+
+    def others_key(self, x: InputProfile, i: int):
+        """Hashable summary of every player except i. Together with player
+        i's type it must fix the count law of ``x`` and of every profile that
+        changes only player i, player i's candidate types, and whether
+        changing player i moves any other player's payment. The other players
+        themselves always do; mechanisms whose laws read them through a
+        smaller statistic return that statistic."""
+        return x.players[:i] + x.players[i + 1 :]

@@ -151,16 +151,9 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
         return outcome_table(mech2, x, i, declared, (s,), p_minus)[0]
 
     def expectation_key(mech2, x, i, declared, mass_tol):
-        declared_profile = x.with_valuation(i, declared)
-        decl_dist = mech.output_dist(declared_profile, mass_tol)
-        true_dist = mech.output_dist(x, mass_tol)
-        pm_declared = _pay_minus(mech, declared_profile, i)
-        num_ok = _pay_minus(mech, x, i) == pm_declared
-        cands = tuple(
-            (mech.output_dist(nbr, mass_tol), _pay_minus(mech, nbr, i) == pm_declared)
-            for nbr in mech.neighbor_profiles(x, i, relation)
-        )
-        return (mech.cache_token, kind, x.players[i].valuation, true_dist, decl_dist, num_ok, cands, mass_tol)
+        # player i's type and others_key fix every law, candidate and
+        # payment equality the expectation reads (see Mechanism.others_key)
+        return (mech2.cache_token, kind, x.players[i], declared, mech2.others_key(x, i), mass_tol)
 
     return LossModel(
         kind=kind,

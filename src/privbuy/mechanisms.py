@@ -98,9 +98,17 @@ class BudgetMechanism(Mechanism):
 
     def counted_bit_sum(self, x: InputProfile) -> int:
         """Sum of b'_i where b'_i = b_i if the player qualifies, else 0."""
+        return self._counted(x.players)
+
+    def _counted(self, players) -> int:
         # BudgetParams.qualifies, hoisted: same operands, same floats
         two_eps, share = 2.0 * self.params.epsilon, self.params.budget / self.params.n
-        return sum([p.bit for p in x.players if two_eps * p.valuation <= share])
+        return sum([p.bit for p in players if two_eps * p.valuation <= share])
+
+    def others_key(self, x: InputProfile, i: int) -> int:
+        # laws read the others only through their counted bits; candidates
+        # read only player i, and no payment reads another player
+        return self._counted(x.players[:i] + x.players[i + 1 :])
 
     def output_dist(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         self.require_profile(x)
@@ -171,16 +179,28 @@ def _rescaled_count(n: int, m: int, k: int) -> int:
     return q + 1 if 2 * r > k or (2 * r == k and q % 2) else q
 
 
+def _others_bit_sum(mech: Mechanism, x: InputProfile, i: int) -> int:
+    """``others_key`` of the mechanisms whose law reads the other players
+    only through their bit sum, and whose payments read no other player."""
+    return x.bit_sum() - x.players[i].bit
+
+
 @lru_cache(maxsize=None)
 def _subsample_law(n: int, k: int, ones: int) -> CountDistribution:
     """Exact law of round_half_even(n*m/k) with m hypergeometric(n, ones, k)."""
     total = math.comb(n, k)
+    zeros = n - ones
+    lo = max(0, k - zeros)
+    # comb(ones, m) and comb(zeros, k - m), stepped exactly from m to m + 1
+    c_ones, c_zeros = math.comb(ones, lo), math.comb(zeros, k - lo)
     atoms: dict[int, float] = {}
-    for m in range(max(0, k - (n - ones)), min(k, ones) + 1):
+    for m in range(lo, min(k, ones) + 1):
         # int true division is correctly rounded, as float(Fraction(...)) is
-        weight = math.comb(ones, m) * math.comb(n - ones, k - m) / total
+        weight = c_ones * c_zeros / total
         count = _rescaled_count(n, m, k)
         atoms[count] = atoms.get(count, 0.0) + weight
+        c_ones = c_ones * (ones - m) // (m + 1)
+        c_zeros = c_zeros * (k - m) // (zeros - k + m + 1)
     return CountDistribution.from_atoms(atoms, 0.0)
 
 
@@ -221,6 +241,8 @@ class SubsampleMechanism(Mechanism):
 
     def max_zero_valuation_pay(self) -> float:
         return self.params.flat_pay
+
+    others_key = _others_bit_sum
 
     def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
         n, k = self.params.n, self.params.sample_size
@@ -286,6 +308,8 @@ class PayDeclaredMechanism(Mechanism):
     def max_zero_valuation_pay(self) -> float:
         return 0.0
 
+    others_key = _others_bit_sum
+
     def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
         return x.bit_sum() + sample_geom(self.geom, rng)
 
@@ -344,6 +368,8 @@ class ExactSumMechanism(Mechanism):
 
     def max_zero_valuation_pay(self) -> float:
         return self.flat_pay
+
+    others_key = _others_bit_sum
 
     def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
         return x.bit_sum()

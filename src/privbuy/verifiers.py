@@ -154,9 +154,13 @@ def check_truthful(
     # other deviations' enclosures look like, so verdicts are bucketed
     by_verdict = {PASS: [], FAIL: [], INCONCLUSIVE: []}
     for dev in devs:
-        dev_profile = x.with_valuation(i, dev)
-        dev_pay = mech.expected_pay(dev_profile, i)
-        dev_dist = mech.output_dist(dev_profile, mass_tol)
+        if dev == truth and math.copysign(1.0, dev) == math.copysign(1.0, truth):
+            # the truth itself (-0.0 is not 0.0: a payment may keep the sign)
+            dev_pay, dev_dist = truth_pay, truth_dist
+        else:
+            dev_profile = x.with_valuation(i, dev)
+            dev_pay = mech.expected_pay(dev_profile, i)
+            dev_dist = mech.output_dist(dev_profile, mass_tol)
         if dev_dist == truth_dist and model.respects_identical_output_dists:
             margin = truth_pay - dev_pay
             verdict = PASS if margin >= 0.0 else FAIL

@@ -5,13 +5,18 @@ formula and hand-derived neighbor classes for the budget mechanism, summing
 over a wide window, without touching the implementation's law or loss code.
 """
 
+import dataclasses
+import itertools
 import math
+import random
 
 import pytest
 
-from privbuy.core import NeighborRelation
+from privbuy import losses
+from privbuy.core import InputProfile, NeighborRelation, PlayerType
 from privbuy.distributions import Interval
 from privbuy.losses import (
+    clear_expectation_cache,
     growing_sd_model,
     increasing_threshold_model,
     loss_expectation,
@@ -20,9 +25,10 @@ from privbuy.losses import (
     tight_dp_loss,
     zero_loss,
 )
-from privbuy.mechanisms import alg1, exact_sum, pay_declared
+from privbuy.mechanisms import BudgetMechanism, alg1, alg1_prime, exact_sum, pay_declared, subsample
+from privbuy.verifiers import check_ir, check_truthful
 
-from conftest import profile
+from conftest import ConstantMechanism, profile
 
 GEN, MON = NeighborRelation.GENERAL, NeighborRelation.MONOTONIC
 LN2 = math.log(2.0)
@@ -286,3 +292,130 @@ def test_max_neighbor_distance_witnesses():
     x = profile([1, 0], [1.0, 0.0])
     d = max_neighbor_distance(mech, x, 0, GEN)
     assert d.lo == pytest.approx(1.0 / 3.0, abs=1e-9)  # bit flip shifts the law by one
+
+
+# --- the tight-DP memo and Mechanism.others_key ------------------------------
+
+MEMO_MECHANISMS = {
+    "alg1": lambda n: alg1(2.0 * n, 0.5, n),
+    "alg1_prime": lambda n: alg1_prime(4.0 * n, LN2, n),
+    "pay_declared": lambda n: pay_declared(0.5, n),
+    "subsample": lambda n: subsample(1.5, max(1, n - 1), n),
+    "exact_sum": lambda n: exact_sum(n, 0.25),
+    "constant": ConstantMechanism,
+}
+
+
+def _memo_grid(mech, n):
+    """Every bit vector with valuations from {0, -0.0, -1, theta/2, theta,
+    2 theta, 1e300}: all of them for n <= 2; for n = 3 the 49 vectors in
+    which every pair of players takes every pair of valuations."""
+    theta = mech.params.theta if isinstance(mech, BudgetMechanism) else 1.0
+    vals = (0.0, -0.0, -1.0, theta / 2.0, theta, 2.0 * theta, 1e300)
+    if n <= 2:
+        val_vectors = list(itertools.product(vals, repeat=n))
+    else:
+        k = len(vals)
+        val_vectors = [(vals[a], vals[b], vals[(a + b) % k]) for a in range(k) for b in range(k)]
+    for bits in itertools.product((0, 1), repeat=n):
+        for vs in val_vectors:
+            yield InputProfile.from_arrays(bits, vs)
+
+
+@pytest.mark.parametrize("factory", MEMO_MECHANISMS.values(), ids=MEMO_MECHANISMS.keys())
+def test_memo_matches_unmemoized_expectation(factory):
+    calls = []
+    for n in (1, 2, 3):
+        mech = factory(n)
+        for relation in (GEN, MON):
+            model = tight_dp_loss(mech, relation)
+            plain = dataclasses.replace(model, expectation_key=None)
+            for x in _memo_grid(mech, n):
+                for i in range(n):
+                    for declared in mech.deviation_valuations(x, i):
+                        calls.append((model, plain, mech, x, i, declared))
+    random.Random(0).shuffle(calls)
+    clear_expectation_cache()
+    memoized = [loss_expectation(model, mech, x, i, d) for model, _, mech, x, i, d in calls]
+    assert len(losses._EXPECTATION_CACHE) < len(calls)  # the grid does hit the memo
+    for (_, plain, mech, x, i, d), got in zip(calls, memoized):
+        want = loss_expectation(plain, mech, x, i, d)
+        assert got.lo == want.lo and got.hi == want.hi, (mech.name, str(x), i, d, got, want)
+
+
+def _memo_inputs(mech, x, i):
+    """What the tight-DP expectation reads of x besides player i's type:
+    the candidates, the law of x and of each change of player i, which
+    changes move another player's payment, and the admitted neighbors."""
+
+    def law(y):
+        d = mech.output_dist(y)
+        return d.support, d.probs, d.truncation_mass
+
+    def pays_minus(y):
+        pays = mech.pay_vector(y)
+        return pays[:i] + pays[i + 1 :]
+
+    cands = mech.candidate_types(x, i)
+    bit = x.players[i].bit
+    changed = [x.with_player(i, t) for t in cands] + [
+        x.with_player(i, PlayerType(bit, d)) for d in mech.deviation_valuations(x, i)
+    ]
+    pms = [pays_minus(y) for y in [x] + changed]
+    return (
+        cands,
+        law(x),
+        [law(y) for y in changed],
+        [pms.index(pm) for pm in pms],  # which profiles pay the others alike
+        [[nbr.players[i] for nbr in mech.neighbor_profiles(x, i, rel)] for rel in (GEN, MON)],
+    )
+
+
+@pytest.mark.parametrize("name", [name for name in MEMO_MECHANISMS if name != "constant"])
+def test_others_key_fixes_what_the_memo_reads(name):
+    for n in (2, 3):
+        mech = MEMO_MECHANISMS[name](n)
+        groups = {}
+        for x in _memo_grid(mech, n):
+            for i in range(n):
+                groups.setdefault((i, x.players[i], mech.others_key(x, i)), []).append(x)
+        assert max(map(len, groups.values())) > 1
+        for (i, _, _), members in groups.items():
+            want = _memo_inputs(mech, members[0], i)
+            for x in members[1:]:
+                assert _memo_inputs(mech, x, i) == want, (name, i, str(members[0]), str(x))
+
+
+def test_others_key_default_is_the_other_players():
+    mech = ConstantMechanism(3)
+    x = profile([1, 0, 1], [1.0, 2.0, 3.0])
+    assert mech.others_key(x, 1) == (x.players[0], x.players[2])
+
+
+def _criterion_grid(factory):
+    for n in (2, 3):
+        for eps in (0.5, LN2):
+            for budget in (2.0 * n, 4.0 * n):
+                mech = factory(budget, eps, n)
+                theta = mech.params.theta
+                vals = (0.0, theta / 2.0, theta, 2.0 * theta, 10.0 * theta)
+                for bits in itertools.product((0, 1), repeat=n):
+                    for vs in itertools.product(vals, repeat=n):
+                        yield mech, tight_dp_loss(mech, MON), InputProfile.from_arrays(bits, vs)
+
+
+def test_memo_size_after_criterion_grids():
+    # a key finer than what the expectation reads would leave more entries
+    clear_expectation_cache()
+    for mech, model, x in _criterion_grid(alg1):
+        check_ir(mech, model, x)
+        for i, p in enumerate(x.players):
+            if mech.params.qualifies(p.valuation):
+                check_truthful(mech, model, x, i)
+    assert len(losses._EXPECTATION_CACHE) == 260
+    clear_expectation_cache()
+    for mech, model, x in _criterion_grid(alg1_prime):
+        for i, p in enumerate(x.players):
+            if p.bit == 0 or mech.params.qualifies(p.valuation):
+                check_truthful(mech, model, x, i)
+    assert len(losses._EXPECTATION_CACHE) == 120

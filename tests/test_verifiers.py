@@ -65,6 +65,20 @@ def test_truthful_deviation_equal_to_truth_passes():
     assert r.verdict == PASS and r.margin == 0.0
 
 
+def test_truthful_deviation_equal_to_truth_keeps_zero_sign():
+    # pay_declared pays v * eps and leaves the law alone, so the margin is
+    # the payment gap: a truth of -0.0 against a declared 0.0 gives -0.0
+    mech = pay_declared(0.5, 2)
+    model = tight_dp_loss(mech, GEN)
+    neg, pos = profile([1, 0], [-0.0, 0.0]), profile([1, 0], [0.0, 0.0])
+    margins = {
+        (repr(x.players[0].valuation), repr(dev)): repr(check_truthful(mech, model, x, 0, deviations=[dev]).margin)
+        for x in (neg, pos)
+        for dev in (-0.0, 0.0)
+    }
+    assert margins == {("-0.0", "-0.0"): "0.0", ("-0.0", "0.0"): "-0.0", ("0.0", "-0.0"): "0.0", ("0.0", "0.0"): "0.0"}
+
+
 def test_truthful_budget_mechanism_low_valuation():
     mech = alg1(8.0, 0.5, 4)
     theta = mech.params.theta
