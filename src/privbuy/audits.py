@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress, product, repeat
 from operator import is_not, itemgetter, ne
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import InputProfile, Mechanism, NeighborRelation, PlayerType
 from .distributions import DEFAULT_MASS_TOL, Interval, statistical_distance
@@ -178,14 +178,17 @@ def _consecutive_distances(mech: Mechanism, inputs, mass_tol):
     return steps, statistical_distance(laws[0], laws[-1])
 
 
-def _distinguishability(mech: Mechanism, x: InputProfile, query: DistinguishabilityQuery, mass_tol):
-    """The query's verdict and the largest neighbor distance ``hi`` (0 when
-    no neighbor exists), from one pass over the neighbor laws."""
-    pairs = neighbor_distances(mech, x, query.player, query.relation, mass_tol)
-    return distinguishability_verdict(pairs, query, mech.name), max((d.hi for _, d in pairs), default=0.0)
-
-
-def _require_increasing_model(model: LossModel, relation: NeighborRelation, delta: float):
+def _validate(
+    mech: Mechanism, model: LossModel, relation: NeighborRelation, n: Optional[int], delta: Optional[float], per: int
+) -> tuple[int, float]:
+    """n and delta of an audit driven by an increasing model over
+    ``relation``; delta defaults to, and may not exceed, 1/(per*n)."""
+    n = mech.player_count if n is None else n
+    if n != mech.player_count:
+        raise ValueError(f"n={n} does not match mechanism player count {mech.player_count}")
+    delta = 1.0 / (per * n) if delta is None else delta
+    if not 0.0 < delta <= 1.0 / (per * n):
+        raise ValueError(f"delta must be in (0, 1/({per}n)], got {delta}")
     if not model.respects_indifference:
         raise ValueError("audit needs a model that respects indifference")
     if not model.increasing_for_delta or model.threshold_fn is None:
@@ -194,13 +197,14 @@ def _require_increasing_model(model: LossModel, relation: NeighborRelation, delt
         raise ValueError(f"model is bound to {model.relation}, audit needs {relation}")
     if model.delta is not None and model.delta != delta:
         raise ValueError(f"model delta {model.delta} differs from audit delta {delta}")
+    return n, delta
 
 
 def _escape_note(mech: Mechanism, max_seen: float) -> list[str]:
     # A mechanism advertising a distinguishability budget C keeps every
     # player's neighbor distance below C/n; loss models that stay bounded
     # below C/n-distinguishability cannot force it into the argument.
-    cap = getattr(mech, "distinguishability_budget", math.inf)
+    cap = mech.distinguishability_budget
     if not math.isfinite(cap):
         return []
     ratio = cap / mech.player_count
@@ -210,6 +214,82 @@ def _escape_note(mech: Mechanism, max_seen: float) -> list[str]:
             "the flag above only binds loss models that grow below C/n-distinguishability"
         ]
     return [f"note: max observed neighbor distance {max_seen:.6g} >= C/n = {ratio:.6g}"]
+
+
+def _ir_step(
+    mech: Mechanism, model: LossModel, x: InputProfile, query: DistinguishabilityQuery, level: float,
+    mass_tol: float, found: dict, details: list[str], what: str, claim: str, where: str,
+) -> float:
+    """Player i's IR claim at hybrid ``x``: were ``x`` delta-distinguishable
+    for them, the model's loss at valuation ``level`` would exceed their pay
+    (``claim``). Logs the step, records a violation or a straddle in
+    ``found``, and returns the largest neighbor distance hi (0 when no
+    neighbor exists). ``what`` and ``where`` name the hybrid in the log and in
+    the witness."""
+    i, delta = query.player, query.delta
+    pairs = neighbor_distances(mech, x, i, query.relation, mass_tol)
+    res = distinguishability_verdict(pairs, query, mech.name)
+    far = "monotonically-distinguishable" if query.relation is NeighborRelation.MONOTONIC else "distinguishable"
+    if res.verdict == "distinguishable":
+        loss = loss_expectation(model, mech, x, i, level, mass_tol)
+        detail = (
+            f"step {i}: {what} is {delta:g}-{far} for player {i} ({res.witness}); "
+            f"model loss {loss} > {claim}: IR VIOLATED"
+        )
+        details.append(detail)
+        if not found[IR_VIOLATED]:  # only the first is a witness, and x prints in O(n)
+            found[IR_VIOLATED].append((i, f"{where} = {x}: {detail}"))
+    elif res.verdict == INCONCLUSIVE:
+        found[INCONCLUSIVE].append((i, f"distinguishability straddles delta at step {i}; refine mass_tol"))
+        details.append(f"step {i}: distinguishability inconclusive ({res.witness})")
+    else:
+        details.append(f"step {i}: not {delta:g}-{far} for player {i}")
+    return max((d.hi for _, d in pairs), default=0.0)
+
+
+def _report(
+    audit: str, mech: Mechanism, chain: Optional[HybridChain], accuracy: tuple[CheckResult, ...],
+    details: list[str], params: tuple, found: dict, holds: str = "",
+    on_fail: Optional[Callable] = None, unsettled: str = "", intact: str = "",
+) -> AuditReport:
+    """The verdict ladder every audit ends in.
+
+    ``found`` maps each premise verdict, in argument order, to its
+    (step, witness) violations; the first premise with one decides. When
+    every premise holds, ``holds`` is logged and the last failing accuracy
+    row decides through ``on_fail(row) -> (verdict, step, witness, detail)``;
+    else an inconclusive row makes the audit inconclusive (witness
+    ``unsettled``); else accuracy holds where the theorem says it cannot
+    (witness ``intact``).
+    """
+    for verdict, violations in found.items():
+        if violations:
+            step, witness = violations[0]
+            break
+    else:
+        details.append(holds)
+        failed = [r for r in accuracy if r.verdict == FAIL]
+        if failed:
+            verdict, step, witness, detail = on_fail(failed[-1])
+            details.append(detail)
+        elif any(r.verdict == INCONCLUSIVE for r in accuracy):
+            verdict, step, witness = INCONCLUSIVE, None, unsettled
+        else:
+            verdict, step, witness = THEOREM_CONTRADICTED, None, intact
+    return AuditReport(audit, mech.name, verdict, chain, step, witness, accuracy, tuple(details), params)
+
+
+def _endpoint_rungs(verdict: str, consequence: str) -> dict:
+    """The accuracy rungs of the general and monotonic audits, whose two
+    accuracy rows are the chain's endpoints."""
+    return dict(
+        on_fail=lambda r: (
+            verdict, None, f"accuracy fails on {r.profile}: {r.witness}",
+            f"(1/2, 1/3)-accuracy fails on {r.profile}: {consequence}",
+        ),
+        unsettled="endpoint accuracy inconclusive; refine mass_tol",
+        intact="chain and both endpoint accuracies hold; this should be impossible",
+    )
 
 
 def audit_general_impossibility(
@@ -227,23 +307,14 @@ def audit_general_impossibility(
     1/3 and (1/2, 1/3)-accuracy must break on an endpoint. Otherwise the
     report names the first broken premise.
     """
-    n = mech.player_count if n is None else n
-    if n != mech.player_count:
-        raise ValueError(f"n={n} does not match mechanism player count {mech.player_count}")
-    delta = 1.0 / (6 * n) if delta is None else delta
-    if not 0.0 < delta <= 1.0 / (6 * n):
-        raise ValueError(f"delta must be in (0, 1/(6n)], got {delta}")
-    _require_increasing_model(model, NeighborRelation.GENERAL, delta)
-
-    details: list[str] = []
+    n, delta = _validate(mech, model, NeighborRelation.GENERAL, n, delta, 6)
+    audit = "general_impossibility"
     pay_cap = mech.max_zero_valuation_pay()
-    details.append(f"payment cap over all-indifferent inputs: P = {pay_cap:g}")
+    details = [f"payment cap over all-indifferent inputs: P = {pay_cap:g}"]
     if not math.isfinite(pay_cap):
-        return AuditReport(
-            "general_impossibility", mech.name, PAYMENTS_VIOLATED, None, None,
-            "mechanism pays unboundedly even when all players are indifferent",
-            (), tuple(details), (("delta", delta), ("n", float(n))),
-        )
+        unbounded = "mechanism pays unboundedly even when all players are indifferent"
+        return _report(audit, mech, None, (), details, (("delta", delta), ("n", float(n))),
+                       {PAYMENTS_VIOLATED: [(None, unbounded)]})
 
     # every bit vector in mask order (bit j of mask is player j's bit), so
     # ties in max resolve as they always have
@@ -257,9 +328,7 @@ def audit_general_impossibility(
         inputs.append(probe)
         inputs.append(probe.with_valuation(i, 0.0))
 
-    truth_viol: list[int] = []
-    ir_viol: list[tuple[int, str]] = []
-    unsettled: list[int] = []
+    found: dict = {TRUTHFULNESS_VIOLATED: [], IR_VIOLATED: [], INCONCLUSIVE: []}
     max_seen = 0.0
     for i in range(n):
         probe, after = inputs[2 * i + 1], inputs[2 * i + 2]
@@ -271,23 +340,13 @@ def audit_general_impossibility(
             + ("ok" if ok else "VIOLATED")
         )
         if not ok:
-            truth_viol.append(i)
-        query = DistinguishabilityQuery(i, delta, NeighborRelation.GENERAL)
-        res, hi = _distinguishability(mech, probe, query, mass_tol)
-        max_seen = max(max_seen, hi)
-        if res.verdict == "distinguishable":
-            loss = loss_expectation(model, mech, probe, i, threshold, mass_tol)
-            detail = (
-                f"step {i}: probe hybrid is {delta:g}-distinguishable for player {i} ({res.witness}); "
-                f"model loss {loss} > P = {pay_cap:g} >= pay {pay_probe:g}: IR VIOLATED"
+            found[TRUTHFULNESS_VIOLATED].append(
+                (i, f"indifferent player {i} gains by declaring L at chain input {2 * i + 1}")
             )
-            details.append(detail)
-            ir_viol.append((i, detail))
-        elif res.verdict == INCONCLUSIVE:
-            unsettled.append(i)
-            details.append(f"step {i}: distinguishability inconclusive ({res.witness})")
-        else:
-            details.append(f"step {i}: not {delta:g}-distinguishable for player {i}")
+        query = DistinguishabilityQuery(i, delta, NeighborRelation.GENERAL)
+        hi = _ir_step(mech, model, probe, query, threshold, mass_tol, found, details, "probe hybrid",
+                      f"P = {pay_cap:g} >= pay {pay_probe:g}", f"chain input {2 * i + 1}")
+        max_seen = max(max_seen, hi)
 
     steps, end = _consecutive_distances(mech, inputs, mass_tol)
     chain = HybridChain(tuple(inputs), (pay_cap,) * n, (threshold,) * n, steps, end)
@@ -297,49 +356,10 @@ def audit_general_impossibility(
     )
     params = (("delta", delta), ("n", float(n)), ("P", pay_cap), ("L", threshold))
     details.extend(_escape_note(mech, max_seen))
-
-    if truth_viol:
-        i = truth_viol[0]
-        return AuditReport(
-            "general_impossibility", mech.name, TRUTHFULNESS_VIOLATED, chain, i,
-            f"indifferent player {i} gains by declaring L at chain input {2 * i + 1}",
-            accuracy, tuple(details), params,
-        )
-    if ir_viol:
-        i, detail = ir_viol[0]
-        return AuditReport(
-            "general_impossibility", mech.name, IR_VIOLATED, chain, i,
-            f"chain input {2 * i + 1} = {inputs[2 * i + 1]}: {detail}",
-            accuracy, tuple(details), params,
-        )
-    if unsettled:
-        i = unsettled[0]
-        return AuditReport(
-            "general_impossibility", mech.name, INCONCLUSIVE, chain, i,
-            f"distinguishability straddles delta at step {i}; refine mass_tol",
-            accuracy, tuple(details), params,
-        )
-
-    details.append(
-        f"all probes indistinguishable, so end-to-end distance {end} stays below 2n*delta = {2 * n * delta:g} <= 1/3"
-    )
-    failed = [r for r in (accuracy[1], accuracy[0]) if r.verdict == FAIL]
-    if failed:
-        details.append(f"(1/2, 1/3)-accuracy fails on {failed[0].profile}: the impossibility is respected")
-        return AuditReport(
-            "general_impossibility", mech.name, IMPOSSIBILITY_RESPECTED, chain, None,
-            f"accuracy fails on {failed[0].profile}: {failed[0].witness}",
-            accuracy, tuple(details), params,
-        )
-    if any(r.verdict == INCONCLUSIVE for r in accuracy):
-        return AuditReport(
-            "general_impossibility", mech.name, INCONCLUSIVE, chain, None,
-            "endpoint accuracy inconclusive; refine mass_tol", accuracy, tuple(details), params,
-        )
-    return AuditReport(
-        "general_impossibility", mech.name, THEOREM_CONTRADICTED, chain, None,
-        "chain and both endpoint accuracies hold; this should be impossible",
-        accuracy, tuple(details), params,
+    return _report(
+        audit, mech, chain, accuracy, details, params, found,
+        f"all probes indistinguishable, so end-to-end distance {end} stays below 2n*delta = {2 * n * delta:g} <= 1/3",
+        **_endpoint_rungs(IMPOSSIBILITY_RESPECTED, "the impossibility is respected"),
     )
 
 
@@ -359,22 +379,14 @@ def audit_monotonic_impossibility(
     forces the all-zeros and all-ones-at-L laws within n*delta <= 1/3, so a
     surviving mechanism must give up (1/2, 1/3)-accuracy on an endpoint.
     """
-    n = mech.player_count if n is None else n
-    if n != mech.player_count:
-        raise ValueError(f"n={n} does not match mechanism player count {mech.player_count}")
-    delta = 1.0 / (3 * n) if delta is None else delta
-    if not 0.0 < delta <= 1.0 / (3 * n):
-        raise ValueError(f"delta must be in (0, 1/(3n)], got {delta}")
-    _require_increasing_model(model, NeighborRelation.MONOTONIC, delta)
-
+    n, delta = _validate(mech, model, NeighborRelation.MONOTONIC, n, delta, 3)
+    audit = "monotonic_impossibility"
     details: list[str] = []
     hybrids = [_zeros(n)]
     probes: list[InputProfile] = []
     pays: list[float] = []
     thresholds: list[float] = []
-    truth_viol: list[int] = []
-    ir_viol: list[tuple[int, str]] = []
-    unsettled: list[int] = []
+    found: dict = {TRUTHFULNESS_VIOLATED: [], IR_VIOLATED: [], INCONCLUSIVE: []}
     max_seen = 0.0
 
     x = hybrids[0]
@@ -384,11 +396,8 @@ def audit_monotonic_impossibility(
         if not math.isfinite(pay_i):
             # no finite threshold exists, so the chain cannot be continued
             details.append(f"step {i}: payment at the probe input is not finite: VIOLATED")
-            return AuditReport(
-                "monotonic_impossibility", mech.name, PAYMENTS_VIOLATED, None, i,
-                f"payment not finite at step {i}", (), tuple(details),
-                (("delta", delta), ("n", float(n))),
-            )
+            return _report(audit, mech, None, (), details, (("delta", delta), ("n", float(n))),
+                           {PAYMENTS_VIOLATED: [(i, f"payment not finite at step {i}")]})
         level = model.threshold_fn(pay_i, probe.bits, probe.valuations[:i] + probe.valuations[i + 1 :])
         after = probe.with_valuation(i, level)
         pay_after = mech.expected_pay(after, i)
@@ -398,23 +407,11 @@ def audit_monotonic_impossibility(
             f"truthful-for-indifferent claim pay {pay_after:g} <= P_{i}: " + ("ok" if ok else "VIOLATED")
         )
         if not ok:
-            truth_viol.append(i)
+            found[TRUTHFULNESS_VIOLATED].append((i, f"indifferent player {i} gains by declaring L_{i} at hybrid {i + 1}"))
         query = DistinguishabilityQuery(i, delta, NeighborRelation.MONOTONIC)
-        res, hi = _distinguishability(mech, after, query, mass_tol)
+        hi = _ir_step(mech, model, after, query, level, mass_tol, found, details, "hybrid",
+                      f"P_{i} = {pay_i:g} >= pay {pay_after:g}", f"hybrid {i + 1}")
         max_seen = max(max_seen, hi)
-        if res.verdict == "distinguishable":
-            loss = loss_expectation(model, mech, after, i, level, mass_tol)
-            detail = (
-                f"step {i}: hybrid is {delta:g}-monotonically-distinguishable for player {i} "
-                f"({res.witness}); model loss {loss} > P_{i} = {pay_i:g} >= pay {pay_after:g}: IR VIOLATED"
-            )
-            details.append(detail)
-            ir_viol.append((i, detail))
-        elif res.verdict == INCONCLUSIVE:
-            unsettled.append(i)
-            details.append(f"step {i}: distinguishability inconclusive ({res.witness})")
-        else:
-            details.append(f"step {i}: not {delta:g}-monotonically-distinguishable for player {i}")
         probes.append(probe)
         pays.append(pay_i)
         thresholds.append(level)
@@ -427,53 +424,14 @@ def audit_monotonic_impossibility(
         check_accuracy(mech, hybrids[0], _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_zeros"),
         check_accuracy(mech, hybrids[-1], _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_ones_at_L"),
     )
-    params = (("delta", delta), ("n", float(n)))
     details.extend(_escape_note(mech, max_seen))
-
-    if truth_viol:
-        i = truth_viol[0]
-        return AuditReport(
-            "monotonic_impossibility", mech.name, TRUTHFULNESS_VIOLATED, chain, i,
-            f"indifferent player {i} gains by declaring L_{i} at hybrid {i + 1}",
-            accuracy, tuple(details), params,
-        )
-    if ir_viol:
-        i, detail = ir_viol[0]
-        return AuditReport(
-            "monotonic_impossibility", mech.name, IR_VIOLATED, chain, i,
-            f"hybrid {i + 1} = {hybrids[i + 1]}: {detail}", accuracy, tuple(details), params,
-        )
-    if unsettled:
-        i = unsettled[0]
-        return AuditReport(
-            "monotonic_impossibility", mech.name, INCONCLUSIVE, chain, i,
-            f"distinguishability straddles delta at step {i}; refine mass_tol",
-            accuracy, tuple(details), params,
-        )
-
-    details.append(
-        f"chain completes: end-to-end distance {end} stays below n*delta = {n * delta:g} <= 1/3"
-    )
-    failed = [r for r in (accuracy[1], accuracy[0]) if r.verdict == FAIL]
-    if failed:
-        details.append(
-            f"(1/2, 1/3)-accuracy fails on {failed[0].profile}: accuracy is sacrificed on "
-            "high-valuation inputs while IR and claimed truthfulness survive"
-        )
-        return AuditReport(
-            "monotonic_impossibility", mech.name, ACCURACY_SACRIFICED, chain, None,
-            f"accuracy fails on {failed[0].profile}: {failed[0].witness}",
-            accuracy, tuple(details), params,
-        )
-    if any(r.verdict == INCONCLUSIVE for r in accuracy):
-        return AuditReport(
-            "monotonic_impossibility", mech.name, INCONCLUSIVE, chain, None,
-            "endpoint accuracy inconclusive; refine mass_tol", accuracy, tuple(details), params,
-        )
-    return AuditReport(
-        "monotonic_impossibility", mech.name, THEOREM_CONTRADICTED, chain, None,
-        "chain and both endpoint accuracies hold; this should be impossible",
-        accuracy, tuple(details), params,
+    return _report(
+        audit, mech, chain, accuracy, details, (("delta", delta), ("n", float(n))), found,
+        f"chain completes: end-to-end distance {end} stays below n*delta = {n * delta:g} <= 1/3",
+        **_endpoint_rungs(
+            ACCURACY_SACRIFICED,
+            "accuracy is sacrificed on high-valuation inputs while IR and claimed truthfulness survive",
+        ),
     )
 
 
@@ -512,23 +470,20 @@ def audit_payment_accuracy_tradeoff(
     probes: list[InputProfile] = []
     observed_pays: list[float] = []
     highs: list[float] = []
-    pay_viol: list[int] = []
-    truth_viol: list[int] = []
-    ir_viol: list[tuple[int, str]] = []
-    unsettled: list[int] = []
+    found: dict = {PAYMENTS_VIOLATED: [], TRUTHFULNESS_VIOLATED: [], IR_VIOLATED: [], INCONCLUSIVE: []}
 
     x = hybrids[0]
     for i in range(h + g2):
         probe = x.with_player(i, PlayerType(1, 0.0))
         pay_probe = mech.expected_pay(probe, i)
         if not pay_probe <= cap:
-            pay_viol.append(i)
+            found[PAYMENTS_VIOLATED].append((i, f"payment cap premise fails at step {i}"))
             details.append(f"step {i}: pay {pay_probe:g} to a zero-valuation declarer exceeds P = {cap:g}: VIOLATED")
         high = level if i < h else params.tau
         after = probe.with_valuation(i, high)
         pay_after = mech.expected_pay(after, i)
         if not pay_after <= pay_probe:
-            truth_viol.append(i)
+            found[TRUTHFULNESS_VIOLATED].append((i, f"truthfulness-for-indifferent fails at step {i}"))
             details.append(f"step {i}: indifferent player gains by declaring {high:g} ({pay_probe:g} -> {pay_after:g}): VIOLATED")
         probes.append(probe)
         observed_pays.append(pay_probe)
@@ -545,9 +500,9 @@ def audit_payment_accuracy_tradeoff(
                 f"below P/v = {bound:g}: IR VIOLATED"
             )
             details.append(detail)
-            ir_viol.append((i, detail))
+            found[IR_VIOLATED].append((i, detail))
         elif d.hi >= bound:
-            unsettled.append(i)
+            found[INCONCLUSIVE].append((i, f"step distance straddles its cap at step {i}; refine mass_tol"))
             details.append(f"step {i}: step distance {d} straddles the cap P/v = {bound:g}")
         else:
             details.append(f"step {i}: step distance {d} < P/v = {bound:g}: ok")
@@ -564,54 +519,14 @@ def audit_payment_accuracy_tradeoff(
         ("beta", params.beta), ("eta", params.eta), ("gamma", params.gamma),
         ("tau", params.tau), ("P", cap), ("L", level), ("n", float(n)),
     )
-
-    if pay_viol:
-        i = pay_viol[0]
-        return AuditReport(
-            "payment_accuracy_tradeoff", mech.name, PAYMENTS_VIOLATED, chain, i,
-            f"payment cap premise fails at step {i}", accuracy, tuple(details), report_params,
-        )
-    if truth_viol:
-        i = truth_viol[0]
-        return AuditReport(
-            "payment_accuracy_tradeoff", mech.name, TRUTHFULNESS_VIOLATED, chain, i,
-            f"truthfulness-for-indifferent fails at step {i}", accuracy, tuple(details), report_params,
-        )
-    if ir_viol:
-        i, detail = ir_viol[0]
-        return AuditReport(
-            "payment_accuracy_tradeoff", mech.name, IR_VIOLATED, chain, i, detail,
-            accuracy, tuple(details), report_params,
-        )
-    if unsettled:
-        i = unsettled[0]
-        return AuditReport(
-            "payment_accuracy_tradeoff", mech.name, INCONCLUSIVE, chain, i,
-            f"step distance straddles its cap at step {i}; refine mass_tol",
-            accuracy, tuple(details), report_params,
-        )
-
     drift_bound = h * (cap / level if level > 0 else 0.0) + g2 * cap / params.tau
-    details.append(
-        f"premises hold: end-to-end distance {end} < h*P/L + 2*gamma*n*P/tau = {drift_bound:g} <= {1.0 - 2.0 * params.beta:g}"
-    )
-    failed = [r for r in accuracy if r.verdict == FAIL]
-    if failed:
-        worst = failed[-1]
-        details.append(f"([eta+gamma, gamma], beta)-accuracy fails at {worst.profile}: {worst.witness}")
-        return AuditReport(
-            "payment_accuracy_tradeoff", mech.name, ACCURACY_VIOLATED, chain,
-            int(worst.profile.rsplit("_", 1)[1]), f"{worst.profile}: {worst.witness}",
-            accuracy, tuple(details), report_params,
-        )
-    if any(r.verdict == INCONCLUSIVE for r in accuracy):
-        return AuditReport(
-            "payment_accuracy_tradeoff", mech.name, INCONCLUSIVE, chain, None,
-            "a hybrid accuracy check straddles beta; refine mass_tol",
-            accuracy, tuple(details), report_params,
-        )
-    return AuditReport(
-        "payment_accuracy_tradeoff", mech.name, THEOREM_CONTRADICTED, chain, None,
-        "premises and accuracy hold at every hybrid; this should be impossible",
-        accuracy, tuple(details), report_params,
+    return _report(
+        "payment_accuracy_tradeoff", mech, chain, accuracy, details, report_params, found,
+        f"premises hold: end-to-end distance {end} < h*P/L + 2*gamma*n*P/tau = {drift_bound:g} <= {1.0 - 2.0 * params.beta:g}",
+        on_fail=lambda r: (
+            ACCURACY_VIOLATED, int(r.profile.rsplit("_", 1)[1]), f"{r.profile}: {r.witness}",
+            f"([eta+gamma, gamma], beta)-accuracy fails at {r.profile}: {r.witness}",
+        ),
+        unsettled="a hybrid accuracy check straddles beta; refine mass_tol",
+        intact="premises and accuracy hold at every hybrid; this should be impossible",
     )

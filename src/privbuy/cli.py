@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .audits import (
+    THEOREM_CONTRADICTED,
     AuditReport,
     TradeoffParams,
     audit_general_impossibility,
@@ -39,7 +40,15 @@ from .losses import (
     tight_dp_loss,
     zero_loss,
 )
-from .mechanisms import alg1, alg1_prime, exact_sum, max_zero_valuation_pay, pay_declared, subsample
+from .mechanisms import (
+    ShiftedGeometricMechanism,
+    alg1,
+    alg1_prime,
+    exact_sum,
+    max_zero_valuation_pay,
+    pay_declared,
+    subsample,
+)
 from .verifiers import (
     FAIL,
     INCONCLUSIVE,
@@ -236,7 +245,7 @@ def _run_check(entry, mech, model, profiles, cfg, ctx) -> tuple[list[CheckResult
                 )
             )
     elif name == "dp":
-        bound = entry.get("bound", getattr(getattr(mech, "params", None), "epsilon", None) or getattr(mech, "epsilon", None))
+        bound = entry.get("bound", mech.epsilon if isinstance(mech, ShiftedGeometricMechanism) else None)
         if bound is None:
             raise ConfigError(f"{ctx}.bound", "required for mechanisms without an epsilon parameter")
         relation = _relation(entry.get("relation", "general"), f"{ctx}.relation")
@@ -272,7 +281,7 @@ def _run_check(entry, mech, model, profiles, cfg, ctx) -> tuple[list[CheckResult
 
 def exit_code_for(rows: list[CheckResult], audits: list[AuditReport]) -> int:
     verdicts = [r.verdict for r in rows] + [a.verdict for a in audits]
-    if any(v in (FAIL, "theorem_contradicted") for v in verdicts):
+    if any(v in (FAIL, THEOREM_CONTRADICTED) for v in verdicts):
         return 1
     if any(v == INCONCLUSIVE for v in verdicts):
         return 2

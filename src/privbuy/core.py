@@ -169,6 +169,8 @@ class Mechanism(ABC):
 
     name: str
     player_count: int
+    # C of "every player's neighbor distance stays below C/n"; none by default
+    distinguishability_budget: float = math.inf
 
     @property
     @abstractmethod
@@ -219,11 +221,26 @@ class Mechanism(ABC):
         self.require_profile(x)
         return Outcome(self._sample_count(x, rng), self.pay_vector(x))
 
-    @abstractmethod
     def candidate_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
         """Canonical finite candidate set, distribution-complete for this
         mechanism: every output-law class reachable by changing player i's
-        type has an admissible representative here, for both relations."""
+        type has an admissible representative here, for both relations.
+
+        The default flips the bit (keeping the valuation, and at valuation
+        0) and raises the valuation by 1 at the same bit. It is complete when
+        player i's type reaches the law and the other players' payments only
+        through their bit; a mechanism that reads valuations there too (as
+        the budget mechanism's threshold does) must override it."""
+        p = x.players[i]
+        return tuple(
+            dict.fromkeys(
+                (
+                    PlayerType(1 - p.bit, p.valuation),
+                    PlayerType(1 - p.bit, 0.0),
+                    PlayerType(p.bit, p.valuation + 1.0),
+                )
+            )
+        )
 
     def deviation_valuations(self, x: InputProfile, i: int) -> tuple[float, ...]:
         """Default deviation grid: canonical candidate valuations plus truth."""

@@ -38,15 +38,15 @@ class LossModel:
     """A privacy-loss function family plus its structural properties.
 
     ``per_outcome(mech, x, i, declared, s, p_minus)`` is the pointwise loss.
-    ``outcome_table`` evaluates it on a whole support at once (optional, for
-    speed). ``exact_expectation`` short-circuits the expectation when it has
-    a closed form (outcome-constant models). ``expectation_key`` returns a
-    hashable memo key covering everything the expectation reads, or None.
+    ``outcome_table`` evaluates it on a whole support at once, and takes
+    precedence. ``exact_expectation`` short-circuits the expectation when it
+    has a closed form (outcome-constant models) and takes precedence over
+    both. A model sets at least one of the three. ``expectation_key`` returns
+    a hashable memo key covering everything the expectation reads, or None.
     ``threshold_fn(l, bits, v_minus)`` is present iff increasing_for_delta.
     """
 
     kind: str
-    per_outcome: Callable
     respects_indifference: bool
     respects_identical_output_dists: bool
     bounded_by_dp: bool = False
@@ -56,9 +56,14 @@ class LossModel:
     relation: Optional[NeighborRelation] = None
     delta: Optional[float] = None
     threshold_fn: Optional[Callable] = None
+    per_outcome: Optional[Callable] = None
     outcome_table: Optional[Callable] = None
     exact_expectation: Optional[Callable] = None
     expectation_key: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.per_outcome is None and self.outcome_table is None and self.exact_expectation is None:
+            raise ValueError(f"loss model {self.kind!r} sets none of per_outcome, outcome_table, exact_expectation")
 
 
 def neighbor_distances(
@@ -99,7 +104,6 @@ def zero_loss() -> LossModel:
     """Everyone is indifferent: loss identically zero."""
     return LossModel(
         kind="zero",
-        per_outcome=lambda mech, x, i, declared, s, p_minus: 0.0,
         respects_indifference=True,
         respects_identical_output_dists=True,
         bounded_by_dp=True,
@@ -147,9 +151,6 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
                     best[j] = r
         return tuple(v * r for r in best)
 
-    def per_outcome(mech2, x, i, declared, s, p_minus):
-        return outcome_table(mech2, x, i, declared, (s,), p_minus)[0]
-
     def expectation_key(mech2, x, i, declared, mass_tol):
         # player i's type and others_key fix every law, candidate and
         # payment equality the expectation reads (see Mechanism.others_key)
@@ -157,7 +158,6 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
 
     return LossModel(
         kind=kind,
-        per_outcome=per_outcome,
         respects_indifference=True,
         respects_identical_output_dists=True,
         bounded_by_dp=not monotonic,
@@ -209,15 +209,8 @@ def increasing_threshold_model(
             return Interval(0.0, 0.0)
         return Interval(min(0.0, v), max(0.0, v))
 
-    def per_outcome(mech, x, i, declared, s, p_minus):
-        v = x.players[i].valuation
-        if v == 0.0:
-            return 0.0
-        return v if max_neighbor_distance(mech, x, i, relation).lo >= delta else 0.0
-
     return LossModel(
         kind="increasing_with_threshold",
-        per_outcome=per_outcome,
         respects_indifference=True,
         respects_identical_output_dists=True,
         increasing_for_delta=True,
@@ -239,15 +232,8 @@ def growing_sd_model(relation: NeighborRelation = NeighborRelation.MONOTONIC) ->
             return Interval(0.0, 0.0)
         return max_neighbor_distance(mech, x, i, relation, mass_tol).scale(v)
 
-    def per_outcome(mech, x, i, declared, s, p_minus):
-        v = x.players[i].valuation
-        if v == 0.0:
-            return 0.0
-        return v * max_neighbor_distance(mech, x, i, relation).lo
-
     return LossModel(
         kind="growing_sd_monotonic",
-        per_outcome=per_outcome,
         respects_indifference=True,
         respects_identical_output_dists=True,
         growing_with_sd=True,

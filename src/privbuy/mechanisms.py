@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+from abc import abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,7 +76,38 @@ class SubsampleParams:
             raise ValueError(f"sample_size {self.sample_size} must be < budget C {c}")
 
 
-class BudgetMechanism(Mechanism):
+class ShiftedGeometricMechanism(Mechanism):
+    """Publish ``shift(x)`` plus two-sided geometric noise at ``epsilon``:
+    the geometric mechanism of Ghosh, Roughgarden and Sundararajan, whose
+    law, log-pmf and sampler follow from the shift alone."""
+
+    def __init__(self, epsilon: float):
+        self.epsilon = epsilon
+        self.geom = GeomParams(epsilon)
+
+    @abstractmethod
+    def shift(self, x: InputProfile) -> int:
+        """The count the noise is centred on."""
+
+    def output_dist(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
+        self.require_profile(x)
+        return shifted_geom_dist(self.geom, self.shift(x), mass_tol)
+
+    def log_pmf(self, x: InputProfile, count: int) -> float:
+        self.require_profile(x)
+        return self.geom.log_norm - self.epsilon * abs(count - self.shift(x))
+
+    def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
+        self.require_profile(x)
+        c = self.shift(x)
+        ln, eps = self.geom.log_norm, self.epsilon
+        return tuple(ln - eps * abs(s - c) for s in support)
+
+    def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
+        return self.shift(x) + sample_geom(self.geom, rng)
+
+
+class BudgetMechanism(ShiftedGeometricMechanism):
     """Count the bits of everyone declaring at most theta, pay them B/n,
     add geometric noise.
 
@@ -86,11 +118,11 @@ class BudgetMechanism(Mechanism):
     """
 
     def __init__(self, params: BudgetParams, pay_all_zero_bits: bool = False):
+        super().__init__(params.epsilon)
         self.params = params
         self.pay_all_zero_bits = pay_all_zero_bits
         self.name = "alg1_prime" if pay_all_zero_bits else "alg1"
         self.player_count = params.n
-        self.geom = GeomParams(params.epsilon)
 
     @property
     def cache_token(self) -> tuple:
@@ -105,25 +137,12 @@ class BudgetMechanism(Mechanism):
         two_eps, share = 2.0 * self.params.epsilon, self.params.budget / self.params.n
         return sum([p.bit for p in players if two_eps * p.valuation <= share])
 
+    shift = counted_bit_sum
+
     def others_key(self, x: InputProfile, i: int) -> int:
         # laws read the others only through their counted bits; candidates
         # read only player i, and no payment reads another player
         return self._counted(x.players[:i] + x.players[i + 1 :])
-
-    def output_dist(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
-        self.require_profile(x)
-        return shifted_geom_dist(self.geom, self.counted_bit_sum(x), mass_tol)
-
-    def log_pmf(self, x: InputProfile, count: int) -> float:
-        self.require_profile(x)
-        c = self.counted_bit_sum(x)
-        return self.geom.log_norm - self.params.epsilon * abs(count - c)
-
-    def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
-        self.require_profile(x)
-        c = self.counted_bit_sum(x)
-        ln, eps = self.geom.log_norm, self.params.epsilon
-        return tuple(ln - eps * abs(s - c) for s in support)
 
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
         self.require_profile(x)
@@ -146,9 +165,6 @@ class BudgetMechanism(Mechanism):
     def max_zero_valuation_pay(self) -> float:
         # valuation 0 always qualifies (B > 0), whatever the bits
         return self.params.per_player_pay
-
-    def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
-        return self.counted_bit_sum(x) + sample_geom(self.geom, rng)
 
     def candidate_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
         # The law and the payments to others depend on player i's type only
@@ -250,52 +266,26 @@ class SubsampleMechanism(Mechanism):
         m = sum(x.players[j].bit for j in chosen)
         return _rescaled_count(n, m, k)
 
-    def candidate_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
-        p = x.players[i]
-        return tuple(
-            dict.fromkeys(
-                (
-                    PlayerType(1 - p.bit, p.valuation),
-                    PlayerType(1 - p.bit, 0.0),
-                    PlayerType(p.bit, p.valuation + 1.0),
-                )
-            )
-        )
 
-
-class PayDeclaredMechanism(Mechanism):
+class PayDeclaredMechanism(ShiftedGeometricMechanism):
     """Pay each player their declared valuation times epsilon and publish the
     noisy sum of all bits. Individually rational under DP-bounded losses but
     completely untruthful: declaring higher never changes the law and always
     raises the payment."""
 
     def __init__(self, epsilon: float, n: int):
-        if not (math.isfinite(epsilon) and epsilon > 0):
-            raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
+        super().__init__(epsilon)  # GeomParams rejects epsilon that is not finite and > 0
         if not (isinstance(n, int) and n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
-        self.epsilon = epsilon
         self.name = "pay_declared"
         self.player_count = n
-        self.geom = GeomParams(epsilon)
 
     @property
     def cache_token(self) -> tuple:
         return (self.name, self.epsilon, self.player_count)
 
-    def output_dist(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
-        self.require_profile(x)
-        return shifted_geom_dist(self.geom, x.bit_sum(), mass_tol)
-
-    def log_pmf(self, x: InputProfile, count: int) -> float:
-        self.require_profile(x)
-        return self.geom.log_norm - self.epsilon * abs(count - x.bit_sum())
-
-    def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
-        self.require_profile(x)
-        c = x.bit_sum()
-        ln, eps = self.geom.log_norm, self.epsilon
-        return tuple(ln - eps * abs(s - c) for s in support)
+    def shift(self, x: InputProfile) -> int:
+        return x.bit_sum()
 
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
         self.require_profile(x)
@@ -309,21 +299,6 @@ class PayDeclaredMechanism(Mechanism):
         return 0.0
 
     others_key = _others_bit_sum
-
-    def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
-        return x.bit_sum() + sample_geom(self.geom, rng)
-
-    def candidate_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
-        p = x.players[i]
-        return tuple(
-            dict.fromkeys(
-                (
-                    PlayerType(1 - p.bit, p.valuation),
-                    PlayerType(1 - p.bit, 0.0),
-                    PlayerType(p.bit, p.valuation + 1.0),
-                )
-            )
-        )
 
     def deviation_valuations(self, x: InputProfile, i: int) -> tuple[float, ...]:
         v = x.players[i].valuation
@@ -373,18 +348,6 @@ class ExactSumMechanism(Mechanism):
 
     def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
         return x.bit_sum()
-
-    def candidate_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
-        p = x.players[i]
-        return tuple(
-            dict.fromkeys(
-                (
-                    PlayerType(1 - p.bit, p.valuation),
-                    PlayerType(1 - p.bit, 0.0),
-                    PlayerType(p.bit, p.valuation + 1.0),
-                )
-            )
-        )
 
 
 def alg1(budget: float, epsilon: float, n: int) -> BudgetMechanism:

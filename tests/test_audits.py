@@ -18,14 +18,58 @@ from privbuy.audits import (
     audit_payment_accuracy_tradeoff,
 )
 from privbuy.core import NeighborRelation
-from privbuy.distributions import Interval
+from privbuy.distributions import CountDistribution, Interval
 from privbuy.losses import growing_sd_model, increasing_threshold_model, zero_loss
-from privbuy.mechanisms import alg1, exact_sum, max_zero_valuation_pay, subsample
+from privbuy.mechanisms import alg1, exact_sum, max_zero_valuation_pay, pay_declared, subsample
 
 from conftest import ConstantMechanism, profile
 
 GEN, MON = NeighborRelation.GENERAL, NeighborRelation.MONOTONIC
 LN2 = math.log(2.0)
+
+
+# --- test-only mechanisms for the rungs no bundled mechanism reaches ----------
+
+class InfinitePay(ConstantMechanism):
+    def pay_vector(self, x):
+        self.require_profile(x)
+        return (math.inf,) * self.player_count
+
+
+class PointMass(ConstantMechanism):
+    """Publishes the bit sum (or 0 with ``constant``) but stores only
+    1 - slack of its mass there; with ``alone``, no player has a candidate
+    neighbour, so nothing is ever distinguishable."""
+
+    def __init__(self, n, slack=0.0, constant=False, alone=True):
+        super().__init__(n)
+        self.slack, self.constant, self.alone = slack, constant, alone
+
+    def output_dist(self, x, mass_tol=1e-12):
+        self.require_profile(x)
+        at = 0 if self.constant else x.bit_sum()
+        return CountDistribution((at,), (1.0 - self.slack,), self.slack)
+
+    def candidate_types(self, x, i):
+        return () if self.alone else super().candidate_types(x, i)
+
+
+class TwoFacedLaw(PointMass):
+    """A law that changes between passes: the first ``still_calls`` laws are
+    the point mass at 0, every later one is PointMass's. A fixed law cannot
+    pass the tradeoff audit's step caps and then hold or straddle accuracy at
+    every hybrid (the theorem forbids it); this one shows the distance pass a
+    still law and the accuracy pass one that tracks the bit sum."""
+
+    def __init__(self, n, still_calls, slack=0.0):
+        super().__init__(n, slack)
+        self.still_calls = still_calls
+
+    def output_dist(self, x, mass_tol=1e-12):
+        self.still_calls -= 1
+        if self.still_calls >= 0:
+            return CountDistribution((0,), (1.0,), 0.0)
+        return super().output_dist(x, mass_tol)
 
 
 def general_model(delta):
@@ -162,11 +206,6 @@ def test_monotonic_audit_validations():
 
 
 def test_monotonic_audit_flags_infinite_payments():
-    class InfinitePay(ConstantMechanism):
-        def pay_vector(self, x):
-            self.require_profile(x)
-            return (math.inf,) * self.player_count
-
     report = audit_monotonic_impossibility(InfinitePay(2), monotonic_model(1.0 / 6.0))
     assert report.verdict == "payments_violated"
     assert report.chain is None and report.failing_step == 0
@@ -329,25 +368,99 @@ REPORT_SHA256 = {
     ("general", "subsample", 8): "2b5b1740c598f1e2daad05534890e1d47b57da253004d73d91c903e56ad4c392",
     ("monotonic", "subsample", 8): "ec6e32de0a2790c89a7e2a6ba4d7dc72201246a82d332348520fb48265120852",
     ("tradeoff", "subsample", 8): "f13046c9f6a704ccce206b74c86deee04c7af56e863ff7d146d6b5abe2eb2e31",
+    # one report for each rung of each audit's verdict ladder
+    ("general", "infinite_pay", 4): "0e43ee44484a8cfc4fec80a8814d1afb3d9cfed899b927ceb2d691fdb0182fb1",
+    ("general", "pay_declared", 4): "3a99133244ff68fdd5e2666b9301611b067514d262dbefdd9b2c22fbee74bc9c",
+    ("general", "blurred_constant", 4): "cb6431e1b5e128f3c65bd0dba4d7eea97f73f2ad8c72be089ba69b4ab53214ff",
+    ("general", "blurred_alone", 4): "a44e689da2e666f12cc5bc52601bf6210f583b311328ff6b4c92e0bce9789060",
+    ("general", "constant", 4): "1a88101de37d3c03763ee38ffd9f574db9300bb7d121625c2579d4e3dfddbc79",
+    ("general", "alone", 4): "b49c2d2ae836217352e2e3d499a4dfa8c93055ddfdeab0a6121399daec0500cd",
+    ("monotonic", "infinite_pay", 4): "a52ca4137a61ad1047ca8cd2531732e683fd8e79da917bda7b7970e7f51d8703",
+    ("monotonic", "pay_declared", 4): "9a3a6d30a28e2898ca3246d7810b34a7dc6dc65844357428b657a2175a19f244",
+    ("monotonic", "alg1_coarse", 4): "ff011b6bed4eb456d2a41690b1e0a7ba8ee83ef8241fb26d5bc72ee0d211661e",
+    ("monotonic", "blurred_alone", 4): "7f5b0cca53c51caa90b0178b75cf6ff3b3d9b9e6a48bf79cb48730bdb21149e2",
+    ("monotonic", "alone", 4): "0de93867a541469dbc6cd9547741cd43f9fcee30794540d481f3d5f02a517db2",
+    ("tradeoff", "underpaid_cap", 4): "ea99252cfb4a78f49f9f51cffa12e58caeb346111e152fc5d0e4a19b54914cb1",
+    ("tradeoff", "pay_declared", 4): "8bd00454aed8aec8115b4da39179c3d2e569a26c9157547d0e9b280fb740b72d",
+    ("tradeoff", "alg1_coarse", 4): "18ab6858a5a54261635fcb1750063fff46c5acdb53247b7bdd9d712dfb7d33d3",
+    ("tradeoff", "two_faced_blurred", 4): "32386f40789864af34e5f7fd1feb8321271c11e5eebd8a2c3f3f14dc08fb41b0",
+    ("tradeoff", "two_faced", 4): "b504533b9f37e9a5233b203534ea0daab3384e3956f92739d457dea13e4ed66e",
+}
+
+# the verdict each rung pin reaches, and the rung it stands for
+RUNG_VERDICTS = {
+    ("general", "infinite_pay"): "payments_violated",
+    ("general", "pay_declared"): "truthfulness_violated",
+    ("general", "exact_sum"): "ir_violated",
+    ("general", "blurred_constant"): "inconclusive",  # distinguishability straddles delta
+    ("general", "blurred_alone"): "inconclusive",  # endpoint accuracy straddles beta
+    ("general", "constant"): "impossibility_respected",
+    ("general", "alone"): "theorem_contradicted",
+    ("monotonic", "infinite_pay"): "payments_violated",
+    ("monotonic", "pay_declared"): "truthfulness_violated",
+    ("monotonic", "subsample"): "ir_violated",
+    ("monotonic", "alg1_coarse"): "inconclusive",  # distinguishability straddles delta
+    ("monotonic", "blurred_alone"): "inconclusive",  # endpoint accuracy straddles beta
+    ("monotonic", "alg1"): "accuracy_sacrificed",
+    ("monotonic", "alone"): "theorem_contradicted",
+    ("tradeoff", "underpaid_cap"): "payments_violated",
+    ("tradeoff", "pay_declared"): "truthfulness_violated",
+    ("tradeoff", "exact_sum"): "ir_violated",
+    ("tradeoff", "alg1_coarse"): "inconclusive",  # a step distance straddles its cap
+    ("tradeoff", "two_faced_blurred"): "inconclusive",  # hybrid accuracy straddles beta
+    ("tradeoff", "alg1"): "accuracy_violated",
+    ("tradeoff", "two_faced"): "theorem_contradicted",
 }
 
 
 def _pinned_report(audit, name, n):
+    mass_tol = 0.3 if name == "alg1_coarse" else 1e-12
     mech = {
         "alg1": lambda: alg1(n / 2.0, LN2, n),
+        "alg1_coarse": lambda: alg1(n / 2.0, LN2, n),
         "exact_sum": lambda: exact_sum(n),
         # a finite distinguishability budget C puts the max-seen note in
         "subsample": lambda: subsample(1.0, n // 2, n, float(n)),
+        "pay_declared": lambda: pay_declared(LN2, n),
+        "constant": lambda: ConstantMechanism(n),
+        "infinite_pay": lambda: InfinitePay(n),
+        "blurred_constant": lambda: PointMass(n, 0.5, constant=True, alone=False),
+        "blurred_alone": lambda: PointMass(n, 0.5),
+        "alone": lambda: PointMass(n),
+        "underpaid_cap": lambda: exact_sum(n, 1.0),
+        # eta*n + 2*gamma*n = 4 steps: the distance pass reads 5 laws first
+        "two_faced_blurred": lambda: TwoFacedLaw(n, 5, 0.5),
+        "two_faced": lambda: TwoFacedLaw(n, 5),
     }[name]()
     if audit == "general":
-        return audit_general_impossibility(mech, general_model(1.0 / (6 * n)))
+        return audit_general_impossibility(mech, general_model(1.0 / (6 * n)), mass_tol=mass_tol)
     if audit == "monotonic":
-        return audit_monotonic_impossibility(mech, monotonic_model(1.0 / (3 * n)))
-    params = TradeoffParams(tau=8.0, gamma=1.0 / n, eta=2.0 / n, beta=0.25, max_pay=max_zero_valuation_pay(mech))
-    return audit_payment_accuracy_tradeoff(mech, growing_sd_model(), params)
+        return audit_monotonic_impossibility(mech, monotonic_model(1.0 / (3 * n)), mass_tol=mass_tol)
+    # below exact_sum(n, 1.0)'s flat pay; above the two-faced laws' zero pay,
+    # so that a still step stays under its cap
+    max_pay = {"underpaid_cap": 0.5, "two_faced_blurred": 1.0, "two_faced": 1.0}.get(name)
+    max_pay = max_zero_valuation_pay(mech) if max_pay is None else max_pay
+    params = TradeoffParams(tau=8.0, gamma=1.0 / n, eta=2.0 / n, beta=0.25, max_pay=max_pay)
+    return audit_payment_accuracy_tradeoff(mech, growing_sd_model(), params, mass_tol)
 
 
 @pytest.mark.parametrize("audit,name,n", list(REPORT_SHA256))
 def test_report_bytes_pinned(audit, name, n):
-    blob = json.dumps(_pinned_report(audit, name, n).to_json_dict(), sort_keys=True).encode()
+    report = _pinned_report(audit, name, n)
+    blob = json.dumps(report.to_json_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == REPORT_SHA256[audit, name, n]
+    assert report.verdict == RUNG_VERDICTS.get((audit, name), report.verdict)
+
+
+def test_rung_pins_cover_every_verdict():
+    ladder = {
+        "general": {"payments_violated", "truthfulness_violated", "ir_violated", "inconclusive",
+                    "impossibility_respected", "theorem_contradicted"},
+        "monotonic": {"payments_violated", "truthfulness_violated", "ir_violated", "inconclusive",
+                      "accuracy_sacrificed", "theorem_contradicted"},
+        "tradeoff": {"payments_violated", "truthfulness_violated", "ir_violated", "inconclusive",
+                     "accuracy_violated", "theorem_contradicted"},
+    }
+    for audit, verdicts in ladder.items():
+        assert {v for (a, _), v in RUNG_VERDICTS.items() if a == audit} == verdicts
+    assert {(a, m) for a, m, _ in REPORT_SHA256} >= set(RUNG_VERDICTS)

@@ -209,3 +209,30 @@ def test_dist_subcommand(capsys):
 def test_version_subcommand(capsys):
     assert main(["version"]) == 0
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [
+        {"name": "alg1", "budget": 8.0, "epsilon": 0.5, "n": 4},
+        {"name": "pay_declared", "epsilon": 0.7, "n": 4},
+    ],
+)
+def test_dp_bound_defaults_to_the_geometric_epsilon(tmp_path, mechanism):
+    rows = []
+    for label, entry in (("default", {"check": "dp"}), ("explicit", {"check": "dp", "bound": mechanism["epsilon"]})):
+        output = {"csv": str(tmp_path / f"{label}.csv"), "report": str(tmp_path / f"{label}.json")}
+        cfg = base_config(tmp_path, mechanism=mechanism, checks=[entry], output=output)
+        assert main(["run", write_config(tmp_path, f"{label}.json", cfg)]) == 0
+        rows.append(json.loads(open(output["report"]).read())["rows"])
+    assert rows[0] and rows[0] == rows[1]
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [{"name": "exact_sum", "n": 4}, {"name": "subsample", "flat_pay": 1.0, "sample_size": 2, "n": 4}],
+)
+def test_dp_bound_required_without_epsilon(tmp_path, capsys, mechanism):
+    cfg = base_config(tmp_path, mechanism=mechanism, checks=[{"check": "dp"}])
+    assert main(["run", write_config(tmp_path, "nobound.json", cfg)]) == 3
+    assert "checks[0].bound" in capsys.readouterr().err

@@ -117,12 +117,20 @@ def test_respects_indifference():
 
 
 def test_per_outcome_ignores_declaration():
+    # the per-outcome losses, as the engine reads them: one table per support
     mech = alg1(8.0, 0.5, 2)
     model = tight_dp_loss(mech, MON)
     x = profile([1, 0], [1.0, 0.0])
     pm = (2.0,)
     for s in (-3, 0, 1, 4):
-        assert model.per_outcome(mech, x, 0, 1.0, s, pm) == model.per_outcome(mech, x, 0, 99.0, s, pm)
+        assert model.outcome_table(mech, x, 0, 1.0, (s,), pm) == model.outcome_table(mech, x, 0, 99.0, (s,), pm)
+
+
+def test_loss_model_needs_a_loss():
+    from privbuy.losses import LossModel
+
+    with pytest.raises(ValueError, match="sets none of"):
+        LossModel(kind="empty", respects_indifference=True, respects_identical_output_dists=True)
 
 
 def test_fact_bound_holds_on_small_grid():

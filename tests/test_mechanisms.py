@@ -326,6 +326,9 @@ def test_pay_declared_payments_and_law():
     assert mech.output_dist(x) == shifted_geom_dist(GeomParams(0.5), 1)
     zeros = profile([1, 0], [0.0, 0.0])
     assert mech.pay_vector(zeros) == (0.0, 0.0)
+    for eps, n in ((0.0, 2), (-0.5, 2), (math.inf, 2), (math.nan, 2), (0.5, 0)):
+        with pytest.raises(ValueError, match="epsilon" if n else "n must"):
+            pay_declared(eps, n)
 
 
 def test_exact_sum_point_mass():
