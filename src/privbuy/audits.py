@@ -179,19 +179,17 @@ def _consecutive_distances(mech: Mechanism, inputs, mass_tol):
 
 
 def _validate(
-    mech: Mechanism, model: LossModel, relation: NeighborRelation, n: Optional[int], delta: Optional[float], per: int
+    mech: Mechanism, model: LossModel, relation: NeighborRelation, delta: Optional[float], per: int
 ) -> tuple[int, float]:
     """n and delta of an audit driven by an increasing model over
     ``relation``; delta defaults to, and may not exceed, 1/(per*n)."""
-    n = mech.player_count if n is None else n
-    if n != mech.player_count:
-        raise ValueError(f"n={n} does not match mechanism player count {mech.player_count}")
+    n = mech.player_count
     delta = 1.0 / (per * n) if delta is None else delta
     if not 0.0 < delta <= 1.0 / (per * n):
         raise ValueError(f"delta must be in (0, 1/({per}n)], got {delta}")
     if not model.respects_indifference:
         raise ValueError("audit needs a model that respects indifference")
-    if not model.increasing_for_delta or model.threshold_fn is None:
+    if model.threshold_fn is None:
         raise ValueError("audit needs an increasing model with a threshold function")
     if model.relation is not None and model.relation is not relation:
         raise ValueError(f"model is bound to {model.relation}, audit needs {relation}")
@@ -295,7 +293,6 @@ def _endpoint_rungs(verdict: str, consequence: str) -> dict:
 def audit_general_impossibility(
     mech: Mechanism,
     model: LossModel,
-    n: Optional[int] = None,
     delta: Optional[float] = None,
     mass_tol: float = DEFAULT_MASS_TOL,
 ) -> AuditReport:
@@ -307,7 +304,7 @@ def audit_general_impossibility(
     1/3 and (1/2, 1/3)-accuracy must break on an endpoint. Otherwise the
     report names the first broken premise.
     """
-    n, delta = _validate(mech, model, NeighborRelation.GENERAL, n, delta, 6)
+    n, delta = _validate(mech, model, NeighborRelation.GENERAL, delta, 6)
     audit = "general_impossibility"
     pay_cap = mech.max_zero_valuation_pay()
     details = [f"payment cap over all-indifferent inputs: P = {pay_cap:g}"]
@@ -366,7 +363,6 @@ def audit_general_impossibility(
 def audit_monotonic_impossibility(
     mech: Mechanism,
     model: LossModel,
-    n: Optional[int] = None,
     delta: Optional[float] = None,
     mass_tol: float = DEFAULT_MASS_TOL,
 ) -> AuditReport:
@@ -379,7 +375,7 @@ def audit_monotonic_impossibility(
     forces the all-zeros and all-ones-at-L laws within n*delta <= 1/3, so a
     surviving mechanism must give up (1/2, 1/3)-accuracy on an endpoint.
     """
-    n, delta = _validate(mech, model, NeighborRelation.MONOTONIC, n, delta, 3)
+    n, delta = _validate(mech, model, NeighborRelation.MONOTONIC, delta, 3)
     audit = "monotonic_impossibility"
     details: list[str] = []
     hybrids = [_zeros(n)]

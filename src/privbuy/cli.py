@@ -362,14 +362,12 @@ def cmd_run(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: {args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 3
+    # the flags override the config's fields before parse_config checks them
+    overrides = {k: v for k, v in (("seed", args.seed), ("mass_tol", args.mass_tol)) if v is not None}
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **overrides}
     try:
         cfg = parse_config(raw)
-        if args.seed is not None:
-            cfg.seed = args.seed
-            cfg.raw = dict(cfg.raw, seed=args.seed)
-        if args.mass_tol is not None:
-            cfg.mass_tol = args.mass_tol
-            cfg.raw = dict(cfg.raw, mass_tol=args.mass_tol)
         if args.out is not None:
             cfg.output = {"csv": args.out + ".csv", "report": args.out + ".json"}
         code, rows, audits = execute(cfg)
@@ -493,12 +491,13 @@ def cmd_dist(args) -> int:
         g = GeomParams(args.epsilon)
         d1 = shifted_geom_dist(g, args.shift_a, args.mass_tol)
         d2 = shifted_geom_dist(g, args.shift_b, args.mass_tol)
+        level = dp_level(d1, d2)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     dist = statistical_distance(d1, d2)
     print(f"statistical distance between shift {args.shift_a} and shift {args.shift_b} at eps={args.epsilon:g}: {dist}")
-    print(f"dp level: {dp_level(d1, d2):.12g}")
+    print(f"dp level: {level:.12g}")
     return 0
 
 

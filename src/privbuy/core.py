@@ -128,9 +128,6 @@ class Outcome:
     count: int
     payments: tuple[float, ...]
 
-    def payments_excluding(self, i: int) -> tuple[float, ...]:
-        return self.payments[:i] + self.payments[i + 1 :]
-
 
 def i_neighbor_profiles(
     x: InputProfile,
@@ -186,11 +183,9 @@ class Mechanism(ABC):
         """Exact law of the published count under declarations ``x``."""
 
     @abstractmethod
-    def log_pmf(self, x: InputProfile, count: int) -> float:
-        """Exact ln Pr[count] under declarations ``x`` (-inf off support)."""
-
     def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
-        return tuple(self.log_pmf(x, s) for s in support)
+        """Exact ln Pr[s] under declarations ``x`` for each count s in
+        ``support`` (-inf off the law's support)."""
 
     @abstractmethod
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:

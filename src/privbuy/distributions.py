@@ -49,9 +49,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def __contains__(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
     def scale(self, factor: float) -> "Interval":
         """Interval for factor * x given x in self (factor may be negative)."""
         a, b = factor * self.lo, factor * self.hi
@@ -71,6 +68,9 @@ class GeomParams:
         eps = self.epsilon
         if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
             raise ValueError(f"epsilon must be finite and > 0, got {eps!r}")
+        if math.exp(-eps) == 1.0:
+            # the noise would not decay: no window or sampler exists
+            raise ValueError(f"epsilon {eps!r} is too small: exp(-epsilon) rounds to 1")
         object.__setattr__(self, "epsilon", float(eps))
 
     @cached_property
@@ -104,7 +104,7 @@ def geom_tail(g: GeomParams, t: int) -> float:
     return val
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CountDistribution:
     """Distribution of a published integer count, with certified truncation.
 
@@ -131,21 +131,6 @@ class CountDistribution:
         # written so that a NaN atom fails too
         if not abs(total - 1.0) <= _MASS_INVARIANT_SLOP:
             raise ValueError(f"total mass {total} deviates from 1 by more than {_MASS_INVARIANT_SLOP}")
-        object.__setattr__(self, "_hash", hash((self.support, self.probs, self.truncation_mass)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, CountDistribution):
-            return NotImplemented
-        return (
-            self.truncation_mass == other.truncation_mass
-            and self.support == other.support
-            and self.probs == other.probs
-        )
 
     @cached_property
     def atoms(self) -> dict[int, float]:
@@ -158,16 +143,6 @@ class CountDistribution:
     def from_atoms(cls, atoms: dict[int, float], truncation_mass: float = 0.0) -> "CountDistribution":
         ks = tuple(sorted(atoms))
         return cls(ks, tuple(atoms[k] for k in ks), truncation_mass)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "atoms": {str(k): p for k, p in zip(self.support, self.probs)},
-            "truncation_mass": self.truncation_mass,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CountDistribution":
-        return cls.from_atoms({int(k): float(p) for k, p in d["atoms"].items()}, float(d["truncation_mass"]))
 
 
 def window_radius(g: GeomParams, mass_tol: float) -> int:
@@ -246,14 +221,14 @@ def _is_range(support: tuple[int, ...]) -> bool:
     return bool(support) and support[-1] - support[0] == len(support) - 1
 
 
-def dp_level(d1: CountDistribution, d2: CountDistribution, support_tol: float = SUPPORT_ATOM_TOL) -> float:
+def dp_level(d1: CountDistribution, d2: CountDistribution) -> float:
     """Pure-DP level between two near-complete distributions.
 
     Returns the maximum of |ln(p1(k)/p2(k))| over atoms stored on both
-    sides, and +inf when an atom above ``support_tol`` is stored on one side
-    only (the other side's truncated tail cannot account for it). Atoms at
-    or below ``support_tol`` that are missing from the other side are within
-    tail noise and are skipped.
+    sides, and +inf when an atom above ``SUPPORT_ATOM_TOL`` is stored on one
+    side only (the other side's truncated tail cannot account for it). Atoms
+    at or below it that are missing from the other side are within tail
+    noise and are skipped.
 
     Both truncation masses must be <= 1e-9: the log-ratio requires
     near-complete supports to mean anything. For shifted geometrics the
@@ -263,7 +238,7 @@ def dp_level(d1: CountDistribution, d2: CountDistribution, support_tol: float = 
     """
     for d in (d1, d2):
         if d.truncation_mass > 1e-9:
-            raise ValueError(f"dp_level needs truncation_mass <= 1e-9, got {d.truncation_mass}")
+            raise ValueError(f"dp_level needs truncation_mass <= 1e-9, got {d.truncation_mass}; lower mass_tol")
     a1, a2 = d1.atoms, d2.atoms
     keys = set(d1.support)
     keys.update(d2.support)
@@ -276,7 +251,7 @@ def dp_level(d1: CountDistribution, d2: CountDistribution, support_tol: float = 
                 best = r
         elif p <= 0.0 and q <= 0.0:
             continue
-        elif max(p, q) > support_tol:
+        elif max(p, q) > SUPPORT_ATOM_TOL:
             return math.inf
     return best
 

@@ -1,16 +1,21 @@
 """Privacy-loss models and certified expected-loss computation.
 
-A loss model assigns player i a per-outcome disutility
-lambda(x, i, declared, s, p_minus_i); the expected loss is taken over the
-output law of the mechanism run on the declared profile. Player i's own
-payment is excluded from the outcome an adversary sees.
+A loss model is a family of privacy-loss functions plus the structural
+properties the verifiers and audits read. Its one computation is
+``expectation(mech, x, i, declared, mass_tol)``: a certified enclosure of
+player i's expected loss when they declare ``declared`` while their true
+type stays ``x.players[i]``. ``loss_expectation`` checks the profile and
+the index, consults the memo when the model supplies an ``expectation_key``,
+and calls it.
 
 No single loss function is canonical, so this module ships families:
 
 * ``zero_loss``              -- nobody loses anything.
 * ``tight_dp_loss``          -- the extremal member of the family whose
   absolute value is capped by v_i times the worst per-outcome log-likelihood
-  ratio over (monotonically related) neighbor types. Default for verifiers.
+  ratio over (monotonically related) neighbor types, summed over the
+  truncated output law of the declared profile. Player i's own payment is
+  excluded from the outcome an adversary sees. Default for verifiers.
 * ``increasing_threshold_model`` -- synthetic: loss v_i on inputs where some
   neighbor's law is delta-far, 0 otherwise; above the threshold T(l) the
   loss exceeds l. Drives the impossibility audits.
@@ -37,33 +42,24 @@ _INF = math.inf
 class LossModel:
     """A privacy-loss function family plus its structural properties.
 
-    ``per_outcome(mech, x, i, declared, s, p_minus)`` is the pointwise loss.
-    ``outcome_table`` evaluates it on a whole support at once, and takes
-    precedence. ``exact_expectation`` short-circuits the expectation when it
-    has a closed form (outcome-constant models) and takes precedence over
-    both. A model sets at least one of the three. ``expectation_key`` returns
-    a hashable memo key covering everything the expectation reads, or None.
-    ``threshold_fn(l, bits, v_minus)`` is present iff increasing_for_delta.
+    ``expectation(mech, x, i, declared, mass_tol)`` returns the certified
+    expected-loss ``Interval``. ``expectation_key`` takes the same arguments
+    and returns a hashable memo key covering everything the expectation
+    reads, or None; without it nothing is memoized. ``threshold_fn(l, bits,
+    v_minus)`` is set iff the model is increasing for ``delta``-
+    distinguishability, and ``growing_with_sd`` marks a model that grows
+    with statistical distance. ``relation`` and ``delta`` pin the neighbour
+    relation and the delta the model was built for, when it has them.
     """
 
-    kind: str
     respects_indifference: bool
     respects_identical_output_dists: bool
-    bounded_by_dp: bool = False
-    bounded_by_dp_monotonic: bool = False
+    expectation: Callable
     growing_with_sd: bool = False
-    increasing_for_delta: bool = False
     relation: Optional[NeighborRelation] = None
     delta: Optional[float] = None
     threshold_fn: Optional[Callable] = None
-    per_outcome: Optional[Callable] = None
-    outcome_table: Optional[Callable] = None
-    exact_expectation: Optional[Callable] = None
     expectation_key: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.per_outcome is None and self.outcome_table is None and self.exact_expectation is None:
-            raise ValueError(f"loss model {self.kind!r} sets none of per_outcome, outcome_table, exact_expectation")
 
 
 def neighbor_distances(
@@ -103,12 +99,9 @@ def _pay_minus(mech: Mechanism, x: InputProfile, i: int) -> tuple[float, ...]:
 def zero_loss() -> LossModel:
     """Everyone is indifferent: loss identically zero."""
     return LossModel(
-        kind="zero",
         respects_indifference=True,
         respects_identical_output_dists=True,
-        bounded_by_dp=True,
-        bounded_by_dp_monotonic=True,
-        exact_expectation=lambda mech, x, i, declared, mass_tol: Interval(0.0, 0.0),
+        expectation=lambda mech, x, i, declared, mass_tol: Interval(0.0, 0.0),
     )
 
 
@@ -123,19 +116,26 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
     count-law ratio; a payment mismatch shows up as an infinite ratio. A
     zero-probability denominator against a positive numerator yields +inf
     loss, which is reported, never clipped.
-    """
-    monotonic = relation is NeighborRelation.MONOTONIC
-    kind = "dp_bounded_monotonic" if monotonic else "dp_bounded_general"
 
-    def outcome_table(mech2, x, i, declared, support, p_minus):
+    The expectation runs over the truncated output law of the declared
+    profile; the enclosure widens by truncation_mass times the largest |loss|
+    seen on the window. Infinite per-outcome losses propagate to infinite
+    endpoints.
+    """
+
+    def expectation(mech2, x, i, declared, mass_tol):
+        declared_profile = x.with_valuation(i, declared)
+        dist = mech2.output_dist(declared_profile, mass_tol)
+        p_minus = _pay_minus(mech2, declared_profile, i)
         if mech2.cache_token != mech.cache_token:
             raise ValueError("loss model is bound to a different mechanism")
         v = x.players[i].valuation
         if v == 0.0:
-            return (0.0,) * len(support)
+            return Interval(0.0, 0.0)
         neighbors = mech.neighbor_profiles(x, i, relation)
         if not neighbors:
             raise ValueError(f"no admissible {relation.value} candidates for player {i}")
+        support = dist.support
         cur = mech.log_pmf_table(x, support)
         num_ok = _pay_minus(mech, x, i) == p_minus
         best = [-_INF] * len(support)
@@ -149,21 +149,30 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
                 r = 0.0 if (a == -_INF and b == -_INF) else a - b
                 if r > best[j]:
                     best[j] = r
-        return tuple(v * r for r in best)
+        lam = [v * r for r in best]
+
+        has_pos = any(l == _INF and p > 0.0 for l, p in zip(lam, dist.probs))
+        has_neg = any(l == -_INF and p > 0.0 for l, p in zip(lam, dist.probs))
+        if has_pos and has_neg:
+            raise ValueError("per-outcome loss takes both +inf and -inf on the window")
+        if has_pos:
+            return Interval(_INF, _INF)
+        if has_neg:
+            return Interval(-_INF, -_INF)
+        total = math.fsum(l * p for l, p in zip(lam, dist.probs))
+        slack = dist.truncation_mass * max((abs(l) for l in lam), default=0.0)
+        return Interval(total - slack, total + slack)
 
     def expectation_key(mech2, x, i, declared, mass_tol):
         # player i's type and others_key fix every law, candidate and
         # payment equality the expectation reads (see Mechanism.others_key)
-        return (mech2.cache_token, kind, x.players[i], declared, mech2.others_key(x, i), mass_tol)
+        return (mech2.cache_token, relation, x.players[i], declared, mech2.others_key(x, i), mass_tol)
 
     return LossModel(
-        kind=kind,
         respects_indifference=True,
         respects_identical_output_dists=True,
-        bounded_by_dp=not monotonic,
-        bounded_by_dp_monotonic=monotonic,
+        expectation=expectation,
         relation=relation,
-        outcome_table=outcome_table,
         expectation_key=expectation_key,
     )
 
@@ -192,7 +201,7 @@ def increasing_threshold_model(
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
 
-    def exact_expectation(mech, x, i, declared, mass_tol):
+    def expectation(mech, x, i, declared, mass_tol):
         v = x.players[i].valuation
         if v == 0.0:
             return Interval(0.0, 0.0)
@@ -210,14 +219,12 @@ def increasing_threshold_model(
         return Interval(min(0.0, v), max(0.0, v))
 
     return LossModel(
-        kind="increasing_with_threshold",
         respects_indifference=True,
         respects_identical_output_dists=True,
-        increasing_for_delta=True,
+        expectation=expectation,
         relation=relation,
         delta=delta,
         threshold_fn=threshold_fn,
-        exact_expectation=exact_expectation,
     )
 
 
@@ -226,19 +233,18 @@ def growing_sd_model(relation: NeighborRelation = NeighborRelation.MONOTONIC) ->
     times the largest admissible neighbor distance. Outcome-constant, so the
     expectation is the certified product interval."""
 
-    def exact_expectation(mech, x, i, declared, mass_tol):
+    def expectation(mech, x, i, declared, mass_tol):
         v = x.players[i].valuation
         if v == 0.0:
             return Interval(0.0, 0.0)
         return max_neighbor_distance(mech, x, i, relation, mass_tol).scale(v)
 
     return LossModel(
-        kind="growing_sd_monotonic",
         respects_indifference=True,
         respects_identical_output_dists=True,
+        expectation=expectation,
         growing_with_sd=True,
         relation=relation,
-        exact_expectation=exact_expectation,
     )
 
 
@@ -258,48 +264,19 @@ def loss_expectation(
     mass_tol: float = DEFAULT_MASS_TOL,
 ) -> Interval:
     """Certified enclosure of player i's expected loss when they declare
-    ``declared`` while their true type stays ``x.players[i]``.
-
-    The expectation runs over the truncated output law of the declared
-    profile; the enclosure widens by truncation_mass times the largest |loss|
-    seen on the window. Infinite per-outcome losses propagate to infinite
-    endpoints (reported, not clipped).
+    ``declared`` while their true type stays ``x.players[i]``: the model's
+    ``expectation``, memoized under its ``expectation_key`` when it has one.
     """
     mech.require_profile(x)
     if not 0 <= i < x.n:
         raise IndexError(f"player index {i} out of range for n={x.n}")
-    if model.exact_expectation is not None:
-        return model.exact_expectation(mech, x, i, declared, mass_tol)
-
     key = None
     if model.expectation_key is not None:
         key = model.expectation_key(mech, x, i, declared, mass_tol)
         hit = _EXPECTATION_CACHE.get(key)
         if hit is not None:
             return hit
-
-    declared_profile = x.with_valuation(i, declared)
-    dist = mech.output_dist(declared_profile, mass_tol)
-    p_minus = _pay_minus(mech, declared_profile, i)
-    if model.outcome_table is not None:
-        lam = model.outcome_table(mech, x, i, declared, dist.support, p_minus)
-    else:
-        lam = [model.per_outcome(mech, x, i, declared, s, p_minus) for s in dist.support]
-
-    has_pos = any(l == _INF and p > 0.0 for l, p in zip(lam, dist.probs))
-    has_neg = any(l == -_INF and p > 0.0 for l, p in zip(lam, dist.probs))
-    if has_pos and has_neg:
-        raise ValueError("per-outcome loss takes both +inf and -inf on the window")
-    if has_pos:
-        result = Interval(_INF, _INF)
-    elif has_neg:
-        result = Interval(-_INF, -_INF)
-    else:
-        total = math.fsum(l * p for l, p in zip(lam, dist.probs))
-        sup = max((abs(l) for l in lam), default=0.0)
-        slack = dist.truncation_mass * sup
-        result = Interval(total - slack, total + slack)
-
+    result = model.expectation(mech, x, i, declared, mass_tol)
     if key is not None:
         _EXPECTATION_CACHE[key] = result
     return result

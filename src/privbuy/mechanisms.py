@@ -79,7 +79,7 @@ class SubsampleParams:
 class ShiftedGeometricMechanism(Mechanism):
     """Publish ``shift(x)`` plus two-sided geometric noise at ``epsilon``:
     the geometric mechanism of Ghosh, Roughgarden and Sundararajan, whose
-    law, log-pmf and sampler follow from the shift alone."""
+    law, log-pmf table and sampler follow from the shift alone."""
 
     def __init__(self, epsilon: float):
         self.epsilon = epsilon
@@ -92,10 +92,6 @@ class ShiftedGeometricMechanism(Mechanism):
     def output_dist(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         self.require_profile(x)
         return shifted_geom_dist(self.geom, self.shift(x), mass_tol)
-
-    def log_pmf(self, x: InputProfile, count: int) -> float:
-        self.require_profile(x)
-        return self.geom.log_norm - self.epsilon * abs(count - self.shift(x))
 
     def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
         self.require_profile(x)
@@ -243,9 +239,9 @@ class SubsampleMechanism(Mechanism):
         self.require_profile(x)
         return _subsample_law(self.params.n, self.params.sample_size, x.bit_sum())
 
-    def log_pmf(self, x: InputProfile, count: int) -> float:
-        p = self.output_dist(x).prob(count)
-        return math.log(p) if p > 0.0 else -math.inf
+    def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
+        law = self.output_dist(x)
+        return tuple(math.log(p) if p > 0.0 else -math.inf for p in map(law.prob, support))
 
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
         self.require_profile(x)
@@ -329,9 +325,10 @@ class ExactSumMechanism(Mechanism):
         self.require_profile(x)
         return CountDistribution((x.bit_sum(),), (1.0,), 0.0)
 
-    def log_pmf(self, x: InputProfile, count: int) -> float:
+    def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
         self.require_profile(x)
-        return 0.0 if count == x.bit_sum() else -math.inf
+        c = x.bit_sum()
+        return tuple(0.0 if s == c else -math.inf for s in support)
 
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
         self.require_profile(x)

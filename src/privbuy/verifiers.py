@@ -22,6 +22,9 @@ from .losses import LossModel, loss_expectation, neighbor_distances
 # two-sided 99% normal quantile for Wilson intervals
 Z99 = 2.5758293035489004
 
+# float headroom check_dp grants the DP bound
+DP_SLACK = 1e-9
+
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
@@ -189,14 +192,14 @@ def check_truthful(
     return CheckResult("truthful", mech.name, profile_id, i, PASS, margin, f"tightest deviation v'={dev:g}")
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 99% score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
+    denom = 1.0 + Z99 * Z99 / trials
+    center = (phat + Z99 * Z99 / (2 * trials)) / denom
+    half = Z99 * math.sqrt(phat * (1 - phat) / trials + Z99 * Z99 / (4 * trials * trials)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -315,10 +318,9 @@ def check_dp(
     relation: NeighborRelation = NeighborRelation.GENERAL,
     mass_tol: float = DEFAULT_MASS_TOL,
     profile_id: str = "",
-    slack: float = 1e-9,
 ) -> list[CheckResult]:
     """Pure-DP level of the count law across each player's admissible
-    neighbors, against ``bound`` (plus float slack)."""
+    neighbors, against ``bound`` (plus ``DP_SLACK``)."""
     mech.require_profile(x)
     base = mech.output_dist(x, mass_tol)
     out = []
@@ -328,7 +330,7 @@ def check_dp(
             level = dp_level(base, mech.output_dist(nbr, mass_tol))
             if level > worst:
                 worst, worst_nbr = level, nbr
-        verdict = PASS if worst <= bound + slack else FAIL
+        verdict = PASS if worst <= bound + DP_SLACK else FAIL
         witness = f"worst neighbor {worst_nbr.players[i]}" if worst_nbr is not None else "no neighbors"
         out.append(CheckResult("dp", mech.name, profile_id, i, verdict, bound - worst, witness))
     return out

@@ -21,8 +21,8 @@ class ConstantMechanism(Mechanism):
         self.require_profile(x)
         return CountDistribution((0,), (1.0,), 0.0)
 
-    def log_pmf(self, x, count):
-        return 0.0 if count == 0 else -math.inf
+    def log_pmf_table(self, x, support):
+        return tuple(0.0 if s == 0 else -math.inf for s in support)
 
     def pay_vector(self, x):
         self.require_profile(x)

@@ -128,8 +128,6 @@ def test_general_audit_validations():
         audit_general_impossibility(mech, monotonic_model(1.0 / 12.0), delta=1.0 / 12.0)
     with pytest.raises(ValueError):
         audit_general_impossibility(mech, general_model(1.0 / 24.0), delta=1.0 / 12.0)  # delta mismatch
-    with pytest.raises(ValueError):
-        audit_general_impossibility(mech, general_model(1.0 / 12.0), n=3)
 
 
 def test_general_audit_deterministic():

@@ -236,3 +236,43 @@ def test_dp_bound_required_without_epsilon(tmp_path, capsys, mechanism):
     cfg = base_config(tmp_path, mechanism=mechanism, checks=[{"check": "dp"}])
     assert main(["run", write_config(tmp_path, "nobound.json", cfg)]) == 3
     assert "checks[0].bound" in capsys.readouterr().err
+
+
+def test_seed_flag_satisfies_monte_carlo_check(tmp_path):
+    cfg = base_config(
+        tmp_path,
+        checks=[{"check": "accuracy", "alpha": 0.5, "alpha_prime": 0.5, "beta": 0.9, "method": "monte_carlo", "trials": 200}],
+    )
+    assert main(["run", write_config(tmp_path, "noseed.json", cfg), "--seed", "5"]) == 0
+    assert json.loads(open(cfg["output"]["report"]).read())["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("mass_tol", ["-1", "nan", "0", "1.5"])
+def test_mass_tol_flag_goes_through_the_config_checks(tmp_path, capsys, mass_tol):
+    cfg = base_config(tmp_path, mechanism={"name": "exact_sum", "n": 4}, checks=["ir"])
+    assert main(["run", write_config(tmp_path, "es.json", cfg), "--mass-tol", mass_tol]) == 3
+    assert "config error: mass_tol" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["dist", "0.5", "0", "1", "--mass-tol", "1e-6"], "mass_tol"),
+        (["dist", "1e-300", "0", "1"], "epsilon"),
+    ],
+)
+def test_dist_rejects_bad_numbers(capsys, argv, field):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert not out and field in err
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [{"name": "alg1", "budget": 8.0, "epsilon": 1e-300, "n": 4}, {"name": "pay_declared", "epsilon": 1e-300, "n": 4}],
+)
+def test_run_rejects_epsilon_whose_decay_rounds_to_one(tmp_path, capsys, mechanism):
+    cfg = base_config(tmp_path, mechanism=mechanism)
+    assert main(["run", write_config(tmp_path, "tiny.json", cfg)]) == 3
+    assert "config error: mechanism: epsilon" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from privbuy.core import (
     InputProfile,
     NeighborRelation,
-    Outcome,
     PlayerType,
     i_neighbor_profiles,
     monotonically_related,
@@ -67,11 +66,6 @@ def test_profile_serialization_roundtrip():
     d = x.to_json_dict()
     assert list(d) == ["bits", "valuations"]  # canonical field order
     assert InputProfile.from_json_dict(d) == x
-
-
-def test_outcome_drop_payment():
-    o = Outcome(3, (1.0, 2.0, 3.0))
-    assert o.payments_excluding(1) == (1.0, 3.0)
 
 
 def test_neighbors_general_excludes_unchanged():

@@ -117,20 +117,24 @@ def test_respects_indifference():
 
 
 def test_per_outcome_ignores_declaration():
-    # the per-outcome losses, as the engine reads them: one table per support
+    # 5.0 and 99.0 both lie above theta = 4, so they give the same declared
+    # law and payments; the per-outcome loss reads only the true type, so
+    # the expectations agree (memo off, so each one is computed)
     mech = alg1(8.0, 0.5, 2)
-    model = tight_dp_loss(mech, MON)
+    assert mech.params.theta == 4.0
     x = profile([1, 0], [1.0, 0.0])
-    pm = (2.0,)
-    for s in (-3, 0, 1, 4):
-        assert model.outcome_table(mech, x, 0, 1.0, (s,), pm) == model.outcome_table(mech, x, 0, 99.0, (s,), pm)
+    for rel in (GEN, MON):
+        plain = dataclasses.replace(tight_dp_loss(mech, rel), expectation_key=None)
+        got = loss_expectation(plain, mech, x, 0, 5.0)
+        assert got != Interval(0.0, 0.0)
+        assert loss_expectation(plain, mech, x, 0, 99.0) == got
 
 
 def test_loss_model_needs_a_loss():
     from privbuy.losses import LossModel
 
-    with pytest.raises(ValueError, match="sets none of"):
-        LossModel(kind="empty", respects_indifference=True, respects_identical_output_dists=True)
+    with pytest.raises(TypeError, match="expectation"):
+        LossModel(respects_indifference=True, respects_identical_output_dists=True)
 
 
 def test_fact_bound_holds_on_small_grid():
@@ -277,22 +281,21 @@ def test_growing_sd_model_interval():
     assert got_neg.hi <= 0.0
 
 
-def test_generic_per_outcome_path():
-    # a user model with only a scalar per-outcome function exercises the
-    # fallback loop in loss_expectation
+def test_user_model_expectation_is_returned_as_is():
+    # a user model sets only its expectation; without an expectation_key
+    # nothing is memoized
     from privbuy.losses import LossModel
 
     mech = alg1(8.0, 0.5, 2)
+    want = Interval(0.25, 0.5)
     model = LossModel(
-        kind="flat",
-        per_outcome=lambda m, x, i, declared, s, pm: 0.25,
         respects_indifference=False,
         respects_identical_output_dists=True,
+        expectation=lambda m, x, i, declared, mass_tol: want,
     )
-    x = profile([1, 0], [1.0, 0.0])
-    got = loss_expectation(model, mech, x, 0, 1.0)
-    assert got.lo <= 0.25 <= got.hi
-    assert got.width <= 2 * 0.25 * 1e-11
+    clear_expectation_cache()
+    assert loss_expectation(model, mech, profile([1, 0], [1.0, 0.0]), 0, 1.0) is want
+    assert not losses._EXPECTATION_CACHE
 
 
 def test_max_neighbor_distance_witnesses():

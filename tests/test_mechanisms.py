@@ -87,13 +87,11 @@ def test_alg1_high_valuation_bit_flip_invisible():
     assert px[:1] + px[2:] == py[:1] + py[2:]
 
 
-def test_alg1_log_pmf_matches_dist():
-    mech = alg1(8.0, 0.5, 3)
+def test_log_pmf_table_matches_dist():
     x = profile([1, 1, 0], [0.0, 0.0, 0.0])
-    d = mech.output_dist(x)
-    for k, p in zip(d.support, d.probs):
-        assert mech.log_pmf(x, k) == pytest.approx(math.log(p), abs=1e-12)
-    assert mech.log_pmf_table(x, d.support) == tuple(mech.log_pmf(x, k) for k in d.support)
+    for mech in (alg1(8.0, 0.5, 3), subsample(1.0, 2, 3), exact_sum(3), ConstantMechanism(3)):
+        d = mech.output_dist(x)
+        assert mech.log_pmf_table(x, d.support) == pytest.approx([math.log(p) for p in d.probs], abs=1e-12)
 
 
 def test_alg1_prime_payments():
