@@ -31,7 +31,7 @@ from .audits import (
     audit_monotonic_impossibility,
     audit_payment_accuracy_tradeoff,
 )
-from .core import InputProfile, Mechanism, NeighborRelation
+from .core import InputProfile, Mechanism, NeighborRelation, is_int
 from .distributions import DEFAULT_MASS_TOL, GeomParams, dp_level, shifted_geom_dist, statistical_distance
 from .losses import (
     LossModel,
@@ -178,7 +178,7 @@ def parse_config(raw: dict) -> RunConfig:
         checks.append(entry)
 
     seed = raw.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not is_int(seed):
         raise ConfigError("seed", "must be an integer")
     needs_seed = any(c.get("method") == "monte_carlo" for c in checks)
     if needs_seed and seed is None:
@@ -204,7 +204,7 @@ def _players_scope(entry: dict, mech: Mechanism, x: InputProfile, context: str):
         return range(x.n)
     if scope == "claimed":
         return mech.claimed_truthful_players(x)
-    if isinstance(scope, list) and all(isinstance(i, int) for i in scope):
+    if isinstance(scope, list) and all(map(is_int, scope)):
         return scope
     raise ConfigError(f"{context}.players", f"expected 'all', 'claimed', or a list of indices, got {scope!r}")
 
@@ -237,10 +237,13 @@ def _run_check(entry, mech, model, profiles, cfg, ctx) -> tuple[list[CheckResult
             _need(entry, "alpha", ctx), _need(entry, "alpha_prime", ctx), _need(entry, "beta", ctx)
         )
         method = entry.get("method", "exact")
+        trials = entry.get("trials", 10000)
+        if not (is_int(trials) and trials >= 1):
+            raise ConfigError(f"{ctx}.trials", f"must be an integer >= 1, got {trials!r}")
         for pid, x in each_profile():
             rows.append(
                 check_accuracy(
-                    mech, x, spec, method=method, trials=entry.get("trials", 10000),
+                    mech, x, spec, method=method, trials=trials,
                     seed=cfg.seed or 0, mass_tol=tol, profile_id=pid,
                 )
             )

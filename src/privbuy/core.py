@@ -9,11 +9,18 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 from .distributions import DEFAULT_MASS_TOL, CountDistribution
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool: bool subclasses int, so a JSON ``true``
+    would pass ``isinstance(value, int)`` as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -207,14 +214,23 @@ class Mechanism(ABC):
         return best
 
     @abstractmethod
-    def _sample_count(self, x: InputProfile, rng: random.Random) -> int: ...
+    def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
+        """Counts of ``trials`` independent draws under declarations ``x``
+        (already checked), as an iterator that takes from ``rng`` exactly
+        what ``trials`` successive one-draw calls would, in the same order."""
 
-    def sample(self, x: InputProfile, rng) -> Outcome:
-        """Draw one outcome; ``rng`` is a seed int or a random.Random."""
+    def sample_counts(self, x: InputProfile, rng, trials: int) -> Iterator[int]:
+        """Published counts of ``trials`` independent draws, drawn lazily;
+        ``rng`` is a seed int or a random.Random."""
         if isinstance(rng, int):
             rng = random.Random(rng)
         self.require_profile(x)
-        return Outcome(self._sample_count(x, rng), self.pay_vector(x))
+        return self._sample_counts(x, rng, trials)
+
+    def sample(self, x: InputProfile, rng) -> Outcome:
+        """Draw one outcome; ``rng`` is a seed int or a random.Random."""
+        (count,) = self.sample_counts(x, rng, 1)
+        return Outcome(count, self.pay_vector(x))
 
     def candidate_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
         """Canonical finite candidate set, distribution-complete for this

@@ -12,6 +12,7 @@ integer k with probability ((1-a)/(1+a)) * a^|k| where a = exp(-eps).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
@@ -26,6 +27,12 @@ DEFAULT_MASS_TOL = 1e-12
 SUPPORT_ATOM_TOL = 1e-9
 
 _MASS_INVARIANT_SLOP = 1e-12
+
+# Largest window shifted_geom_dist will build: 2 t + 1 atoms for radius t.
+# The tests and benchmark workloads build at most 1,291 (epsilon 0.05 at
+# mass_tol 1e-14); epsilon 1e-10 at the default mass_tol would ask for
+# about 5.5e11 floats.
+MAX_WINDOW_ATOMS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -136,6 +143,11 @@ class CountDistribution:
     def atoms(self) -> dict[int, float]:
         return dict(zip(self.support, self.probs))
 
+    @cached_property
+    def log_probs(self) -> tuple[float, ...]:
+        """ln of each atom, -inf for a zero atom."""
+        return tuple([math.log(p) if p > 0.0 else -math.inf for p in self.probs])
+
     def prob(self, k: int) -> float:
         return self.atoms.get(k, 0.0)
 
@@ -149,6 +161,9 @@ def window_radius(g: GeomParams, mass_tol: float) -> int:
     """Smallest t >= 0 whose symmetric window leaves out mass <= mass_tol.
 
     The excluded mass of a radius-t window is exactly 2 a^{t+1} / (1+a).
+    Raises ``ValueError`` when the window would have more than
+    ``MAX_WINDOW_ATOMS`` atoms; t comes from the closed form, so nothing
+    of that size is ever built.
     """
     if not (0.0 < mass_tol < 1.0):
         raise ValueError(f"mass_tol must be in (0, 1), got {mass_tol}")
@@ -163,6 +178,11 @@ def window_radius(g: GeomParams, mass_tol: float) -> int:
         t -= 1
     while 2.0 * a ** (t + 1) / (1.0 + a) > mass_tol:
         t += 1
+    if 2 * t + 1 > MAX_WINDOW_ATOMS:
+        raise ValueError(
+            f"epsilon {g.epsilon!r} at mass_tol {mass_tol!r} needs a window of {2 * t + 1} atoms, "
+            f"above the cap of {MAX_WINDOW_ATOMS}; raise epsilon or mass_tol"
+        )
     return t
 
 
@@ -192,23 +212,21 @@ def statistical_distance(d1: CountDistribution, d2: CountDistribution) -> Interv
     half the combined truncation mass. Use hi to certify "close" and lo to
     certify "far".
     """
-    s1, s2 = d1.support, d2.support
-    if _is_range(s1) and _is_range(s2):
+    overlap = _range_overlap(d1.support, d2.support)
+    if overlap is not None:
         # Both supports are integer ranges (every geometric window and point
         # mass): line the probability tuples up on their overlap instead of
         # looking each key up in two dicts. Atoms outside the overlap meet a
         # zero on the other side.
         p1, p2 = d1.probs, d2.probs
-        start = max(s1[0], s2[0])
-        stop = max(start, min(s1[-1], s2[-1]) + 1)
-        i1, j1, i2, j2 = start - s1[0], stop - s1[0], start - s2[0], stop - s2[0]
+        i1, j1, i2, j2 = overlap
         terms = chain(
             map(abs, chain(p1[:i1], p1[j1:], p2[:i2], p2[j2:])),
             map(abs, map(sub, p1[i1:j1], p2[i2:j2])),
         )
     else:
-        keys = set(s1)
-        keys.update(s2)
+        keys = set(d1.support)
+        keys.update(d2.support)
         a1, a2 = d1.atoms, d2.atoms
         terms = map(abs, map(sub, map(a1.get, keys, repeat(0.0)), map(a2.get, keys, repeat(0.0))))
     # fsum is correctly rounded, so neither path's term order can change lo
@@ -219,6 +237,17 @@ def statistical_distance(d1: CountDistribution, d2: CountDistribution) -> Interv
 
 def _is_range(support: tuple[int, ...]) -> bool:
     return bool(support) and support[-1] - support[0] == len(support) - 1
+
+
+def _range_overlap(s1: tuple[int, ...], s2: tuple[int, ...]):
+    """Slice bounds (i1, j1, i2, j2) such that ``s1[i1:j1]`` and
+    ``s2[i2:j2]`` are the common keys of two integer-range supports (empty
+    when they are disjoint); None when either support is not a range."""
+    if not (_is_range(s1) and _is_range(s2)):
+        return None
+    start = max(s1[0], s2[0])
+    stop = max(start, min(s1[-1], s2[-1]) + 1)
+    return start - s1[0], stop - s1[0], start - s2[0], stop - s2[0]
 
 
 def dp_level(d1: CountDistribution, d2: CountDistribution) -> float:
@@ -239,6 +268,15 @@ def dp_level(d1: CountDistribution, d2: CountDistribution) -> float:
     for d in (d1, d2):
         if d.truncation_mass > 1e-9:
             raise ValueError(f"dp_level needs truncation_mass <= 1e-9, got {d.truncation_mass}; lower mass_tol")
+    overlap = _range_overlap(d1.support, d2.support)
+    if overlap is not None and min(d1.probs) > 0.0 and min(d2.probs) > 0.0:
+        # Every geometric window and point mass: the common keys are one
+        # slice of each side, and every other atom is one-sided.
+        p1, p2 = d1.probs, d2.probs
+        i1, j1, i2, j2 = overlap
+        if max(chain(p1[:i1], p1[j1:], p2[:i2], p2[j2:]), default=0.0) > SUPPORT_ATOM_TOL:
+            return math.inf
+        return max(map(abs, map(sub, d1.log_probs[i1:j1], d2.log_probs[i2:j2])), default=0.0)
     a1, a2 = d1.atoms, d2.atoms
     keys = set(d1.support)
     keys.update(d2.support)
@@ -256,25 +294,33 @@ def dp_level(d1: CountDistribution, d2: CountDistribution) -> float:
     return best
 
 
-def sample_geom(g: GeomParams, rng) -> int:
-    """Draw one noise value: inverse-CDF magnitude on a 64-bit uniform, then
-    an independent fair sign bit when the magnitude is nonzero.
+def sample_geoms(g: GeomParams, rng, trials: int) -> Iterator[int]:
+    """Draw ``trials`` noise values, one at a time: inverse-CDF magnitude on
+    a 64-bit uniform, then an independent fair sign bit when the magnitude
+    is nonzero.
 
     This is an exact inverse-CDF over the two-sided pmf and is deterministic
-    given the generator state.
+    given the generator state; a, 1 + a and ln a are computed once.
     """
     a = g.alpha
-    u = rng.getrandbits(64) / 2.0**64  # in [0, 1)
-    # magnitude: smallest k >= 0 with CDF(k) = 1 - 2 a^{k+1}/(1+a) >= u
-    target = (1.0 - u) * (1.0 + a) / 2.0
-    if target >= a:
-        k = 0
-    else:
-        k = max(0, math.ceil(math.log(target) / math.log(a)) - 1)
-    while k > 0 and 2.0 * a**k / (1.0 + a) <= 1.0 - u:
-        k -= 1
-    while 2.0 * a ** (k + 1) / (1.0 + a) > 1.0 - u:
-        k += 1
-    if k == 0:
-        return 0
-    return -k if rng.getrandbits(1) else k
+    one_a = 1.0 + a
+    log_a = math.log(a)
+    getrandbits = rng.getrandbits
+    for _ in range(trials):
+        u = getrandbits(64) / 2.0**64  # in [0, 1)
+        # magnitude: smallest k >= 0 with CDF(k) = 1 - 2 a^{k+1}/(1+a) >= u
+        target = (1.0 - u) * one_a / 2.0
+        if target >= a:
+            k = 0
+        else:
+            k = max(0, math.ceil(math.log(target) / log_a) - 1)
+        while k > 0 and 2.0 * a**k / one_a <= 1.0 - u:
+            k -= 1
+        while 2.0 * a ** (k + 1) / one_a > 1.0 - u:
+            k += 1
+        yield -k if k and getrandbits(1) else k
+
+
+def sample_geom(g: GeomParams, rng) -> int:
+    """Draw one noise value: the first draw of ``sample_geoms``."""
+    return next(sample_geoms(g, rng, 1))

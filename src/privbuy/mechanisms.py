@@ -8,15 +8,17 @@ from __future__ import annotations
 import math
 import random
 from abc import abstractmethod
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
-from .core import InputProfile, Mechanism, PlayerType
+from .core import InputProfile, Mechanism, PlayerType, is_int
 from .distributions import (
     DEFAULT_MASS_TOL,
     CountDistribution,
     GeomParams,
-    sample_geom,
+    sample_geoms,
     shifted_geom_dist,
 )
 
@@ -39,7 +41,7 @@ class BudgetParams:
             raise ValueError(f"budget must be finite and > 0, got {self.budget!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (is_int(self.n) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
 
     @property
@@ -67,9 +69,9 @@ class SubsampleParams:
     def __post_init__(self):
         if not (math.isfinite(self.flat_pay) and self.flat_pay >= 0):
             raise ValueError(f"flat_pay must be finite and >= 0, got {self.flat_pay!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (is_int(self.n) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.sample_size, int) and 1 <= self.sample_size <= self.n):
+        if not (is_int(self.sample_size) and 1 <= self.sample_size <= self.n):
             raise ValueError(f"sample_size must be in [1, n], got {self.sample_size!r}")
         c = self.distinguishability_budget
         if math.isfinite(c) and not self.sample_size < c:
@@ -99,8 +101,9 @@ class ShiftedGeometricMechanism(Mechanism):
         ln, eps = self.geom.log_norm, self.epsilon
         return tuple(ln - eps * abs(s - c) for s in support)
 
-    def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
-        return self.shift(x) + sample_geom(self.geom, rng)
+    def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
+        c = self.shift(x)
+        return (c + k for k in sample_geoms(self.geom, rng, trials))
 
 
 class BudgetMechanism(ShiftedGeometricMechanism):
@@ -256,11 +259,12 @@ class SubsampleMechanism(Mechanism):
 
     others_key = _others_bit_sum
 
-    def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
+    def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
         n, k = self.params.n, self.params.sample_size
-        chosen = rng.sample(range(n), k)
-        m = sum(x.players[j].bit for j in chosen)
-        return _rescaled_count(n, m, k)
+        bits, population = x.bits, range(n)
+        for _ in range(trials):
+            m = sum([bits[j] for j in rng.sample(population, k)])
+            yield _rescaled_count(n, m, k)
 
 
 class PayDeclaredMechanism(ShiftedGeometricMechanism):
@@ -271,7 +275,7 @@ class PayDeclaredMechanism(ShiftedGeometricMechanism):
 
     def __init__(self, epsilon: float, n: int):
         super().__init__(epsilon)  # GeomParams rejects epsilon that is not finite and > 0
-        if not (isinstance(n, int) and n >= 1):
+        if not (is_int(n) and n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
         self.name = "pay_declared"
         self.player_count = n
@@ -309,7 +313,7 @@ class ExactSumMechanism(Mechanism):
     The canonical counterexample fed to the impossibility audits."""
 
     def __init__(self, n: int, flat_pay: float = 0.0):
-        if not (isinstance(n, int) and n >= 1):
+        if not (is_int(n) and n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
         if not (math.isfinite(flat_pay) and flat_pay >= 0):
             raise ValueError(f"flat_pay must be finite and >= 0, got {flat_pay!r}")
@@ -343,8 +347,9 @@ class ExactSumMechanism(Mechanism):
 
     others_key = _others_bit_sum
 
-    def _sample_count(self, x: InputProfile, rng: random.Random) -> int:
-        return x.bit_sum()
+    def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
+        # the count is exact: no draws
+        return repeat(x.bit_sum(), trials)
 
 
 def alg1(budget: float, epsilon: float, n: int) -> BudgetMechanism:

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import repeat
 
 from privbuy.core import InputProfile, Mechanism, PlayerType
 from privbuy.distributions import CountDistribution
@@ -28,8 +29,8 @@ class ConstantMechanism(Mechanism):
         self.require_profile(x)
         return (0.0,) * self.player_count
 
-    def _sample_count(self, x, rng: random.Random) -> int:
-        return 0
+    def _sample_counts(self, x, rng: random.Random, trials: int):
+        return repeat(0, trials)
 
     def candidate_types(self, x, i):
         p = x.players[i]
@@ -43,3 +44,22 @@ def bit_vectors(n):
 
 def profile(bits, valuations) -> InputProfile:
     return InputProfile.from_arrays(bits, valuations)
+
+
+def oracle_sample_geom(g, rng):
+    """The one-draw inverse-CDF noise sampler, with a, 1 + a and ln a
+    recomputed on every call: the stream the batched samplers must draw."""
+    a = g.alpha
+    u = rng.getrandbits(64) / 2.0**64
+    target = (1.0 - u) * (1.0 + a) / 2.0
+    if target >= a:
+        k = 0
+    else:
+        k = max(0, math.ceil(math.log(target) / math.log(a)) - 1)
+    while k > 0 and 2.0 * a**k / (1.0 + a) <= 1.0 - u:
+        k -= 1
+    while 2.0 * a ** (k + 1) / (1.0 + a) > 1.0 - u:
+        k += 1
+    if k == 0:
+        return 0
+    return -k if rng.getrandbits(1) else k

@@ -260,6 +260,7 @@ def test_mass_tol_flag_goes_through_the_config_checks(tmp_path, capsys, mass_tol
     [
         (["dist", "0.5", "0", "1", "--mass-tol", "1e-6"], "mass_tol"),
         (["dist", "1e-300", "0", "1"], "epsilon"),
+        (["dist", "1e-10", "0", "1"], "cap of 1000000"),
     ],
 )
 def test_dist_rejects_bad_numbers(capsys, argv, field):
@@ -276,3 +277,41 @@ def test_run_rejects_epsilon_whose_decay_rounds_to_one(tmp_path, capsys, mechani
     cfg = base_config(tmp_path, mechanism=mechanism)
     assert main(["run", write_config(tmp_path, "tiny.json", cfg)]) == 3
     assert "config error: mechanism: epsilon" in capsys.readouterr().err
+
+
+def test_run_rejects_windows_above_the_cap(tmp_path, capsys):
+    cfg = base_config(
+        tmp_path,
+        mechanism={"name": "alg1", "budget": 8.0, "epsilon": 1e-10, "n": 4},
+        checks=[{"check": "accuracy", "alpha": 0.5, "alpha_prime": 0.5, "beta": 0.3}],
+    )
+    assert main(["run", write_config(tmp_path, "wide.json", cfg)]) == 3
+    assert "cap of 1000000" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+MONTE_CARLO = {"check": "accuracy", "alpha": 0.5, "alpha_prime": 0.5, "beta": 0.9, "method": "monte_carlo"}
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"mechanism": {"name": "alg1", "budget": 8.0, "epsilon": 0.5, "n": True}}, "mechanism: n must"),
+        ({"mechanism": {"name": "alg1_prime", "budget": 8.0, "epsilon": 0.5, "n": True}}, "mechanism: n must"),
+        ({"mechanism": {"name": "pay_declared", "epsilon": 0.5, "n": True}}, "mechanism: n must"),
+        ({"mechanism": {"name": "exact_sum", "n": True}}, "mechanism: n must"),
+        ({"mechanism": {"name": "subsample", "flat_pay": 1.0, "sample_size": 2, "n": True}}, "mechanism: n must"),
+        ({"mechanism": {"name": "subsample", "flat_pay": 1.0, "sample_size": True, "n": 4}}, "mechanism: sample_size"),
+        ({"seed": True, "checks": [{**MONTE_CARLO, "trials": 100}]}, "seed: must be an integer"),
+        ({"seed": 3, "checks": [{**MONTE_CARLO, "trials": True}]}, "checks[0].trials: must be an integer >= 1"),
+        ({"seed": 3, "checks": [{**MONTE_CARLO, "trials": 0}]}, "checks[0].trials: must be an integer >= 1"),
+        ({"seed": 3, "checks": [{**MONTE_CARLO, "trials": 2.5}]}, "checks[0].trials: must be an integer >= 1"),
+        ({"checks": [{"check": "truthful", "players": [0, True]}]}, "checks[0].players"),
+        ({"checks": [{"check": "distinguishability", "delta": 0.3, "players": [False]}]}, "checks[0].players"),
+    ],
+)
+def test_run_rejects_booleans_where_integers_are_needed(tmp_path, capsys, overrides, field):
+    cfg = base_config(tmp_path, **overrides)
+    assert main(["run", write_config(tmp_path, "bools.json", cfg)]) == 3
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

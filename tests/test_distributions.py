@@ -13,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privbuy import distributions
 from privbuy.distributions import (
+    MAX_WINDOW_ATOMS,
+    SUPPORT_ATOM_TOL,
     CountDistribution,
     GeomParams,
     Interval,
@@ -21,10 +24,13 @@ from privbuy.distributions import (
     geom_pmf,
     geom_tail,
     sample_geom,
+    sample_geoms,
     shifted_geom_dist,
     statistical_distance,
     window_radius,
 )
+
+from conftest import oracle_sample_geom
 
 EPS_GRID = (0.1, 0.5, math.log(2.0), 2.0)
 
@@ -325,7 +331,118 @@ def test_dp_level_disjoint_point_masses():
     assert dp_level(a, b) == math.inf
 
 
+def oracle_dp_level(d1, d2):
+    """The per-key dict loop the dp_level kernel must reproduce exactly."""
+    a1, a2 = d1.atoms, d2.atoms
+    keys = set(d1.support)
+    keys.update(d2.support)
+    best = 0.0
+    for k in keys:
+        p, q = a1.get(k, 0.0), a2.get(k, 0.0)
+        if p > 0.0 and q > 0.0:
+            r = abs(math.log(p) - math.log(q))
+            if r > best:
+                best = r
+        elif p <= 0.0 and q <= 0.0:
+            continue
+        elif max(p, q) > SUPPORT_ATOM_TOL:
+            return math.inf
+    return best
+
+
+# one-sided atoms on either side of the skip threshold, zeros and tiny atoms
+SMALL_ATOMS = (
+    0.0,
+    1e-300,
+    math.nextafter(SUPPORT_ATOM_TOL, 0.0),
+    SUPPORT_ATOM_TOL,
+    math.nextafter(SUPPORT_ATOM_TOL, 1.0),
+    2.0 * SUPPORT_ATOM_TOL,
+)
+
+
+@st.composite
+def near_complete_laws(draw):
+    """Laws with truncation mass <= 1e-9 on integer ranges (overlapping,
+    touching or disjoint ones) and on sets with gaps. The small atoms keep
+    their exact values; the ordinary ones absorb the rest of the mass."""
+    if draw(st.booleans()):
+        start = draw(st.integers(-60, 60))
+        support = range(start, start + draw(st.integers(1, 40)))
+    else:
+        support = sorted(draw(st.sets(st.integers(-60, 60), min_size=1, max_size=30)))
+    small = st.sampled_from(SMALL_ATOMS if draw(st.booleans()) else SMALL_ATOMS[1:])
+    weights = draw(
+        st.lists(
+            st.one_of(small, st.floats(1e-300, 1e-12), st.floats(1e-6, 1.0)),
+            min_size=len(support),
+            max_size=len(support),
+        )
+    )
+    big = [j for j, w in enumerate(weights) if w >= 1e-6] or [draw(st.integers(0, len(support) - 1))]
+    trunc = draw(st.sampled_from((0.0, 1e-13, 1e-10)))
+    rest = 1.0 - trunc - math.fsum(w for j, w in enumerate(weights) if j not in big)
+    scale = rest / math.fsum(max(weights[j], 1e-6) for j in big)
+    for j in big:
+        weights[j] = max(weights[j], 1e-6) * scale
+    return CountDistribution(tuple(support), tuple(weights), trunc)
+
+
+@given(near_complete_laws(), near_complete_laws())
+@settings(deadline=None, max_examples=300)
+def test_dp_level_equals_dict_loop(d1, d2):
+    assert dp_level(d1, d2) == oracle_dp_level(d1, d2)
+    assert dp_level(d2, d1) == oracle_dp_level(d2, d1)
+
+
+def test_dp_level_one_sided_atoms_at_the_threshold():
+    point = CountDistribution((1,), (1.0,), 0.0)
+    nudged = {
+        math.nextafter(SUPPORT_ATOM_TOL, 1.0): math.inf,
+        SUPPORT_ATOM_TOL: -math.log1p(-SUPPORT_ATOM_TOL),
+        math.nextafter(SUPPORT_ATOM_TOL, 0.0): -math.log1p(-math.nextafter(SUPPORT_ATOM_TOL, 0.0)),
+    }
+    for tiny, want in nudged.items():
+        d = CountDistribution((0, 1), (tiny, 1.0 - tiny), 0.0)
+        assert dp_level(d, point) == dp_level(point, d) == oracle_dp_level(d, point)
+        assert dp_level(d, point) == pytest.approx(want, rel=1e-6)
+    # a zero atom inside a range leaves the range kernel to the dict loop
+    gap = CountDistribution((0, 1, 2), (0.5, 0.0, 0.5), 0.0)
+    flat = CountDistribution((0, 1, 2), (0.25, 0.5, 0.25), 0.0)
+    assert dp_level(gap, flat) == oracle_dp_level(gap, flat) == math.inf
+
+
+@given(st.sampled_from(EPS_GRID + (0.05,)), st.integers(-300, 300), st.integers(-300, 300), st.sampled_from((1e-9, 1e-12)))
+@settings(deadline=None, max_examples=100)
+def test_geometric_dp_level_equals_dict_loop(eps, s1, s2, tol):
+    g = GeomParams(eps)
+    d1, d2 = shifted_geom_dist(g, s1, tol), shifted_geom_dist(g, s2, 1e-12)
+    assert dp_level(d1, d2) == oracle_dp_level(d1, d2)
+
+
+def test_log_probs_are_the_logs_of_the_atoms():
+    d = CountDistribution((0, 1, 2), (0.25, 0.0, 0.75), 0.0)
+    assert d.log_probs == (math.log(0.25), -math.inf, math.log(0.75))
+
+
 # --- sampling --------------------------------------------------------------
+
+@pytest.mark.parametrize("eps", EPS_GRID + (0.05, 5.0, 40.0))
+@pytest.mark.parametrize("seed", (0, 7, 2024))
+def test_batched_sampler_draws_the_one_draw_stream(eps, seed):
+    g = GeomParams(eps)
+    for trials in (0, 1, 2, 50, 500):
+        rng_a, rng_b = random.Random(seed), random.Random(seed)
+        assert list(sample_geoms(g, rng_a, trials)) == [oracle_sample_geom(g, rng_b) for _ in range(trials)]
+        assert rng_a.getstate() == rng_b.getstate()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sample_geom_is_the_first_batched_draw(seed):
+    g = GeomParams(0.5)
+    rng_a, rng_b = random.Random(seed), random.Random(seed)
+    assert sample_geom(g, rng_a) == next(sample_geoms(g, rng_b, 3))
+    assert rng_a.getstate() == rng_b.getstate()  # the batch draws lazily
 
 def test_sampler_deterministic_given_seed():
     g = GeomParams(0.5)
@@ -348,6 +465,43 @@ def test_sampler_frequencies_match_pmf(eps):
         p = geom_pmf(g, k)
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(counts.get(k, 0) / trials - p) <= 3.0 * sigma
+
+
+def test_window_cap_rejects_huge_windows_without_building_them():
+    # about 5.5e11 atoms; the radius comes from the closed form alone
+    with pytest.raises(ValueError, match="cap"):
+        window_radius(GeomParams(1e-10), 1e-12)
+    with pytest.raises(ValueError, match="cap"):
+        shifted_geom_dist(GeomParams(1e-15), 3, 1e-12)
+
+
+def test_window_cap_is_exact(monkeypatch):
+    g = GeomParams(0.05)
+    atoms = 2 * window_radius(g, 1e-12) + 1
+    monkeypatch.setattr(distributions, "MAX_WINDOW_ATOMS", atoms)
+    assert 2 * window_radius(g, 1e-12) + 1 == atoms
+    monkeypatch.setattr(distributions, "MAX_WINDOW_ATOMS", atoms - 1)
+    with pytest.raises(ValueError, match="cap"):
+        window_radius(g, 1e-12)
+
+
+def test_bundled_workload_windows_fit_the_cap():
+    # The largest windows the test suite builds (epsilon 0.05 at mass_tol
+    # down to 1e-14) and the geometric jobs of the audit_scale benchmark
+    # (mass_tol 1e-12) stay more than 700 times under the cap.
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    epsilons = {args[1] for _, _, (name, args), _, _ in workloads.audit_jobs() if name == "alg1"}
+    assert epsilons == {0.05, math.log(2.0)}
+    windows = [(eps, 1e-12) for eps in epsilons] + [(0.05, 1e-14), (0.1, 1e-15)]
+    sizes = [len(shifted_geom_dist(GeomParams(eps), 0, tol).support) for eps, tol in windows]
+    assert max(sizes) == 1291
+    assert max(sizes) * 700 < MAX_WINDOW_ATOMS
 
 
 def test_interval_validation():

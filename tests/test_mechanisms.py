@@ -11,6 +11,8 @@ from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType, 
 from privbuy.distributions import GeomParams, dp_level, shifted_geom_dist
 from privbuy.mechanisms import (
     BudgetParams,
+    ShiftedGeometricMechanism,
+    SubsampleMechanism,
     SubsampleParams,
     _subsample_law,
     alg1,
@@ -21,7 +23,7 @@ from privbuy.mechanisms import (
     subsample,
 )
 
-from conftest import ConstantMechanism, bit_vectors, profile
+from conftest import ConstantMechanism, bit_vectors, oracle_sample_geom, profile
 
 LN2 = math.log(2.0)
 
@@ -387,6 +389,47 @@ def test_empirical_law_matches_output_dist(mech, x):
             continue
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(freq.get(k, 0) / trials - p) <= 3.0 * sigma
+
+
+def one_draw_oracle(mech, x, rng):
+    """One published count drawn as the one-draw samplers did before the
+    batch hook: shift plus one noise draw, a fresh k-subset, or no draw."""
+    if isinstance(mech, ShiftedGeometricMechanism):
+        return mech.shift(x) + oracle_sample_geom(mech.geom, rng)
+    if isinstance(mech, SubsampleMechanism):
+        n, k = mech.params.n, mech.params.sample_size
+        m = sum(x.players[j].bit for j in rng.sample(range(n), k))
+        return round(Fraction(n * m, k))  # Fraction rounds half to even
+    return mech.output_dist(x).support[0]  # exact_sum and the constant
+
+
+SAMPLED = [
+    alg1(6.0, math.log(2.0), 6),
+    alg1_prime(6.0, 0.5, 6),
+    subsample(1.0, 3, 6),
+    pay_declared(0.5, 6),
+    exact_sum(6, 0.5),
+    ConstantMechanism(6),
+]
+
+
+@pytest.mark.parametrize("mech", SAMPLED, ids=lambda m: m.name)
+@pytest.mark.parametrize("seed", (0, 3, 91))
+@pytest.mark.parametrize("trials", (1, 2, 50))
+def test_sample_counts_draw_the_one_draw_stream(mech, seed, trials):
+    x = profile([1, 1, 0, 1, 0, 1], [0.0, 3.0, 0.5, 0.1, 2.0, 0.2])
+    rng_a, rng_b, rng_c = random.Random(seed), random.Random(seed), random.Random(seed)
+    batch = list(mech.sample_counts(x, rng_a, trials))
+    assert batch == [mech.sample(x, rng_b).count for _ in range(trials)]
+    assert batch == [one_draw_oracle(mech, x, rng_c) for _ in range(trials)]
+    assert rng_a.getstate() == rng_b.getstate() == rng_c.getstate()
+    assert list(mech.sample_counts(x, seed, trials)) == batch  # a seed int works too
+
+
+def test_sample_counts_check_the_profile_before_drawing():
+    mech = alg1(6.0, 0.5, 6)
+    with pytest.raises(ValueError, match="players"):
+        mech.sample_counts(profile([1, 0], [0.0, 0.0]), 0, 10)
 
 
 def test_expected_pay_matches_sampled_payments():

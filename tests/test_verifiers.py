@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -191,6 +192,32 @@ def test_accuracy_monte_carlo():
     assert straddle.verdict == INCONCLUSIVE
     with pytest.raises(ValueError):
         check_accuracy(mech, x, AccuracySpec(0.5, 0.5, 0.5), method="bogus")
+
+
+def test_accuracy_monte_carlo_counts_pinned():
+    # misses drawn at the commit before batched sampling; the stream is the same
+    x = profile([1, 1, 0, 1, 0, 1], [0.0, 3.0, 0.5, 0.1, 2.0, 0.2])
+    mechs = (alg1(6.0, LN2, 6), alg1_prime(6.0, LN2, 6), subsample(1.0, 3, 6), pay_declared(0.5, 6), exact_sum(6))
+    got = [
+        check_accuracy(m, x, AccuracySpec(0.2, 0.2, 0.35), method="monte_carlo", trials=3000, seed=11).witness
+        for m in mechs
+    ]
+    assert [w.split(",")[0] for w in got] == [
+        "empirical 1219/3000", "empirical 1219/3000", "empirical 1236/3000", "empirical 1315/3000", "empirical 0/3000",
+    ]
+
+
+@pytest.mark.parametrize("mech", [alg1(6.0, LN2, 6), exact_sum(6)], ids=lambda m: m.name)
+def test_accuracy_monte_carlo_memory_does_not_grow_with_trials(mech):
+    x = profile([1, 1, 0, 1, 0, 1], [0.0, 3.0, 0.5, 0.1, 2.0, 0.2])
+    spec = AccuracySpec(0.2, 0.2, 0.35)
+    tracemalloc.start()
+    try:
+        check_accuracy(mech, x, spec, method="monte_carlo", trials=200_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_accuracy_spec_validation():
