@@ -32,7 +32,7 @@ from .audits import (
     audit_payment_accuracy_tradeoff,
 )
 from .core import InputProfile, Mechanism, NeighborRelation, is_int
-from .distributions import DEFAULT_MASS_TOL, GeomParams, dp_level, shifted_geom_dist, statistical_distance
+from .distributions import DEFAULT_MASS_TOL, GeomParams, dp_level, shifted_geom_dist, statistical_distance, window_radius
 from .losses import (
     LossModel,
     growing_sd_model,
@@ -294,6 +294,12 @@ def exit_code_for(rows: list[CheckResult], audits: list[AuditReport]) -> int:
 def execute(cfg: RunConfig) -> tuple[int, list[CheckResult], list[AuditReport]]:
     try:
         mech = build_mechanism(cfg.mechanism)
+        if isinstance(mech, ShiftedGeometricMechanism):
+            # every check may build a window: refuse an oversized one up front
+            try:
+                window_radius(mech.geom, cfg.mass_tol)
+            except ValueError as exc:
+                raise ConfigError("mechanism.epsilon", str(exc)) from exc
         model = build_model(cfg.loss_model, mech)
         for idx, x in enumerate(cfg.profiles):
             if x.n != mech.player_count:

@@ -23,6 +23,14 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def finite_valuation(value) -> float:
+    """``value`` as a float valuation; NaN and +-inf are rejected."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"valuation must be finite, got {value!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class PlayerType:
     """One player's private information: a data bit and a privacy valuation.
@@ -39,10 +47,7 @@ class PlayerType:
         if self.bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {self.bit!r}")
         object.__setattr__(self, "bit", int(self.bit))
-        v = float(self.valuation)
-        if not math.isfinite(v):
-            raise ValueError(f"valuation must be finite, got {self.valuation!r}")
-        object.__setattr__(self, "valuation", v)
+        object.__setattr__(self, "valuation", finite_valuation(self.valuation))
 
     def __str__(self) -> str:
         return f"({self.bit}, {self.valuation:g})"
@@ -201,6 +206,20 @@ class Mechanism(ABC):
     def expected_pay(self, x: InputProfile, i: int) -> float:
         self.require_profile(x)
         return self.pay_vector(x)[i]
+
+    def declare(self, x: InputProfile, i: int, values, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
+        """``(player i's pay, law key)`` for each declaration v in ``values``,
+        the other players keeping ``x``. Two declarations have equal keys iff
+        they give equal count laws and equal payments to the other players.
+        The default builds each declared profile and keys it by its law and
+        the others' pays, which is always sound; mechanisms whose law reads
+        player i through a smaller statistic return that statistic."""
+        out = []
+        for v in values:
+            y = x.with_valuation(i, v)
+            pays = self.pay_vector(y)
+            out.append((self.expected_pay(y, i), (self.output_dist(y, mass_tol), pays[:i] + pays[i + 1 :])))
+        return out
 
     def max_zero_valuation_pay(self) -> float:
         """Max payment to any player declaring valuation 0, over all bit

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
-from .core import InputProfile, Mechanism, PlayerType, is_int
+from .core import InputProfile, Mechanism, PlayerType, finite_valuation, is_int
 from .distributions import (
     DEFAULT_MASS_TOL,
     CountDistribution,
@@ -143,6 +143,16 @@ class BudgetMechanism(ShiftedGeometricMechanism):
         # read only player i, and no payment reads another player
         return self._counted(x.players[:i] + x.players[i + 1 :])
 
+    def declare(self, x: InputProfile, i: int, values, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
+        # the key is the counted shift, and one threshold test settles each
+        # declaration: the others are counted once, and no one else's pay moves
+        _require_player(self, x, i)
+        two_eps, share = 2.0 * self.params.epsilon, self.params.budget / self.params.n
+        others, bit = self.others_key(x, i), x.players[i].bit
+        counted = (share, others + bit)
+        uncounted = (share if self.pay_all_zero_bits and bit == 0 else 0.0, others)
+        return [counted if two_eps * v <= share else uncounted for v in map(finite_valuation, values)]
+
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
         self.require_profile(x)
         two_eps, share = 2.0 * self.params.epsilon, self.params.budget / self.params.n
@@ -194,10 +204,24 @@ def _rescaled_count(n: int, m: int, k: int) -> int:
     return q + 1 if 2 * r > k or (2 * r == k and q % 2) else q
 
 
+def _require_player(mech: Mechanism, x: InputProfile, i: int) -> None:
+    mech.require_profile(x)
+    if not 0 <= i < x.n:
+        raise IndexError(f"player index {i} out of range for n={x.n}")
+
+
 def _others_bit_sum(mech: Mechanism, x: InputProfile, i: int) -> int:
     """``others_key`` of the mechanisms whose law reads the other players
     only through their bit sum, and whose payments read no other player."""
     return x.bit_sum() - x.players[i].bit
+
+
+def _declare_flat(mech: Mechanism, x: InputProfile, i: int, values, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
+    """``declare`` of the mechanisms that pay a flat amount and publish a law
+    of the bit sum alone: every declaration gets the same pay and key."""
+    _require_player(mech, x, i)
+    pay, key = mech.expected_pay(x, i), x.bit_sum()
+    return [(pay, key) for _ in map(finite_valuation, values)]
 
 
 @lru_cache(maxsize=None)
@@ -258,6 +282,7 @@ class SubsampleMechanism(Mechanism):
         return self.params.flat_pay
 
     others_key = _others_bit_sum
+    declare = _declare_flat
 
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
         n, k = self.params.n, self.params.sample_size
@@ -299,6 +324,12 @@ class PayDeclaredMechanism(ShiftedGeometricMechanism):
         return 0.0
 
     others_key = _others_bit_sum
+
+    def declare(self, x: InputProfile, i: int, values, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
+        # the law ignores every valuation; the pay is the declaration times epsilon
+        _require_player(self, x, i)
+        key, eps = x.bit_sum(), self.epsilon
+        return [(v * eps, key) for v in map(finite_valuation, values)]
 
     def deviation_valuations(self, x: InputProfile, i: int) -> tuple[float, ...]:
         v = x.players[i].valuation
@@ -346,6 +377,7 @@ class ExactSumMechanism(Mechanism):
         return self.flat_pay
 
     others_key = _others_bit_sum
+    declare = _declare_flat
 
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
         # the count is exact: no draws

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
-from .core import InputProfile, Mechanism, NeighborRelation
+from .core import InputProfile, Mechanism, NeighborRelation, is_int
 from .distributions import DEFAULT_MASS_TOL, Interval, dp_level
 from .losses import LossModel, loss_expectation, neighbor_distances
 
@@ -137,11 +137,12 @@ def check_truthful(
 ) -> CheckResult:
     """No deviation in the grid beats the truthful declaration.
 
-    Deviations producing a byte-identical output law and payment situation
-    are settled exactly (the utility gap is the payment difference); models
-    that respect identical output distributions guarantee the loss terms
-    cancel. Everything else is compared interval-soundly: the truth's
-    utility lower bound against the deviation's upper bound.
+    ``Mechanism.declare`` settles every declaration to a pay and a law key.
+    A deviation with the truth's key (identical output law and payments to
+    the other players) is settled exactly when the model respects identical
+    output distributions: the loss terms cancel and the utility gap is the
+    payment difference. Everything else is compared interval-soundly: the
+    truth's utility lower bound against the deviation's upper bound.
     """
     mech.require_profile(x)
     truth = x.players[i].valuation
@@ -149,22 +150,15 @@ def check_truthful(
     if not devs:
         raise ValueError("deviations must be nonempty")
 
-    truth_pay = mech.expected_pay(x, i)
-    truth_dist = mech.output_dist(x, mass_tol)
+    # the truth is settled from its own value, so a -0.0 keeps its sign
+    (truth_pay, truth_key), *settled = mech.declare(x, i, (truth,) + devs, mass_tol)
     truth_loss = None  # computed lazily; identical-law deviations never need it
 
     # one certified profitable deviation fails the check no matter what the
     # other deviations' enclosures look like, so verdicts are bucketed
     by_verdict = {PASS: [], FAIL: [], INCONCLUSIVE: []}
-    for dev in devs:
-        if dev == truth and math.copysign(1.0, dev) == math.copysign(1.0, truth):
-            # the truth itself (-0.0 is not 0.0: a payment may keep the sign)
-            dev_pay, dev_dist = truth_pay, truth_dist
-        else:
-            dev_profile = x.with_valuation(i, dev)
-            dev_pay = mech.expected_pay(dev_profile, i)
-            dev_dist = mech.output_dist(dev_profile, mass_tol)
-        if dev_dist == truth_dist and model.respects_identical_output_dists:
+    for dev, (dev_pay, dev_key) in zip(devs, settled):
+        if dev_key == truth_key and model.respects_identical_output_dists:
             margin = truth_pay - dev_pay
             verdict = PASS if margin >= 0.0 else FAIL
         else:
@@ -220,6 +214,8 @@ def check_accuracy(
     interval on the seeded empirical rate; a straddle is inconclusive.
     """
     mech.require_profile(x)
+    if not (is_int(trials) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     bbar_n = x.bit_sum()
     lo_edge = bbar_n - spec.alpha * x.n
     hi_edge = bbar_n + spec.alpha_prime * x.n

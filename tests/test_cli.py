@@ -290,6 +290,23 @@ def test_run_rejects_windows_above_the_cap(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"loss_model": {"kind": "zero"}, "checks": ["ir"]},
+        {"checks": [{"check": "accuracy", "alpha": 0.5, "alpha_prime": 0.5, "beta": 0.3}]},
+    ],
+    ids=["ir_only", "accuracy"],
+)
+def test_run_checks_the_window_cap_when_the_config_is_built(tmp_path, capsys, overrides):
+    # whether or not any check would build a law, the field is named
+    cfg = base_config(tmp_path, mechanism={"name": "alg1", "budget": 8.0, "epsilon": 1e-10, "n": 4}, **overrides)
+    assert main(["run", write_config(tmp_path, "wide.json", cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert "config error: mechanism.epsilon: " in err and "cap of 1000000" in err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "report.csv").exists()
+
+
 MONTE_CARLO = {"check": "accuracy", "alpha": 0.5, "alpha_prime": 0.5, "beta": 0.9, "method": "monte_carlo"}
 
 

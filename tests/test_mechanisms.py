@@ -439,3 +439,45 @@ def test_expected_pay_matches_sampled_payments():
     for i in range(4):
         draws = [mech.sample(x, rng).payments[i] for _ in range(50)]
         assert sum(draws) / len(draws) == mech.expected_pay(x, i)  # deterministic payments
+
+
+# --- declare ---------------------------------------------------------------
+
+def _declared_values(theta):
+    return (0.0, -0.0, theta, math.nextafter(theta, math.inf), math.nextafter(theta, -math.inf), 2.0 * theta, -1.0, 1e300)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_declare_matches_the_profile_building_default(n):
+    theta = alg1(2.0 * n, 0.5, n).params.theta
+    values = _declared_values(theta)
+    for mech in _every_mechanism(n):
+        for bits in bit_vectors(n):
+            for vals in itertools.product((0.0, theta, 2.0 * theta), repeat=n):
+                x = profile(bits, vals)
+                for i in range(n):
+                    got = mech.declare(x, i, values)
+                    want = Mechanism.declare(mech, x, i, values)
+                    assert len(got) == len(want) == len(values)
+                    for (pay, _), (want_pay, _) in zip(got, want):
+                        assert pay == want_pay and math.copysign(1.0, pay) == math.copysign(1.0, want_pay), mech.name
+                    for (_, ka), (_, wa) in zip(got, want):
+                        for (_, kb), (_, wb) in zip(got, want):
+                            assert (ka == kb) == (wa == wb), (mech.name, str(x), i)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_declare_rejects_values_that_are_not_finite(bad):
+    x = profile([1, 0], [0.5, 1.0])
+    for mech in _every_mechanism(2):
+        with pytest.raises(ValueError, match="valuation must be finite"):
+            mech.declare(x, 0, (0.0, bad))
+
+
+def test_declare_checks_the_profile_and_the_player():
+    for mech in _every_mechanism(2):
+        with pytest.raises(ValueError, match="players"):
+            mech.declare(profile([1, 0, 1], [0.0, 0.0, 0.0]), 0, (0.0,))
+        for i in (-1, 2):
+            with pytest.raises(IndexError):
+                mech.declare(profile([1, 0], [0.0, 0.0]), i, (0.0,))

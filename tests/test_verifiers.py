@@ -1,17 +1,23 @@
+import dataclasses
+import itertools
 import math
+import random
 import tracemalloc
+from itertools import repeat
 
 import pytest
 
-from privbuy.core import NeighborRelation
-from privbuy.distributions import Interval
-from privbuy.losses import tight_dp_loss, zero_loss
+from privbuy.core import InputProfile, Mechanism, NeighborRelation
+from privbuy.distributions import CountDistribution, Interval
+from privbuy.losses import loss_expectation, tight_dp_loss, zero_loss
+from privbuy.mechanisms import ShiftedGeometricMechanism
 from privbuy.mechanisms import alg1, alg1_prime, exact_sum, pay_declared, subsample
 from privbuy.verifiers import (
     FAIL,
     INCONCLUSIVE,
     PASS,
     AccuracySpec,
+    CheckResult,
     DistinguishabilityQuery,
     check_accuracy,
     check_distinguishable,
@@ -21,7 +27,7 @@ from privbuy.verifiers import (
     wilson_interval,
 )
 
-from conftest import profile
+from conftest import ConstantMechanism, profile
 
 GEN, MON = NeighborRelation.GENERAL, NeighborRelation.MONOTONIC
 LN2 = math.log(2.0)
@@ -116,6 +122,159 @@ def test_truthful_requires_deviations():
     mech = alg1(8.0, 0.5, 2)
     with pytest.raises(ValueError):
         check_truthful(mech, zero_loss(), profile([1, 0], [0.0, 0.0]), 0, deviations=[])
+
+
+def parent_check_truthful(mech, model, x, i, deviations=None, mass_tol=1e-12, profile_id=""):
+    """The profile-building check_truthful that Mechanism.declare replaced,
+    kept verbatim as the differential oracle: a profile and a law for every
+    deviation, compared by law alone."""
+    mech.require_profile(x)
+    truth = x.players[i].valuation
+    devs = tuple(deviations) if deviations is not None else mech.deviation_valuations(x, i)
+    if not devs:
+        raise ValueError("deviations must be nonempty")
+    truth_pay = mech.expected_pay(x, i)
+    truth_dist = mech.output_dist(x, mass_tol)
+    truth_loss = None
+    by_verdict = {PASS: [], FAIL: [], INCONCLUSIVE: []}
+    for dev in devs:
+        if dev == truth and math.copysign(1.0, dev) == math.copysign(1.0, truth):
+            dev_pay, dev_dist = truth_pay, truth_dist
+        else:
+            dev_profile = x.with_valuation(i, dev)
+            dev_pay = mech.expected_pay(dev_profile, i)
+            dev_dist = mech.output_dist(dev_profile, mass_tol)
+        if dev_dist == truth_dist and model.respects_identical_output_dists:
+            margin = truth_pay - dev_pay
+            verdict = PASS if margin >= 0.0 else FAIL
+        else:
+            if truth_loss is None:
+                truth_loss = loss_expectation(model, mech, x, i, truth, mass_tol)
+            dev_loss = loss_expectation(model, mech, x, i, dev, mass_tol)
+            margin = (truth_pay - truth_loss.hi) - (dev_pay - dev_loss.lo)
+            if margin >= 0.0:
+                verdict = PASS
+            elif (truth_pay - truth_loss.lo) < (dev_pay - dev_loss.hi):
+                verdict, margin = FAIL, (truth_pay - truth_loss.lo) - (dev_pay - dev_loss.hi)
+            else:
+                verdict = INCONCLUSIVE
+        by_verdict[verdict].append((margin, dev))
+    if by_verdict[FAIL]:
+        margin, dev = min(by_verdict[FAIL])
+        witness = f"profitable deviation v'={dev:g} (gain {-margin:g})"
+        return CheckResult("truthful", mech.name, profile_id, i, FAIL, margin, witness)
+    if by_verdict[INCONCLUSIVE]:
+        margin, dev = min(by_verdict[INCONCLUSIVE])
+        witness = f"deviation v'={dev:g} straddles; refine mass_tol"
+        return CheckResult("truthful", mech.name, profile_id, i, INCONCLUSIVE, margin, witness)
+    margin, dev = min(by_verdict[PASS])
+    return CheckResult("truthful", mech.name, profile_id, i, PASS, margin, f"tightest deviation v'={dev:g}")
+
+
+def _grid(theta, n, stride=1):
+    vals_grid = (0.0, theta / 2.0, theta, 2.0 * theta, 10.0 * theta)
+    cells = [(b, v) for b in itertools.product((0, 1), repeat=n) for v in itertools.product(vals_grid, repeat=n)]
+    return [profile(b, v) for b, v in cells[::stride]]
+
+
+def _assert_matches_parent(mech, model, xs, extras):
+    for x in xs:
+        for i in range(x.n):
+            grids = [None]
+            for extra in extras:
+                grids.append(tuple(dict.fromkeys(tuple(mech.deviation_valuations(x, i)) + extra)))
+            for devs in grids:
+                want = parent_check_truthful(mech, model, x, i, devs, profile_id="p")
+                assert repr(check_truthful(mech, model, x, i, devs, profile_id="p")) == repr(want)
+
+
+@pytest.mark.parametrize("n, stride", [(2, 1), (3, 7)])
+@pytest.mark.parametrize("factory", [alg1, alg1_prime], ids=["alg1", "alg1_prime"])
+def test_truthful_matches_the_profile_building_parent_on_the_grids(n, stride, factory):
+    # the criterion 1/2 grids plus CLI-style extra deviations around theta
+    for eps in (0.5, LN2):
+        for budget in (2.0 * n, 4.0 * n):
+            mech = factory(budget, eps, n)
+            theta = mech.params.theta
+            extras = [(-1.0, -0.0, math.nextafter(theta, math.inf), 3.0 * theta, 1e300)]
+            for relation in (MON, GEN):
+                _assert_matches_parent(mech, tight_dp_loss(mech, relation), _grid(theta, n, stride), extras)
+
+
+@pytest.mark.parametrize(
+    "mech",
+    [pay_declared(0.5, 2), subsample(1.5, 1, 2), exact_sum(2, 0.25), ConstantMechanism(2)],
+    ids=lambda m: m.name,
+)
+def test_truthful_matches_the_profile_building_parent_elsewhere(mech):
+    extras = [(-1.0, -0.0, 0.0, 7.5, 1e300)]
+    xs = _grid(2.0, 2) + [profile([1, 0], [-0.0, 1.0]), profile([0, 1], [-0.0, -0.0])]
+    for model in (tight_dp_loss(mech, GEN), tight_dp_loss(mech, MON), zero_loss()):
+        _assert_matches_parent(mech, model, xs, extras)
+
+
+def test_truthful_on_alg1_builds_no_profile_and_no_law(monkeypatch):
+    mech = alg1(8.0, 0.5, 4)
+    theta = mech.params.theta
+    tight = tight_dp_loss(mech, MON)
+    # a bit-0 player never moves the law; under zero loss no deviation needs a law
+    cases = [
+        (tight, profile([0, 1, 0, 1], [theta, 0.0, 3.0 * theta, theta]), 0),
+        (zero_loss(), profile([1, 1, 0, 1], [theta / 2.0, 0.0, 3.0 * theta, theta]), 0),
+    ]
+    built, laws = [], []
+    original_post_init = InputProfile.__post_init__
+
+    def counted_post_init(self):
+        built.append(1)
+        original_post_init(self)
+
+    def no_law(self, x, mass_tol=1e-12):
+        laws.append(1)
+        raise AssertionError("output_dist called")
+
+    monkeypatch.setattr(InputProfile, "__post_init__", counted_post_init)
+    monkeypatch.setattr(ShiftedGeometricMechanism, "output_dist", no_law)
+    results = [check_truthful(mech, model, x, i, (0.0, theta, 2.0 * theta, 1e300, -1.0)) for model, x, i in cases]
+    assert [r.verdict for r in results] == [PASS, PASS]
+    assert built == [] and laws == []
+
+
+class SwapPayMechanism(Mechanism):
+    """Two players, the exact bit sum as a point mass, and each player paid
+    the other's declared valuation: a declaration can leave the law alone
+    and still move the other player's pay."""
+
+    name = "swap_pay"
+    player_count = 2
+    cache_token = ("swap_pay",)
+
+    def output_dist(self, x, mass_tol=1e-12):
+        self.require_profile(x)
+        return CountDistribution((x.bit_sum(),), (1.0,), 0.0)
+
+    def log_pmf_table(self, x, support):
+        return tuple(0.0 if s == x.bit_sum() else -math.inf for s in support)
+
+    def pay_vector(self, x):
+        self.require_profile(x)
+        return (x.players[1].valuation, x.players[0].valuation)
+
+    def _sample_counts(self, x, rng: random.Random, trials: int):
+        return repeat(x.bit_sum(), trials)
+
+
+@pytest.mark.parametrize("relation", [GEN, MON], ids=lambda r: r.value)
+def test_identical_law_shortcut_also_compares_the_others_pays(relation):
+    # declaring 0.0 keeps the law but moves player 1's pay from 2.0 to 0.0,
+    # which the adversary of tight_dp_loss sees: the shortcut may not apply
+    mech = SwapPayMechanism()
+    model = tight_dp_loss(mech, relation)
+    no_shortcut = dataclasses.replace(model, respects_identical_output_dists=False)
+    x = profile([1, 0], [2.0, 1.0])
+    got = check_truthful(mech, model, x, 0)
+    want = check_truthful(mech, no_shortcut, x, 0)
+    assert (got.verdict, got.margin) == (want.verdict, want.margin) == (FAIL, -math.inf)
 
 
 # --- accuracy ----------------------------------------------------------------
@@ -218,6 +377,14 @@ def test_accuracy_monte_carlo_memory_does_not_grow_with_trials(mech):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("trials", [True, 0, 2.5, -1])
+def test_accuracy_rejects_trials_that_are_not_positive_integers(trials):
+    x = profile([1, 0], [0.0, 0.0])
+    for method in ("monte_carlo", "exact"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            check_accuracy(alg1(4.0, 0.5, 2), x, AccuracySpec(0.5, 0.5, 0.5), method=method, trials=trials, seed=1)
 
 
 def test_accuracy_spec_validation():
