@@ -21,8 +21,8 @@ from itertools import compress, product, repeat
 from operator import is_not, itemgetter, ne
 from typing import Callable, Optional
 
-from .core import InputProfile, Mechanism, NeighborRelation, PlayerType
-from .distributions import DEFAULT_MASS_TOL, Interval, statistical_distance
+from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, require_scannable
+from .distributions import DEFAULT_MASS_TOL, Interval
 from .losses import LossModel, loss_expectation, neighbor_distances
 from .verifiers import (
     FAIL,
@@ -173,9 +173,9 @@ def _zeros(n: int) -> InputProfile:
 
 
 def _consecutive_distances(mech: Mechanism, inputs, mass_tol):
-    laws = [mech.output_dist(x, mass_tol) for x in inputs]
-    steps = tuple(statistical_distance(a, b) for a, b in zip(laws, laws[1:]))
-    return steps, statistical_distance(laws[0], laws[-1])
+    keys = [mech.law_key(x, mass_tol) for x in inputs]
+    steps = tuple(mech.law_distance(a, b, mass_tol) for a, b in zip(keys, keys[1:]))
+    return steps, mech.law_distance(keys[0], keys[-1], mass_tol)
 
 
 def _validate(
@@ -315,6 +315,7 @@ def audit_general_impossibility(
 
     # every bit vector in mask order (bit j of mask is player j's bit), so
     # ties in max resolve as they always have
+    require_scannable(n, "the general audit's threshold")
     bit_vectors = map(itemgetter(slice(None, None, -1)), product((0, 1), repeat=n))
     threshold = max(map(model.threshold_fn, repeat(pay_cap), bit_vectors, repeat((0.0,) * (n - 1))))
     details.append(f"threshold valuation: L = {threshold:g}")

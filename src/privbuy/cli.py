@@ -31,7 +31,7 @@ from .audits import (
     audit_monotonic_impossibility,
     audit_payment_accuracy_tradeoff,
 )
-from .core import InputProfile, Mechanism, NeighborRelation, is_int
+from .core import InputProfile, Mechanism, NeighborRelation, finite_valuation, is_int
 from .distributions import DEFAULT_MASS_TOL, GeomParams, dp_level, shifted_geom_dist, statistical_distance, window_radius
 from .losses import (
     LossModel,
@@ -226,6 +226,12 @@ def _run_check(entry, mech, model, profiles, cfg, ctx) -> tuple[list[CheckResult
             rows.extend(check_ir(mech, model, x, tol, pid))
     elif name == "truthful":
         extras = entry.get("deviations")  # extend the canonical grid
+        if extras is not None:
+            try:
+                for v in extras:
+                    finite_valuation(v)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{ctx}.deviations", str(exc)) from exc
         for pid, x in each_profile():
             for i in _players_scope(entry, mech, x, ctx):
                 devs = None

@@ -14,7 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .distributions import DEFAULT_MASS_TOL, CountDistribution
+from .distributions import DEFAULT_MASS_TOL, CountDistribution, Interval, statistical_distance
+
+# Largest n whose 2^n bit vectors a scan enumerates; each +2 costs 4x, and
+# n = 24 takes about 6 s on a 2-core x86-64 VM.
+MAX_SCAN_PLAYERS = 24
 
 
 def is_int(value) -> bool:
@@ -24,7 +28,12 @@ def is_int(value) -> bool:
 
 
 def finite_valuation(value) -> float:
-    """``value`` as a float valuation; NaN and +-inf are rejected."""
+    """``value`` as a float valuation; NaN, +-inf, bools and strings are
+    rejected (``float`` would read a JSON ``true`` as 1.0 and ``"2.5"`` as
+    2.5)."""
+    # the exact-type test first keeps the common float path cheap
+    if type(value) is not float and isinstance(value, (bool, str)):
+        raise ValueError(f"valuation must be a number, got {value!r}")
     v = float(value)
     if not math.isfinite(v):
         raise ValueError(f"valuation must be finite, got {value!r}")
@@ -44,9 +53,9 @@ class PlayerType:
     valuation: float
 
     def __post_init__(self):
-        if self.bit not in (0, 1):
+        # exactly an int: a JSON true is a bool, and True == 1
+        if type(self.bit) is not int or self.bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {self.bit!r}")
-        object.__setattr__(self, "bit", int(self.bit))
         object.__setattr__(self, "valuation", finite_valuation(self.valuation))
 
     def __str__(self) -> str:
@@ -141,20 +150,22 @@ class Outcome:
     payments: tuple[float, ...]
 
 
-def i_neighbor_profiles(
+def require_scannable(n: int, what: str) -> None:
+    """Refuse a scan over all 2^n bit vectors above ``MAX_SCAN_PLAYERS``."""
+    if n > MAX_SCAN_PLAYERS:
+        raise ValueError(f"{what} scans all 2^n bit vectors; n = {n} is above the cap of {MAX_SCAN_PLAYERS}")
+
+
+def admissible_candidates(
     x: InputProfile,
     i: int,
     relation: NeighborRelation,
     candidate_types,
-) -> list[InputProfile]:
-    """Profiles obtained by swapping player i's type for an admissible candidate.
-
-    Candidates equal to the current type are dropped, as are duplicates. With
-    the monotonic relation only monotonically related candidates survive.
-    The caller supplies a candidate set that is distribution-complete for the
-    mechanism at hand, which makes suprema over the (infinite) type space
-    exactly computable.
-    """
+) -> list[PlayerType]:
+    """The candidate types that form admissible i-neighbors of ``x``, in
+    order. Candidates equal to the current type are dropped, as are
+    duplicates. With the monotonic relation only monotonically related
+    candidates survive."""
     if not 0 <= i < x.n:
         raise IndexError(f"player index {i} out of range for n={x.n}")
     current = x.players[i]
@@ -163,8 +174,24 @@ def i_neighbor_profiles(
         if cand in seen or not relation.admits(current, cand):
             continue
         seen.add(cand)
-        out.append(x.with_player(i, cand))
+        out.append(cand)
     return out
+
+
+def i_neighbor_profiles(
+    x: InputProfile,
+    i: int,
+    relation: NeighborRelation,
+    candidate_types,
+) -> list[InputProfile]:
+    """Profiles obtained by swapping player i's type for each of its
+    ``admissible_candidates``.
+
+    The caller supplies a candidate set that is distribution-complete for the
+    mechanism at hand, which makes suprema over the (infinite) type space
+    exactly computable.
+    """
+    return [x.with_player(i, cand) for cand in admissible_candidates(x, i, relation, candidate_types)]
 
 
 class Mechanism(ABC):
@@ -223,9 +250,11 @@ class Mechanism(ABC):
 
     def max_zero_valuation_pay(self) -> float:
         """Max payment to any player declaring valuation 0, over all bit
-        vectors. Exact 2^n scan; mechanisms with a closed form override it,
-        and tests use this scan as their oracle."""
+        vectors. Exact 2^n scan, refused above ``MAX_SCAN_PLAYERS``;
+        mechanisms with a closed form override it, and tests use this scan
+        as their oracle."""
         n = self.player_count
+        require_scannable(n, "the zero-valuation pay cap")
         best = -math.inf
         for mask in range(2**n):
             x = InputProfile.from_arrays([(mask >> j) & 1 for j in range(n)], [0.0] * n)
@@ -284,6 +313,29 @@ class Mechanism(ABC):
 
     def neighbor_profiles(self, x: InputProfile, i: int, relation: NeighborRelation) -> list[InputProfile]:
         return i_neighbor_profiles(x, i, relation, self.candidate_types(x, i))
+
+    def law_key(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL):
+        """Hashable key of the count law of ``x``: equal keys must mean equal
+        laws, so callers settle each distinct key once. The default keys a
+        law by itself, which is always sound; mechanisms whose law is fixed
+        by a smaller statistic key by that statistic and override the three
+        hooks below to settle keys without building a profile."""
+        return self.output_dist(x, mass_tol)
+
+    def key_law(self, key, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
+        """The count law a ``law_key`` stands for."""
+        return key
+
+    def neighbor_law_keys(
+        self, x: InputProfile, i: int, relation: NeighborRelation, mass_tol: float = DEFAULT_MASS_TOL
+    ) -> list[tuple[PlayerType, object]]:
+        """``(candidate type, law key)`` for each admissible candidate of
+        player i, in the order and with the dedupe of ``neighbor_profiles``."""
+        return [(y.players[i], self.law_key(y, mass_tol)) for y in self.neighbor_profiles(x, i, relation)]
+
+    def law_distance(self, k1, k2, mass_tol: float = DEFAULT_MASS_TOL) -> Interval:
+        """Certified total variation distance between the laws of two keys."""
+        return statistical_distance(self.key_law(k1, mass_tol), self.key_law(k2, mass_tol))
 
     def others_key(self, x: InputProfile, i: int):
         """Hashable summary of every player except i. Together with player

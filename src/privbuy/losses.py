@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import InputProfile, Mechanism, NeighborRelation
-from .distributions import DEFAULT_MASS_TOL, Interval, statistical_distance
+from .core import InputProfile, Mechanism, NeighborRelation, PlayerType
+from .distributions import DEFAULT_MASS_TOL, Interval
 
 _INF = math.inf
 
@@ -68,13 +68,19 @@ def neighbor_distances(
     i: int,
     relation: NeighborRelation,
     mass_tol: float = DEFAULT_MASS_TOL,
-) -> list[tuple[InputProfile, Interval]]:
-    """Certified output-law distance to each admissible candidate neighbor."""
-    base = mech.output_dist(x, mass_tol)
-    return [
-        (nbr, statistical_distance(base, mech.output_dist(nbr, mass_tol)))
-        for nbr in mech.neighbor_profiles(x, i, relation)
-    ]
+) -> list[tuple[PlayerType, Interval]]:
+    """``(candidate type, certified output-law distance)`` for each
+    admissible candidate of player i, one ``law_distance`` per distinct
+    neighbor law key."""
+    base = mech.law_key(x, mass_tol)
+    distances: dict = {}
+    out = []
+    for cand, key in mech.neighbor_law_keys(x, i, relation, mass_tol):
+        d = distances.get(key)
+        if d is None:
+            d = distances[key] = mech.law_distance(base, key, mass_tol)
+        out.append((cand, d))
+    return out
 
 
 def max_neighbor_distance(
@@ -205,16 +211,12 @@ def increasing_threshold_model(
         v = x.players[i].valuation
         if v == 0.0:
             return Interval(0.0, 0.0)
-        # the first neighbor certified delta-far settles it; otherwise the
-        # largest upper bound decides between 0 and a straddle
-        base = mech.output_dist(x, mass_tol)
-        straddles = False
-        for nbr in mech.neighbor_profiles(x, i, relation):
-            dist = statistical_distance(base, mech.output_dist(nbr, mass_tol))
-            if dist.lo >= delta:
-                return Interval(v, v)
-            straddles = straddles or dist.hi >= delta
-        if not straddles:
+        # a neighbor certified delta-far settles it; otherwise the largest
+        # upper bound decides between 0 and a straddle
+        distances = [d for _, d in neighbor_distances(mech, x, i, relation, mass_tol)]
+        if any(d.lo >= delta for d in distances):
+            return Interval(v, v)
+        if not any(d.hi >= delta for d in distances):
             return Interval(0.0, 0.0)
         return Interval(min(0.0, v), max(0.0, v))
 

@@ -13,13 +13,23 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
-from .core import InputProfile, Mechanism, PlayerType, finite_valuation, is_int
+from .core import (
+    InputProfile,
+    Mechanism,
+    NeighborRelation,
+    PlayerType,
+    admissible_candidates,
+    finite_valuation,
+    is_int,
+)
 from .distributions import (
     DEFAULT_MASS_TOL,
     CountDistribution,
     GeomParams,
+    Interval,
     sample_geoms,
     shifted_geom_dist,
+    statistical_distance,
 )
 
 
@@ -78,22 +88,49 @@ class SubsampleParams:
             raise ValueError(f"sample_size {self.sample_size} must be < budget C {c}")
 
 
+def _keyed_output_dist(mech: Mechanism, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
+    """``output_dist`` of the mechanisms that build each law from its key."""
+    return mech.key_law(mech.law_key(x, mass_tol), mass_tol)
+
+
 class ShiftedGeometricMechanism(Mechanism):
     """Publish ``shift(x)`` plus two-sided geometric noise at ``epsilon``:
     the geometric mechanism of Ghosh, Roughgarden and Sundararajan, whose
-    law, log-pmf table and sampler follow from the shift alone."""
+    law, log-pmf table and sampler follow from the shift alone.
+
+    The law key is the shift. Two shifted windows share one probability
+    tuple, so their distance depends only on the shift difference d: the
+    terms summed are the same multiset for d and -d (fsum is correctly
+    rounded, so their order cannot matter), and every |d| > 2t gives
+    disjoint windows of radius t. ``law_distance`` therefore keeps one
+    entry per (min(|d|, 2t + 1), mass_tol) on the instance.
+    """
 
     def __init__(self, epsilon: float):
         self.epsilon = epsilon
         self.geom = GeomParams(epsilon)
+        self._distances: dict[tuple[int, float], Interval] = {}
 
     @abstractmethod
     def shift(self, x: InputProfile) -> int:
         """The count the noise is centred on."""
 
-    def output_dist(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
+    def law_key(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> int:
         self.require_profile(x)
-        return shifted_geom_dist(self.geom, self.shift(x), mass_tol)
+        return self.shift(x)
+
+    def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
+        return shifted_geom_dist(self.geom, key, mass_tol)
+
+    output_dist = _keyed_output_dist
+
+    def law_distance(self, k1: int, k2: int, mass_tol: float = DEFAULT_MASS_TOL) -> Interval:
+        base = shifted_geom_dist(self.geom, 0, mass_tol)
+        d = min(abs(k1 - k2), len(base.support))
+        hit = self._distances.get((d, mass_tol))
+        if hit is None:
+            hit = self._distances[d, mass_tol] = statistical_distance(base, shifted_geom_dist(self.geom, d, mass_tol))
+        return hit
 
     def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
         self.require_profile(x)
@@ -152,6 +189,18 @@ class BudgetMechanism(ShiftedGeometricMechanism):
         counted = (share, others + bit)
         uncounted = (share if self.pay_all_zero_bits and bit == 0 else 0.0, others)
         return [counted if two_eps * v <= share else uncounted for v in map(finite_valuation, values)]
+
+    def neighbor_law_keys(
+        self, x: InputProfile, i: int, relation: NeighborRelation, mass_tol: float = DEFAULT_MASS_TOL
+    ) -> list[tuple[PlayerType, int]]:
+        # the others are counted once, and one threshold test keys each candidate
+        _require_player(self, x, i)
+        two_eps, share = 2.0 * self.params.epsilon, self.params.budget / self.params.n
+        others = self.others_key(x, i)
+        return [
+            (c, others + c.bit if two_eps * c.valuation <= share else others)
+            for c in admissible_candidates(x, i, relation, self.candidate_types(x, i))
+        ]
 
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
         self.require_profile(x)
@@ -216,6 +265,22 @@ def _others_bit_sum(mech: Mechanism, x: InputProfile, i: int) -> int:
     return x.bit_sum() - x.players[i].bit
 
 
+def _bit_sum_key(mech: Mechanism, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> int:
+    """``law_key`` of the mechanisms whose law is fixed by the bit sum."""
+    mech.require_profile(x)
+    return x.bit_sum()
+
+
+def _bit_sum_neighbor_keys(
+    mech: Mechanism, x: InputProfile, i: int, relation: NeighborRelation, mass_tol: float = DEFAULT_MASS_TOL
+) -> list[tuple[PlayerType, int]]:
+    """``neighbor_law_keys`` of the mechanisms whose law is fixed by the bit
+    sum: a candidate's key is the others' bit sum plus its own bit."""
+    _require_player(mech, x, i)
+    others = _others_bit_sum(mech, x, i)
+    return [(c, others + c.bit) for c in admissible_candidates(x, i, relation, mech.candidate_types(x, i))]
+
+
 def _declare_flat(mech: Mechanism, x: InputProfile, i: int, values, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
     """``declare`` of the mechanisms that pay a flat amount and publish a law
     of the bit sum alone: every declaration gets the same pay and key."""
@@ -262,9 +327,13 @@ class SubsampleMechanism(Mechanism):
     def distinguishability_budget(self) -> float:
         return self.params.distinguishability_budget
 
-    def output_dist(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
-        self.require_profile(x)
-        return _subsample_law(self.params.n, self.params.sample_size, x.bit_sum())
+    law_key = _bit_sum_key
+
+    def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
+        return _subsample_law(self.params.n, self.params.sample_size, key)
+
+    output_dist = _keyed_output_dist
+    neighbor_law_keys = _bit_sum_neighbor_keys
 
     def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
         law = self.output_dist(x)
@@ -324,6 +393,7 @@ class PayDeclaredMechanism(ShiftedGeometricMechanism):
         return 0.0
 
     others_key = _others_bit_sum
+    neighbor_law_keys = _bit_sum_neighbor_keys
 
     def declare(self, x: InputProfile, i: int, values, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
         # the law ignores every valuation; the pay is the declaration times epsilon
@@ -356,9 +426,13 @@ class ExactSumMechanism(Mechanism):
     def cache_token(self) -> tuple:
         return (self.name, self.flat_pay, self.player_count)
 
-    def output_dist(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
-        self.require_profile(x)
-        return CountDistribution((x.bit_sum(),), (1.0,), 0.0)
+    law_key = _bit_sum_key
+
+    def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
+        return CountDistribution((key,), (1.0,), 0.0)
+
+    output_dist = _keyed_output_dist
+    neighbor_law_keys = _bit_sum_neighbor_keys
 
     def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
         self.require_profile(x)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
-from .core import InputProfile, Mechanism, NeighborRelation, is_int
+from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, is_int
 from .distributions import DEFAULT_MASS_TOL, Interval, dp_level
 from .losses import LossModel, loss_expectation, neighbor_distances
 
@@ -265,13 +265,13 @@ def check_distinguishable(
 
 
 def distinguishability_verdict(
-    pairs: list[tuple[InputProfile, Interval]],
+    pairs: list[tuple[PlayerType, Interval]],
     query: DistinguishabilityQuery,
     mechanism: str,
     profile_id: str = "",
 ) -> CheckResult:
-    """Verdict of a distinguishability query from its (neighbor, distance)
-    pairs, as ``neighbor_distances`` returns them.
+    """Verdict of a distinguishability query from its (candidate type,
+    distance) pairs, as ``neighbor_distances`` returns them.
 
     "distinguishable" needs a certified lower bound at or above delta;
     "not_distinguishable" needs every neighbor certified below. Verdicts
@@ -286,13 +286,13 @@ def distinguishability_verdict(
     by_lo = max(pairs, key=lambda pd: pd[1].lo)
     by_hi = max(pairs, key=lambda pd: pd[1].hi)
     if by_lo[1].lo >= delta:
-        nbr = by_lo[0].players[i]
+        nbr = by_lo[0]
         return CheckResult(
             "distinguishability", mechanism, profile_id, i,
             "distinguishable", by_lo[1].lo - delta, f"neighbor type {nbr}, distance {by_lo[1]}",
         )
     if by_hi[1].hi < delta:
-        nbr = by_hi[0].players[i]
+        nbr = by_hi[0]
         return CheckResult(
             "distinguishability", mechanism, profile_id, i,
             "not_distinguishable", delta - by_hi[1].hi, f"closest neighbor type {nbr}, distance {by_hi[1]}",
@@ -313,17 +313,21 @@ def check_dp(
     profile_id: str = "",
 ) -> list[CheckResult]:
     """Pure-DP level of the count law across each player's admissible
-    neighbors, against ``bound`` (plus ``DP_SLACK``)."""
+    neighbors, against ``bound`` (plus ``DP_SLACK``). Each distinct neighbor
+    law key is settled once per call."""
     mech.require_profile(x)
-    base = mech.output_dist(x, mass_tol)
+    base = mech.key_law(mech.law_key(x, mass_tol), mass_tol)
+    levels: dict = {}
     out = []
     for i in range(x.n):
         worst, worst_nbr = 0.0, None
-        for nbr in mech.neighbor_profiles(x, i, relation):
-            level = dp_level(base, mech.output_dist(nbr, mass_tol))
+        for cand, key in mech.neighbor_law_keys(x, i, relation, mass_tol):
+            level = levels.get(key)
+            if level is None:
+                level = levels[key] = dp_level(base, mech.key_law(key, mass_tol))
             if level > worst:
-                worst, worst_nbr = level, nbr
+                worst, worst_nbr = level, cand
         verdict = PASS if worst <= bound + DP_SLACK else FAIL
-        witness = f"worst neighbor {worst_nbr.players[i]}" if worst_nbr is not None else "no neighbors"
+        witness = f"worst neighbor {worst_nbr}" if worst_nbr is not None else "no neighbors"
         out.append(CheckResult("dp", mech.name, profile_id, i, verdict, bound - worst, witness))
     return out

@@ -462,3 +462,29 @@ def test_rung_pins_cover_every_verdict():
     for audit, verdicts in ladder.items():
         assert {v for (a, _), v in RUNG_VERDICTS.items() if a == audit} == verdicts
     assert {(a, m) for a, m, _ in REPORT_SHA256} >= set(RUNG_VERDICTS)
+
+
+def test_monotonic_audit_settles_neighbours_from_law_keys(monkeypatch):
+    # every neighbour law is keyed by its shift and every distance read from
+    # the mechanism's table, so no neighbour profile is built and only one
+    # window distance is summed per shift difference
+    from privbuy import audits, core, distributions, losses, mechanisms, verifiers
+
+    calls = {"neighbor_profiles": 0, "statistical_distance": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(core.Mechanism, "neighbor_profiles", counted("neighbor_profiles", core.Mechanism.neighbor_profiles))
+    kernel = counted("statistical_distance", distributions.statistical_distance)
+    for mod in (audits, core, distributions, losses, mechanisms, verifiers):
+        if hasattr(mod, "statistical_distance"):
+            monkeypatch.setattr(mod, "statistical_distance", kernel)
+    n = 256
+    report = audit_monotonic_impossibility(alg1(512.0, 0.05, n), increasing_threshold_model(1.0 / (3 * n), relation=MON))
+    assert report.verdict == IR_VIOLATED and report.failing_step == 0
+    assert calls["neighbor_profiles"] == 0
+    assert 1 <= calls["statistical_distance"] <= 4, calls

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from privbuy.cli import main
 
 LN2 = math.log(2.0)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_config(tmp_path, name, cfg):
@@ -331,4 +336,56 @@ def test_run_rejects_booleans_where_integers_are_needed(tmp_path, capsys, overri
     cfg = base_config(tmp_path, **overrides)
     assert main(["run", write_config(tmp_path, "bools.json", cfg)]) == 3
     assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def _bool_and_string_config(tmp_path, **overrides):
+    cfg = {
+        "mechanism": {"name": "alg1", "budget": 4.0, "epsilon": 0.5, "n": 2},
+        "loss_model": {"kind": "dp_bounded_monotonic"},
+        "profiles": [{"bits": [1, 0], "valuations": [1.0, 2.5]}],
+        "checks": ["ir", {"check": "truthful", "players": "all", "deviations": [3.0]}],
+        "output": {"csv": str(tmp_path / "report.csv"), "report": str(tmp_path / "report.json")},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"profiles": [{"bits": [True, False], "valuations": [1.0, 2.5]}]}, "profiles[0]"),
+        ({"profiles": [{"bits": [1, 0], "valuations": [True, 2.5]}]}, "profiles[0]"),
+        ({"profiles": [{"bits": [1, 0], "valuations": [1.0, "2.5"]}]}, "profiles[0]"),
+        ({"checks": [{"check": "truthful", "players": "all", "deviations": ["3.0"]}]}, "checks[0].deviations"),
+        ({"checks": [{"check": "truthful", "players": "all", "deviations": [False]}]}, "checks[0].deviations"),
+    ],
+    ids=["bool_bit", "bool_valuation", "string_valuation", "string_deviation", "bool_deviation"],
+)
+def test_run_rejects_booleans_and_strings_as_bits_and_valuations(tmp_path, capsys, overrides, field):
+    cfg = _bool_and_string_config(tmp_path, **overrides)
+    assert main(["run", write_config(tmp_path, "types.json", cfg)]) == 3
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    # with numbers in their place the same config runs to verdicts
+    assert main(["run", write_config(tmp_path, "numbers.json", _bool_and_string_config(tmp_path))]) == 1
+
+
+def test_run_refuses_a_general_audit_above_the_scan_cap(tmp_path, capsys):
+    # 2^40 bit vectors would never finish; the guard answers at once. A
+    # subprocess with a timeout turns a lost guard into a failure, not a hang.
+    cfg = {
+        "mechanism": {"name": "exact_sum", "n": 40},
+        "loss_model": {"kind": "dp_bounded_general"},
+        "profiles": [],
+        "checks": ["audit_general"],
+        "output": {"csv": str(tmp_path / "report.csv"), "report": str(tmp_path / "report.json")},
+    }
+    path = write_config(tmp_path, "scan.json", cfg)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "privbuy.cli", "run", path], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "cap of 24" in proc.stderr
     assert not (tmp_path / "report.json").exists()

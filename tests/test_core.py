@@ -27,6 +27,11 @@ def test_player_type_validation():
     with pytest.raises(ValueError):
         PlayerType(1, math.inf)
     assert PlayerType(1, -3.0).valuation == -3.0  # negative valuations allowed
+    # JSON booleans and strings are not bits or valuations, though
+    # True == 1 and float("2.5") == 2.5
+    for bit, valuation in ((True, 0.0), (False, 0.0), (1.0, 0.0), (1, True), (0, "2.5")):
+        with pytest.raises(ValueError):
+            PlayerType(bit, valuation)
 
 
 def test_monotonically_related_cases():

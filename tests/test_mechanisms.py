@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType, i_neighbor_profiles
-from privbuy.distributions import GeomParams, dp_level, shifted_geom_dist
+from privbuy.distributions import GeomParams, dp_level, shifted_geom_dist, statistical_distance, window_radius
 from privbuy.mechanisms import (
     BudgetParams,
     ShiftedGeometricMechanism,
@@ -345,6 +345,9 @@ def test_max_zero_valuation_pay():
     assert max_zero_valuation_pay(alg1(8.0, 0.5, 4)) == 2.0
     assert max_zero_valuation_pay(exact_sum(3, 0.25)) == 0.25
     assert max_zero_valuation_pay(pay_declared(0.5, 2)) == 0.0
+    # the default 2^n scan refuses n above the cap instead of running for hours
+    with pytest.raises(ValueError, match="cap of 24"):
+        ConstantMechanism(25).max_zero_valuation_pay()
 
 
 def _bundled_mechanisms(n):
@@ -481,3 +484,59 @@ def test_declare_checks_the_profile_and_the_player():
         for i in (-1, 2):
             with pytest.raises(IndexError):
                 mech.declare(profile([1, 0], [0.0, 0.0]), i, (0.0,))
+
+
+# --- neighbour law keys ------------------------------------------------------
+
+def _law_key_cases(n):
+    """The five bundled mechanisms and the default hooks (ConstantMechanism),
+    with the budget mechanisms' threshold theta."""
+    theta = BudgetParams(4.0, 0.5, n).theta
+    mechs = (
+        alg1(4.0, 0.5, n), alg1_prime(4.0, 0.5, n), subsample(1.0, (n + 1) // 2, n),
+        pay_declared(0.5, n), exact_sum(n), ConstantMechanism(n),
+    )
+    vals = (0.0, -0.0, -1.0, theta, math.nextafter(theta, -math.inf), math.nextafter(theta, math.inf),
+            2.0 * theta, 1e300)
+    return mechs, vals
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_neighbor_law_keys_match_the_built_neighbor_profiles(n):
+    mechs, vals = _law_key_cases(n)
+    for mech in mechs:
+        for bits in bit_vectors(n):
+            # rotating the grid puts every valuation at every player
+            for shift in range(len(vals)):
+                x = profile(bits, [vals[(j + shift) % len(vals)] for j in range(n)])
+                base_key, base = mech.law_key(x), mech.output_dist(x)
+                assert mech.key_law(base_key) == base
+                for i in range(n):
+                    for rel in (NeighborRelation.GENERAL, NeighborRelation.MONOTONIC):
+                        keyed = mech.neighbor_law_keys(x, i, rel)
+                        built = mech.neighbor_profiles(x, i, rel)
+                        assert [c for c, _ in keyed] == [y.players[i] for y in built]
+                        for (_, key), y in zip(keyed, built):
+                            law = mech.output_dist(y)
+                            assert key == mech.law_key(y) and mech.key_law(key) == law
+                            got, want = mech.law_distance(base_key, key), statistical_distance(base, law)
+                            assert (got.lo, got.hi) == (want.lo, want.hi), (mech.name, x, i, rel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eps=st.floats(0.05, 4.0),
+    mass_tol=st.sampled_from([1e-6, 1e-9, 1e-12, 1e-14]),
+    c=st.integers(-10**6, 10**6),
+    data=st.data(),
+)
+def test_geometric_law_distance_is_the_window_kernel(eps, mass_tol, c, data):
+    # the table keeps one entry per min(|d|, 2t + 1) and reads it at any shift c
+    mech = pay_declared(eps, 1)
+    t = window_radius(mech.geom, mass_tol)
+    steps = [data.draw(st.integers(0, 2 * t + 3)), 2 * t + 1, 2 * t + 2, 5 * t + 7]
+    for d in steps + [-d for d in steps]:
+        got = mech.law_distance(c, c + d, mass_tol)
+        want = statistical_distance(shifted_geom_dist(mech.geom, c, mass_tol), shifted_geom_dist(mech.geom, c + d, mass_tol))
+        assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex()), d
+    assert len(mech._distances) <= 2 * t + 2
