@@ -77,26 +77,42 @@ def _need(cfg: dict, field: str, context: str):
     return cfg[field]
 
 
+_REQUIRED = object()
+
+
+def _number(cfg: dict, field: str, context: str, default=_REQUIRED):
+    """A numeric field, or ``default`` when it is absent. A JSON boolean is
+    refused, since ``true`` is the int 1, and so is NaN, which compares
+    false to everything and so slips past range checks."""
+    if field not in cfg and default is not _REQUIRED:
+        return default
+    value = _need(cfg, field, context)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+        raise ConfigError(f"{context}.{field}", f"must be a number, got {value!r}")
+    return value
+
+
 def build_mechanism(cfg: dict) -> Mechanism:
     if not isinstance(cfg, dict):
         raise ConfigError("mechanism", "must be an object")
     name = _need(cfg, "name", "mechanism")
     try:
-        if name == "alg1":
-            return alg1(_need(cfg, "budget", "mechanism"), _need(cfg, "epsilon", "mechanism"), _need(cfg, "n", "mechanism"))
-        if name == "alg1_prime":
-            return alg1_prime(_need(cfg, "budget", "mechanism"), _need(cfg, "epsilon", "mechanism"), _need(cfg, "n", "mechanism"))
+        if name in ("alg1", "alg1_prime"):
+            factory = alg1 if name == "alg1" else alg1_prime
+            return factory(
+                _number(cfg, "budget", "mechanism"), _number(cfg, "epsilon", "mechanism"), _need(cfg, "n", "mechanism")
+            )
         if name == "subsample":
             return subsample(
-                _need(cfg, "flat_pay", "mechanism"),
+                _number(cfg, "flat_pay", "mechanism"),
                 _need(cfg, "sample_size", "mechanism"),
                 _need(cfg, "n", "mechanism"),
-                cfg.get("distinguishability_budget", math.inf),
+                _number(cfg, "distinguishability_budget", "mechanism", math.inf),
             )
         if name == "pay_declared":
-            return pay_declared(_need(cfg, "epsilon", "mechanism"), _need(cfg, "n", "mechanism"))
+            return pay_declared(_number(cfg, "epsilon", "mechanism"), _need(cfg, "n", "mechanism"))
         if name == "exact_sum":
-            return exact_sum(_need(cfg, "n", "mechanism"), cfg.get("flat_pay", 0.0))
+            return exact_sum(_need(cfg, "n", "mechanism"), _number(cfg, "flat_pay", "mechanism", 0.0))
     except (ValueError, TypeError) as exc:
         raise ConfigError("mechanism", str(exc)) from exc
     raise ConfigError("mechanism.name", f"unknown mechanism {name!r}")
@@ -123,9 +139,9 @@ def build_model(cfg: dict, mech: Mechanism) -> LossModel:
         if kind == "growing_sd_monotonic":
             return growing_sd_model()
         if kind == "increasing_with_threshold":
-            offset = cfg.get("threshold_offset", 1.0)
+            offset = _number(cfg, "threshold_offset", "loss_model", 1.0)
             return increasing_threshold_model(
-                _need(cfg, "delta", "loss_model"),
+                _number(cfg, "delta", "loss_model"),
                 threshold_fn=lambda ell, bits=None, v_minus=None: ell + offset,
                 relation=_relation(cfg.get("relation", "general"), "loss_model.relation"),
             )
@@ -240,7 +256,7 @@ def _run_check(entry, mech, model, profiles, cfg, ctx) -> tuple[list[CheckResult
                 rows.append(check_truthful(mech, model, x, i, devs, tol, pid))
     elif name == "accuracy":
         spec = AccuracySpec(
-            _need(entry, "alpha", ctx), _need(entry, "alpha_prime", ctx), _need(entry, "beta", ctx)
+            _number(entry, "alpha", ctx), _number(entry, "alpha_prime", ctx), _number(entry, "beta", ctx)
         )
         method = entry.get("method", "exact")
         trials = entry.get("trials", 10000)
@@ -254,14 +270,14 @@ def _run_check(entry, mech, model, profiles, cfg, ctx) -> tuple[list[CheckResult
                 )
             )
     elif name == "dp":
-        bound = entry.get("bound", mech.epsilon if isinstance(mech, ShiftedGeometricMechanism) else None)
+        bound = _number(entry, "bound", ctx, mech.epsilon if isinstance(mech, ShiftedGeometricMechanism) else None)
         if bound is None:
             raise ConfigError(f"{ctx}.bound", "required for mechanisms without an epsilon parameter")
         relation = _relation(entry.get("relation", "general"), f"{ctx}.relation")
         for pid, x in each_profile():
             rows.extend(check_dp(mech, x, bound, relation, tol, pid))
     elif name == "distinguishability":
-        delta = _need(entry, "delta", ctx)
+        delta = _number(entry, "delta", ctx)
         relation = _relation(entry.get("relation", "general"), f"{ctx}.relation")
         for pid, x in each_profile():
             for i in _players_scope(entry, mech, x, ctx):
@@ -269,18 +285,17 @@ def _run_check(entry, mech, model, profiles, cfg, ctx) -> tuple[list[CheckResult
     elif name in ("audit_general", "audit_monotonic"):
         relation = NeighborRelation.GENERAL if name == "audit_general" else NeighborRelation.MONOTONIC
         cap = 1.0 / (6 * mech.player_count) if name == "audit_general" else 1.0 / (3 * mech.player_count)
-        delta = entry.get("delta", cap)
-        offset = entry.get("threshold_offset", 1.0)
+        delta = _number(entry, "delta", ctx, cap)
+        offset = _number(entry, "threshold_offset", ctx, 1.0)
         audit_model = increasing_threshold_model(
             delta, threshold_fn=lambda ell, bits=None, v_minus=None: ell + offset, relation=relation
         )
         fn = audit_general_impossibility if name == "audit_general" else audit_monotonic_impossibility
         audits.append(fn(mech, audit_model, delta=delta, mass_tol=tol))
     elif name == "audit_tradeoff":
-        max_pay = entry["max_pay"] if "max_pay" in entry else max_zero_valuation_pay(mech)
+        max_pay = _number(entry, "max_pay", ctx) if "max_pay" in entry else max_zero_valuation_pay(mech)
         params = TradeoffParams(
-            _need(entry, "tau", ctx), _need(entry, "gamma", ctx), _need(entry, "eta", ctx),
-            _need(entry, "beta", ctx), max_pay,
+            *(_number(entry, field, ctx) for field in ("tau", "gamma", "eta", "beta")), max_pay
         )
         audits.append(audit_payment_accuracy_tradeoff(mech, growing_sd_model(), params, tol))
     else:

@@ -88,22 +88,92 @@ class SubsampleParams:
             raise ValueError(f"sample_size {self.sample_size} must be < budget C {c}")
 
 
-def _keyed_output_dist(mech: Mechanism, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
-    """``output_dist`` of the mechanisms that build each law from its key."""
-    return mech.key_law(mech.law_key(x, mass_tol), mass_tol)
+def _require_player(mech: Mechanism, x: InputProfile, i: int) -> None:
+    mech.require_profile(x)
+    if not 0 <= i < x.n:
+        raise IndexError(f"player index {i} out of range for n={x.n}")
 
 
-class ShiftedGeometricMechanism(Mechanism):
-    """Publish ``shift(x)`` plus two-sided geometric noise at ``epsilon``:
-    the geometric mechanism of Ghosh, Roughgarden and Sundararajan, whose
-    law, log-pmf table and sampler follow from the shift alone.
+class CountedMechanism(Mechanism):
+    """A per-player rule plus a law of one count: a bit-1 player whose
+    declared valuation ``counts`` adds 1 to the count, and every player is
+    paid ``pay(bit, valuation)`` of their own declared type alone.
 
-    The law key is the shift. Two shifted windows share one probability
-    tuple, so their distance depends only on the shift difference d: the
-    terms summed are the same multiset for d and -d (fsum is correctly
-    rounded, so their order cannot matter), and every |d| > 2t gives
-    disjoint windows of radius t. ``law_distance`` therefore keeps one
-    entry per (min(|d|, 2t + 1), mass_tol) on the instance.
+    Every law is fixed by the number of counted 1-bits, so that number is
+    the law key, and the others' number is player i's ``others_key``. A
+    subclass gives the rule, ``cache_token``, the law of a count
+    (``key_law``, ``log_pmf_table``) and its sampler; every key and every
+    payment follows here. A subclass that overrides ``counts`` overrides
+    ``_counted`` to match.
+    """
+
+    def counts(self, valuation: float) -> bool:
+        """Whether a bit-1 player declaring ``valuation`` is counted."""
+        return True
+
+    @abstractmethod
+    def pay(self, bit: int, valuation: float) -> float:
+        """Payment to a player who declares ``valuation`` and holds ``bit``."""
+
+    def _counted(self, players) -> int:
+        return sum([p.bit for p in players])
+
+    @abstractmethod
+    def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
+        """The count law when ``key`` 1-bits are counted."""
+
+    def law_key(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> int:
+        self.require_profile(x)
+        return self._counted(x.players)
+
+    def output_dist(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
+        return self.key_law(self.law_key(x, mass_tol), mass_tol)
+
+    def others_key(self, x: InputProfile, i: int) -> int:
+        p = x.players[i]
+        return self._counted(x.players) - (p.bit if self.counts(p.valuation) else 0)
+
+    def declare(self, x: InputProfile, i: int, values, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
+        # one test of ``counts`` keys each declaration, and no one else's pay moves
+        _require_player(self, x, i)
+        others, bit = self.others_key(x, i), x.players[i].bit
+        return [(self.pay(bit, v), others + bit if self.counts(v) else others) for v in map(finite_valuation, values)]
+
+    def neighbor_law_keys(
+        self, x: InputProfile, i: int, relation: NeighborRelation, mass_tol: float = DEFAULT_MASS_TOL
+    ) -> list[tuple[PlayerType, int]]:
+        _require_player(self, x, i)
+        others = self.others_key(x, i)
+        return [
+            (c, others + c.bit if self.counts(c.valuation) else others)
+            for c in admissible_candidates(x, i, relation, self.candidate_types(x, i))
+        ]
+
+    def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
+        self.require_profile(x)
+        return tuple([self.pay(p.bit, p.valuation) for p in x.players])
+
+    def expected_pay(self, x: InputProfile, i: int) -> float:
+        self.require_profile(x)
+        p = x.players[i]
+        return self.pay(p.bit, p.valuation)
+
+    def max_zero_valuation_pay(self) -> float:
+        # a pay reads only its own type, so both bits at valuation 0 cover every bit vector
+        return max(self.pay(0, 0.0), self.pay(1, 0.0))
+
+
+class ShiftedGeometricMechanism(CountedMechanism):
+    """Publish the count plus two-sided geometric noise at ``epsilon``: the
+    geometric mechanism of Ghosh, Roughgarden and Sundararajan, whose law,
+    log-pmf table and sampler follow from the count alone.
+
+    Two shifted windows share one probability tuple, so their distance
+    depends only on the shift difference d: the terms summed are the same
+    multiset for d and -d (fsum is correctly rounded, so their order cannot
+    matter), and every |d| > 2t gives disjoint windows of radius t.
+    ``law_distance`` therefore keeps one entry per (min(|d|, 2t + 1),
+    mass_tol) on the instance.
     """
 
     def __init__(self, epsilon: float):
@@ -111,18 +181,8 @@ class ShiftedGeometricMechanism(Mechanism):
         self.geom = GeomParams(epsilon)
         self._distances: dict[tuple[int, float], Interval] = {}
 
-    @abstractmethod
-    def shift(self, x: InputProfile) -> int:
-        """The count the noise is centred on."""
-
-    def law_key(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> int:
-        self.require_profile(x)
-        return self.shift(x)
-
     def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         return shifted_geom_dist(self.geom, key, mass_tol)
-
-    output_dist = _keyed_output_dist
 
     def law_distance(self, k1: int, k2: int, mass_tol: float = DEFAULT_MASS_TOL) -> Interval:
         base = shifted_geom_dist(self.geom, 0, mass_tol)
@@ -133,13 +193,12 @@ class ShiftedGeometricMechanism(Mechanism):
         return hit
 
     def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
-        self.require_profile(x)
-        c = self.shift(x)
+        c = self.law_key(x)
         ln, eps = self.geom.log_norm, self.epsilon
         return tuple(ln - eps * abs(s - c) for s in support)
 
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
-        c = self.shift(x)
+        c = self._counted(x.players)
         return (c + k for k in sample_geoms(self.geom, rng, trials))
 
 
@@ -159,70 +218,24 @@ class BudgetMechanism(ShiftedGeometricMechanism):
         self.pay_all_zero_bits = pay_all_zero_bits
         self.name = "alg1_prime" if pay_all_zero_bits else "alg1"
         self.player_count = params.n
+        # BudgetParams.qualifies, hoisted: same operands, same floats
+        self._two_eps, self._share = 2.0 * params.epsilon, params.budget / params.n
 
     @property
     def cache_token(self) -> tuple:
         return (self.name, self.params.budget, self.params.epsilon, self.params.n)
 
-    def counted_bit_sum(self, x: InputProfile) -> int:
-        """Sum of b'_i where b'_i = b_i if the player qualifies, else 0."""
-        return self._counted(x.players)
+    def counts(self, valuation: float) -> bool:
+        return self._two_eps * valuation <= self._share
 
-    def _counted(self, players) -> int:
-        # BudgetParams.qualifies, hoisted: same operands, same floats
-        two_eps, share = 2.0 * self.params.epsilon, self.params.budget / self.params.n
-        return sum([p.bit for p in players if two_eps * p.valuation <= share])
-
-    shift = counted_bit_sum
-
-    def others_key(self, x: InputProfile, i: int) -> int:
-        # laws read the others only through their counted bits; candidates
-        # read only player i, and no payment reads another player
-        return self._counted(x.players[:i] + x.players[i + 1 :])
-
-    def declare(self, x: InputProfile, i: int, values, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
-        # the key is the counted shift, and one threshold test settles each
-        # declaration: the others are counted once, and no one else's pay moves
-        _require_player(self, x, i)
-        two_eps, share = 2.0 * self.params.epsilon, self.params.budget / self.params.n
-        others, bit = self.others_key(x, i), x.players[i].bit
-        counted = (share, others + bit)
-        uncounted = (share if self.pay_all_zero_bits and bit == 0 else 0.0, others)
-        return [counted if two_eps * v <= share else uncounted for v in map(finite_valuation, values)]
-
-    def neighbor_law_keys(
-        self, x: InputProfile, i: int, relation: NeighborRelation, mass_tol: float = DEFAULT_MASS_TOL
-    ) -> list[tuple[PlayerType, int]]:
-        # the others are counted once, and one threshold test keys each candidate
-        _require_player(self, x, i)
-        two_eps, share = 2.0 * self.params.epsilon, self.params.budget / self.params.n
-        others = self.others_key(x, i)
-        return [
-            (c, others + c.bit if two_eps * c.valuation <= share else others)
-            for c in admissible_candidates(x, i, relation, self.candidate_types(x, i))
-        ]
-
-    def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
-        self.require_profile(x)
-        two_eps, share = 2.0 * self.params.epsilon, self.params.budget / self.params.n
-        zero_bits = self.pay_all_zero_bits
-        return tuple(
-            [
-                share if two_eps * p.valuation <= share or (zero_bits and p.bit == 0) else 0.0
-                for p in x.players
-            ]
-        )
-
-    def expected_pay(self, x: InputProfile, i: int) -> float:
-        self.require_profile(x)
-        p = x.players[i]
-        if self.params.qualifies(p.valuation) or (self.pay_all_zero_bits and p.bit == 0):
-            return self.params.per_player_pay
+    def pay(self, bit: int, valuation: float) -> float:
+        if self._two_eps * valuation <= self._share or (self.pay_all_zero_bits and bit == 0):
+            return self._share
         return 0.0
 
-    def max_zero_valuation_pay(self) -> float:
-        # valuation 0 always qualifies (B > 0), whatever the bits
-        return self.params.per_player_pay
+    def _counted(self, players) -> int:
+        two_eps, share = self._two_eps, self._share
+        return sum([p.bit for p in players if two_eps * p.valuation <= share])
 
     def candidate_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
         # The law and the payments to others depend on player i's type only
@@ -239,11 +252,10 @@ class BudgetMechanism(ShiftedGeometricMechanism):
         return tuple(dict.fromkeys((0.0, theta, 2.0 * theta, x.players[i].valuation)))
 
     def claimed_truthful_players(self, x: InputProfile) -> tuple[int, ...]:
-        q = self.params.qualifies
         return tuple(
             i
             for i, p in enumerate(x.players)
-            if q(p.valuation) or (self.pay_all_zero_bits and p.bit == 0)
+            if self.counts(p.valuation) or (self.pay_all_zero_bits and p.bit == 0)
         )
 
 
@@ -251,42 +263,6 @@ def _rescaled_count(n: int, m: int, k: int) -> int:
     """round_half_even(n*m/k) in integer arithmetic."""
     q, r = divmod(n * m, k)
     return q + 1 if 2 * r > k or (2 * r == k and q % 2) else q
-
-
-def _require_player(mech: Mechanism, x: InputProfile, i: int) -> None:
-    mech.require_profile(x)
-    if not 0 <= i < x.n:
-        raise IndexError(f"player index {i} out of range for n={x.n}")
-
-
-def _others_bit_sum(mech: Mechanism, x: InputProfile, i: int) -> int:
-    """``others_key`` of the mechanisms whose law reads the other players
-    only through their bit sum, and whose payments read no other player."""
-    return x.bit_sum() - x.players[i].bit
-
-
-def _bit_sum_key(mech: Mechanism, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> int:
-    """``law_key`` of the mechanisms whose law is fixed by the bit sum."""
-    mech.require_profile(x)
-    return x.bit_sum()
-
-
-def _bit_sum_neighbor_keys(
-    mech: Mechanism, x: InputProfile, i: int, relation: NeighborRelation, mass_tol: float = DEFAULT_MASS_TOL
-) -> list[tuple[PlayerType, int]]:
-    """``neighbor_law_keys`` of the mechanisms whose law is fixed by the bit
-    sum: a candidate's key is the others' bit sum plus its own bit."""
-    _require_player(mech, x, i)
-    others = _others_bit_sum(mech, x, i)
-    return [(c, others + c.bit) for c in admissible_candidates(x, i, relation, mech.candidate_types(x, i))]
-
-
-def _declare_flat(mech: Mechanism, x: InputProfile, i: int, values, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
-    """``declare`` of the mechanisms that pay a flat amount and publish a law
-    of the bit sum alone: every declaration gets the same pay and key."""
-    _require_player(mech, x, i)
-    pay, key = mech.expected_pay(x, i), x.bit_sum()
-    return [(pay, key) for _ in map(finite_valuation, values)]
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +284,7 @@ def _subsample_law(n: int, k: int, ones: int) -> CountDistribution:
     return CountDistribution.from_atoms(atoms, 0.0)
 
 
-class SubsampleMechanism(Mechanism):
+class SubsampleMechanism(CountedMechanism):
     """Pay everyone the flat amount, average the bits of a uniform size-k
     subset, and publish the rescaled (rounded half-even) count. Declarations
     are ignored entirely, which is what makes it trivially truthful."""
@@ -327,31 +303,15 @@ class SubsampleMechanism(Mechanism):
     def distinguishability_budget(self) -> float:
         return self.params.distinguishability_budget
 
-    law_key = _bit_sum_key
+    def pay(self, bit: int, valuation: float) -> float:
+        return self.params.flat_pay
 
     def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         return _subsample_law(self.params.n, self.params.sample_size, key)
 
-    output_dist = _keyed_output_dist
-    neighbor_law_keys = _bit_sum_neighbor_keys
-
     def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
         law = self.output_dist(x)
         return tuple(math.log(p) if p > 0.0 else -math.inf for p in map(law.prob, support))
-
-    def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
-        self.require_profile(x)
-        return (self.params.flat_pay,) * self.params.n
-
-    def expected_pay(self, x: InputProfile, i: int) -> float:
-        self.require_profile(x)
-        return self.params.flat_pay
-
-    def max_zero_valuation_pay(self) -> float:
-        return self.params.flat_pay
-
-    others_key = _others_bit_sum
-    declare = _declare_flat
 
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
         n, k = self.params.n, self.params.sample_size
@@ -378,28 +338,8 @@ class PayDeclaredMechanism(ShiftedGeometricMechanism):
     def cache_token(self) -> tuple:
         return (self.name, self.epsilon, self.player_count)
 
-    def shift(self, x: InputProfile) -> int:
-        return x.bit_sum()
-
-    def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
-        self.require_profile(x)
-        return tuple(p.valuation * self.epsilon for p in x.players)
-
-    def expected_pay(self, x: InputProfile, i: int) -> float:
-        self.require_profile(x)
-        return x.players[i].valuation * self.epsilon
-
-    def max_zero_valuation_pay(self) -> float:
-        return 0.0
-
-    others_key = _others_bit_sum
-    neighbor_law_keys = _bit_sum_neighbor_keys
-
-    def declare(self, x: InputProfile, i: int, values, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
-        # the law ignores every valuation; the pay is the declaration times epsilon
-        _require_player(self, x, i)
-        key, eps = x.bit_sum(), self.epsilon
-        return [(v * eps, key) for v in map(finite_valuation, values)]
+    def pay(self, bit: int, valuation: float) -> float:
+        return valuation * self.epsilon
 
     def deviation_valuations(self, x: InputProfile, i: int) -> tuple[float, ...]:
         v = x.players[i].valuation
@@ -409,7 +349,7 @@ class PayDeclaredMechanism(ShiftedGeometricMechanism):
         return ()
 
 
-class ExactSumMechanism(Mechanism):
+class ExactSumMechanism(CountedMechanism):
     """Publish the exact bit sum and pay a flat amount (zero by default).
     The canonical counterexample fed to the impossibility audits."""
 
@@ -426,36 +366,19 @@ class ExactSumMechanism(Mechanism):
     def cache_token(self) -> tuple:
         return (self.name, self.flat_pay, self.player_count)
 
-    law_key = _bit_sum_key
+    def pay(self, bit: int, valuation: float) -> float:
+        return self.flat_pay
 
     def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         return CountDistribution((key,), (1.0,), 0.0)
 
-    output_dist = _keyed_output_dist
-    neighbor_law_keys = _bit_sum_neighbor_keys
-
     def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
-        self.require_profile(x)
-        c = x.bit_sum()
+        c = self.law_key(x)
         return tuple(0.0 if s == c else -math.inf for s in support)
-
-    def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
-        self.require_profile(x)
-        return (self.flat_pay,) * self.player_count
-
-    def expected_pay(self, x: InputProfile, i: int) -> float:
-        self.require_profile(x)
-        return self.flat_pay
-
-    def max_zero_valuation_pay(self) -> float:
-        return self.flat_pay
-
-    others_key = _others_bit_sum
-    declare = _declare_flat
 
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
         # the count is exact: no draws
-        return repeat(x.bit_sum(), trials)
+        return repeat(self._counted(x.players), trials)
 
 
 def alg1(budget: float, epsilon: float, n: int) -> BudgetMechanism:

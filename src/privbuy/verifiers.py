@@ -41,8 +41,8 @@ class AccuracySpec:
     beta: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.alpha_prime < 0:
-            raise ValueError("alpha and alpha_prime must be >= 0")
+        if not (self.alpha >= 0 and self.alpha_prime >= 0):  # NaN fails too
+            raise ValueError(f"alpha and alpha_prime must be >= 0, got {self.alpha!r} and {self.alpha_prime!r}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
 
@@ -316,6 +316,8 @@ def check_dp(
     neighbors, against ``bound`` (plus ``DP_SLACK``). Each distinct neighbor
     law key is settled once per call."""
     mech.require_profile(x)
+    if math.isnan(bound):
+        raise ValueError("bound must not be NaN")
     base = mech.key_law(mech.law_key(x, mass_tol), mass_tol)
     levels: dict = {}
     out = []

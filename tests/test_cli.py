@@ -48,7 +48,7 @@ def test_run_passing_suite(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["check", "mechanism", "profile", "player", "verdict", "margin", "witness"]
     assert all(r[4] == "pass" for r in rows[1:])
-    report = json.loads(open(cfg["output"]["report"]).read())
+    report = json.loads(Path(cfg["output"]["report"]).read_text())
     assert report["exit_code"] == 0
     assert len(report["rows"]) == len(rows) - 1
 
@@ -74,14 +74,14 @@ def test_run_truthful_extra_deviations_extend_grid(tmp_path):
         checks=[{"check": "truthful", "players": [0], "deviations": [123.0]}],
     )
     assert main(["run", write_config(tmp_path, "extras.json", cfg)]) == 1
-    report = json.loads(open(cfg["output"]["report"]).read())
+    report = json.loads(Path(cfg["output"]["report"]).read_text())
     assert report["rows"][0]["verdict"] == "fail"
 
 
 def test_run_empty_checks_exits_zero(tmp_path):
     cfg = base_config(tmp_path, checks=[])
     assert main(["run", write_config(tmp_path, "empty.json", cfg)]) == 0
-    report = json.loads(open(cfg["output"]["report"]).read())
+    report = json.loads(Path(cfg["output"]["report"]).read_text())
     assert report["rows"] == [] and report["audits"] == []
 
 
@@ -139,15 +139,15 @@ def test_run_report_bytes_reproducible(tmp_path):
     )
     path = write_config(tmp_path, "repro.json", cfg)
     assert main(["run", path]) == 0
-    first = open(cfg["output"]["report"], "rb").read()
-    first_csv = open(cfg["output"]["csv"], "rb").read()
+    first = Path(cfg["output"]["report"]).read_bytes()
+    first_csv = Path(cfg["output"]["csv"]).read_bytes()
     assert main(["run", path]) == 0
-    assert open(cfg["output"]["report"], "rb").read() == first
-    assert open(cfg["output"]["csv"], "rb").read() == first_csv
+    assert Path(cfg["output"]["report"]).read_bytes() == first
+    assert Path(cfg["output"]["csv"]).read_bytes() == first_csv
     # re-serializing the parsed config yields the identical run
-    roundtrip = write_config(tmp_path, "repro2.json", json.loads(open(path).read()))
+    roundtrip = write_config(tmp_path, "repro2.json", json.loads(Path(path).read_text()))
     assert main(["run", roundtrip]) == 0
-    assert open(cfg["output"]["report"], "rb").read() == first
+    assert Path(cfg["output"]["report"]).read_bytes() == first
 
 
 def test_run_audit_tradeoff_config(tmp_path):
@@ -158,7 +158,7 @@ def test_run_audit_tradeoff_config(tmp_path):
         checks=[{"check": "audit_tradeoff", "tau": 8.0, "gamma": 0.125, "eta": 0.25, "beta": 0.25}],
     )
     assert main(["run", write_config(tmp_path, "tradeoff.json", cfg)]) == 0
-    report = json.loads(open(cfg["output"]["report"]).read())
+    report = json.loads(Path(cfg["output"]["report"]).read_text())
     assert report["audits"][0]["verdict"] == "accuracy_violated"
 
 
@@ -177,7 +177,7 @@ def test_run_profiles_file(tmp_path):
     del cfg["profiles"]
     cfg["profiles_file"] = str(pfile)
     assert main(["run", write_config(tmp_path, "pf.json", cfg)]) == 0
-    report = json.loads(open(cfg["output"]["report"]).read())
+    report = json.loads(Path(cfg["output"]["report"]).read_text())
     assert len(report["rows"]) == 4
     cfg["profiles_file"] = str(tmp_path / "missing.json")
     assert main(["run", write_config(tmp_path, "pf2.json", cfg)]) == 3
@@ -229,7 +229,7 @@ def test_dp_bound_defaults_to_the_geometric_epsilon(tmp_path, mechanism):
         output = {"csv": str(tmp_path / f"{label}.csv"), "report": str(tmp_path / f"{label}.json")}
         cfg = base_config(tmp_path, mechanism=mechanism, checks=[entry], output=output)
         assert main(["run", write_config(tmp_path, f"{label}.json", cfg)]) == 0
-        rows.append(json.loads(open(output["report"]).read())["rows"])
+        rows.append(json.loads(Path(output["report"]).read_text())["rows"])
     assert rows[0] and rows[0] == rows[1]
 
 
@@ -249,7 +249,7 @@ def test_seed_flag_satisfies_monte_carlo_check(tmp_path):
         checks=[{"check": "accuracy", "alpha": 0.5, "alpha_prime": 0.5, "beta": 0.9, "method": "monte_carlo", "trials": 200}],
     )
     assert main(["run", write_config(tmp_path, "noseed.json", cfg), "--seed", "5"]) == 0
-    assert json.loads(open(cfg["output"]["report"]).read())["config"]["seed"] == 5
+    assert json.loads(Path(cfg["output"]["report"]).read_text())["config"]["seed"] == 5
 
 
 @pytest.mark.parametrize("mass_tol", ["-1", "nan", "0", "1.5"])
@@ -336,6 +336,48 @@ def test_run_rejects_booleans_where_integers_are_needed(tmp_path, capsys, overri
     cfg = base_config(tmp_path, **overrides)
     assert main(["run", write_config(tmp_path, "bools.json", cfg)]) == 3
     assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+THRESHOLD_MODEL = {"kind": "increasing_with_threshold", "delta": 0.2}
+TRADEOFF = {"check": "audit_tradeoff", "tau": 8.0, "gamma": 0.125, "eta": 0.25, "beta": 0.25}
+NAN = math.nan  # json.dumps writes it as NaN, which json.load reads back
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"mechanism": {"name": "alg1", "budget": True, "epsilon": True, "n": 2}}, "mechanism.budget"),
+        ({"mechanism": {"name": "alg1", "budget": 8.0, "epsilon": True, "n": 4}}, "mechanism.epsilon"),
+        ({"mechanism": {"name": "alg1_prime", "budget": NAN, "epsilon": 0.5, "n": 4}}, "mechanism.budget"),
+        ({"mechanism": {"name": "pay_declared", "epsilon": NAN, "n": 4}}, "mechanism.epsilon"),
+        ({"mechanism": {"name": "subsample", "flat_pay": True, "sample_size": 2, "n": 4}}, "mechanism.flat_pay"),
+        (
+            {"mechanism": {"name": "subsample", "flat_pay": 1.0, "sample_size": 2, "n": 4, "distinguishability_budget": NAN}},
+            "mechanism.distinguishability_budget",
+        ),
+        ({"mechanism": {"name": "exact_sum", "n": 4, "flat_pay": True}}, "mechanism.flat_pay"),
+        ({"loss_model": {**THRESHOLD_MODEL, "delta": True}}, "loss_model.delta"),
+        ({"loss_model": {**THRESHOLD_MODEL, "threshold_offset": NAN}}, "loss_model.threshold_offset"),
+        ({"checks": [{"check": "accuracy", "alpha": NAN, "alpha_prime": 0.5, "beta": 0.3}]}, "checks[0].alpha"),
+        ({"checks": [{"check": "accuracy", "alpha": 0.5, "alpha_prime": True, "beta": 0.3}]}, "checks[0].alpha_prime"),
+        ({"checks": [{"check": "accuracy", "alpha": 0.5, "alpha_prime": 0.5, "beta": True}]}, "checks[0].beta"),
+        ({"checks": [{"check": "dp", "bound": NAN}]}, "checks[0].bound"),
+        ({"checks": [{"check": "dp", "bound": True}]}, "checks[0].bound"),
+        ({"checks": [{"check": "distinguishability", "delta": True}]}, "checks[0].delta"),
+        ({"checks": [{"check": "audit_monotonic", "delta": NAN}]}, "checks[0].delta"),
+        ({"checks": [{"check": "audit_general", "threshold_offset": True}]}, "checks[0].threshold_offset"),
+        ({"checks": [{**TRADEOFF, "tau": True}]}, "checks[0].tau"),
+        ({"checks": [{**TRADEOFF, "gamma": NAN}]}, "checks[0].gamma"),
+        ({"checks": [{**TRADEOFF, "eta": True}]}, "checks[0].eta"),
+        ({"checks": [{**TRADEOFF, "beta": NAN}]}, "checks[0].beta"),
+        ({"checks": [{**TRADEOFF, "max_pay": True}]}, "checks[0].max_pay"),
+    ],
+)
+def test_run_refuses_booleans_and_nan_where_numbers_are_needed(tmp_path, capsys, overrides, field):
+    cfg = base_config(tmp_path, **overrides)
+    assert main(["run", write_config(tmp_path, "numbers.json", cfg)]) == 3
+    assert f"config error: {field}: must be a number" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

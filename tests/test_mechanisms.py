@@ -36,7 +36,7 @@ def test_alg1_worked_example():
     x = profile([1, 1, 0, 1], [1.0, 3.0, 0.0, 2.0])
     assert mech.params.theta == pytest.approx(2.0)
     assert mech.pay_vector(x) == (2.0, 0.0, 2.0, 2.0)
-    assert mech.counted_bit_sum(x) == 2
+    assert mech.law_key(x) == 2
     out = mech.sample(x, 11)
     assert out.payments == (2.0, 0.0, 2.0, 2.0)
     assert mech.sample(x, 11) == out  # deterministic given the seed
@@ -46,14 +46,14 @@ def test_alg1_all_indifferent_pays_everyone():
     mech = alg1(8.0, 0.5, 4)
     x = profile([1, 0, 1, 1], [0.0] * 4)
     assert mech.pay_vector(x) == (2.0,) * 4
-    assert mech.counted_bit_sum(x) == 3
+    assert mech.law_key(x) == 3
 
 
 def test_alg1_all_high_valuation_zeroed():
     mech = alg1(8.0, 0.5, 4)
     x = profile([1, 1, 1, 1], [10.0] * 4)
     assert mech.pay_vector(x) == (0.0,) * 4
-    assert mech.counted_bit_sum(x) == 0
+    assert mech.law_key(x) == 0
 
 
 def test_alg1_threshold_tie_is_included():
@@ -61,7 +61,7 @@ def test_alg1_threshold_tie_is_included():
     mech = alg1(4.0, 0.5, 4)
     x = profile([1, 0, 0, 0], [1.0, 0.0, 0.0, 0.0])
     assert mech.pay_vector(x)[0] == 1.0
-    assert mech.counted_bit_sum(x) == 1
+    assert mech.law_key(x) == 1
 
 
 def test_alg1_output_dist_is_shifted_geometric():
@@ -74,7 +74,7 @@ def test_alg1_law_depends_only_on_counted_sum():
     mech = alg1(8.0, 0.5, 4)
     a = profile([1, 1, 0, 0], [0.0, 0.0, 0.0, 0.0])
     b = profile([0, 1, 1, 1], [0.0, 0.0, 0.0, 99.0])  # last player zeroed
-    assert mech.counted_bit_sum(a) == mech.counted_bit_sum(b) == 2
+    assert mech.law_key(a) == mech.law_key(b) == 2
     assert mech.output_dist(a) == mech.output_dist(b)
 
 
@@ -128,12 +128,38 @@ def test_budget_mechanism_matches_restated_rule(budget, eps, bits, vals):
     n = len(bits)
     x = profile(bits, vals)
     q = [_restated_qualifies(budget, eps, n, v) for v in x.valuations]
-    assert alg1(budget, eps, n).counted_bit_sum(x) == sum(b for b, ok in zip(bits, q) if ok)
+    assert alg1(budget, eps, n).law_key(x) == sum(b for b, ok in zip(bits, q) if ok)
     for mech, zero_bits in ((alg1(budget, eps, n), False), (alg1_prime(budget, eps, n), True)):
         want = tuple(budget / n if ok or (zero_bits and b == 0) else 0.0 for b, ok in zip(bits, q))
-        assert mech.counted_bit_sum(x) == alg1(budget, eps, n).counted_bit_sum(x)
+        assert mech.law_key(x) == alg1(budget, eps, n).law_key(x)
         assert mech.pay_vector(x) == want
         assert tuple(mech.expected_pay(x, i) for i in range(n)) == want
+
+
+@pytest.mark.parametrize(
+    "budget,eps,n",
+    [(4.0, 0.5, 4), (8.0, 0.5, 4), (0.1, LN2, 6), (3.0, 3.0, 5), (1.0, 0.3, 7)],
+    ids=["exact_tie", "theta_2", "ln2", "eps_3", "inexact_theta"],
+)
+def test_budget_rule_is_qualifies(budget, eps, n):
+    # counts, pay and the hoisted _counted give BudgetParams.qualifies at
+    # the threshold, one ulp either side of it, at zero of both signs and
+    # far out; at 4 / (2 * 0.5 * 4) the tie 2 eps theta == B/n is exact
+    params = BudgetParams(budget, eps, n)
+    theta = params.theta
+    values = (theta, math.nextafter(theta, math.inf), math.nextafter(theta, -math.inf), 0.0, -0.0, -1.0, 1e300)
+    players = [PlayerType(b, v) for v in values for b in (0, 1)]
+    for mech, zero_bits in ((alg1(budget, eps, n), False), (alg1_prime(budget, eps, n), True)):
+        for v in values:
+            q = params.qualifies(v)
+            assert mech.counts(v) == q, (mech.name, v)
+            for bit in (0, 1):
+                want = params.per_player_pay if q or (zero_bits and bit == 0) else 0.0
+                assert mech.pay(bit, v) == want, (mech.name, bit, v)
+                assert mech._counted([PlayerType(bit, v)]) == (bit if q else 0), (mech.name, bit, v)
+        assert mech._counted(players) == sum(p.bit for p in players if params.qualifies(p.valuation))
+    if (budget, eps, n) == (4.0, 0.5, 4):
+        assert params.qualifies(theta) and not params.qualifies(math.nextafter(theta, math.inf))
 
 
 def _every_mechanism(n):
@@ -239,10 +265,10 @@ def test_candidate_set_is_distribution_complete(bit, valuation):
     brute = [PlayerType(b, w) for b in (0, 1) for w in ladder]
     for rel in NeighborRelation:
         reachable = {
-            mech.counted_bit_sum(y) for y in i_neighbor_profiles(x, 0, rel, brute)
+            mech.law_key(y) for y in i_neighbor_profiles(x, 0, rel, brute)
         }
         canonical = {
-            mech.counted_bit_sum(y) for y in mech.neighbor_profiles(x, 0, rel)
+            mech.law_key(y) for y in mech.neighbor_profiles(x, 0, rel)
         }
         assert canonical == reachable
 
@@ -396,9 +422,9 @@ def test_empirical_law_matches_output_dist(mech, x):
 
 def one_draw_oracle(mech, x, rng):
     """One published count drawn as the one-draw samplers did before the
-    batch hook: shift plus one noise draw, a fresh k-subset, or no draw."""
+    batch hook: the counted bits plus one noise draw, a fresh k-subset, or no draw."""
     if isinstance(mech, ShiftedGeometricMechanism):
-        return mech.shift(x) + oracle_sample_geom(mech.geom, rng)
+        return mech.law_key(x) + oracle_sample_geom(mech.geom, rng)
     if isinstance(mech, SubsampleMechanism):
         n, k = mech.params.n, mech.params.sample_size
         m = sum(x.players[j].bit for j in rng.sample(range(n), k))

@@ -392,6 +392,9 @@ def test_accuracy_spec_validation():
         AccuracySpec(-0.1, 0.5, 0.5)
     with pytest.raises(ValueError):
         AccuracySpec(0.5, 0.5, 1.5)
+    for spec in ((math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.nan)):
+        with pytest.raises(ValueError):
+            AccuracySpec(*spec)
 
 
 def test_wilson_interval_sane():
@@ -461,3 +464,6 @@ def test_dp_check_budget_mechanism():
     assert all(r.verdict == PASS for r in results)
     tight = check_dp(mech, x, eps / 3.0)
     assert any(r.verdict == FAIL for r in tight)
+    # NaN passes no comparison, so it would fail every row with margin nan
+    with pytest.raises(ValueError, match="bound must not be NaN"):
+        check_dp(mech, x, math.nan)
