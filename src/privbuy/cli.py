@@ -81,14 +81,18 @@ _REQUIRED = object()
 
 
 def _number(cfg: dict, field: str, context: str, default=_REQUIRED):
-    """A numeric field, or ``default`` when it is absent. A JSON boolean is
-    refused, since ``true`` is the int 1, and so is NaN, which compares
-    false to everything and so slips past range checks."""
+    """A finite numeric field, or ``default`` when it is absent. A JSON
+    boolean is refused, since ``true`` is the int 1, and so is NaN, which
+    compares false to everything and so slips past range checks. So is
+    +-Infinity, which passes any bound and which strict JSON cannot hold
+    in a report."""
     if field not in cfg and default is not _REQUIRED:
         return default
     value = _need(cfg, field, context)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
         raise ConfigError(f"{context}.{field}", f"must be a number, got {value!r}")
+    if math.isinf(value):
+        raise ConfigError(f"{context}.{field}", f"must be finite, got {value!r}")
     return value
 
 

@@ -165,7 +165,8 @@ def admissible_candidates(
     """The candidate types that form admissible i-neighbors of ``x``, in
     order. Candidates equal to the current type are dropped, as are
     duplicates. With the monotonic relation only monotonically related
-    candidates survive."""
+    candidates survive. A distribution-complete candidate set makes suprema
+    over the (infinite) type space exactly computable."""
     if not 0 <= i < x.n:
         raise IndexError(f"player index {i} out of range for n={x.n}")
     current = x.players[i]
@@ -176,22 +177,6 @@ def admissible_candidates(
         seen.add(cand)
         out.append(cand)
     return out
-
-
-def i_neighbor_profiles(
-    x: InputProfile,
-    i: int,
-    relation: NeighborRelation,
-    candidate_types,
-) -> list[InputProfile]:
-    """Profiles obtained by swapping player i's type for each of its
-    ``admissible_candidates``.
-
-    The caller supplies a candidate set that is distribution-complete for the
-    mechanism at hand, which makes suprema over the (infinite) type space
-    exactly computable.
-    """
-    return [x.with_player(i, cand) for cand in admissible_candidates(x, i, relation, candidate_types)]
 
 
 class Mechanism(ABC):
@@ -220,11 +205,6 @@ class Mechanism(ABC):
     @abstractmethod
     def output_dist(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         """Exact law of the published count under declarations ``x``."""
-
-    @abstractmethod
-    def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
-        """Exact ln Pr[s] under declarations ``x`` for each count s in
-        ``support`` (-inf off the law's support)."""
 
     @abstractmethod
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
@@ -311,27 +291,36 @@ class Mechanism(ABC):
         """Players for whom this mechanism claims truthfulness."""
         return tuple(range(x.n))
 
-    def neighbor_profiles(self, x: InputProfile, i: int, relation: NeighborRelation) -> list[InputProfile]:
-        return i_neighbor_profiles(x, i, relation, self.candidate_types(x, i))
-
     def law_key(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL):
         """Hashable key of the count law of ``x``: equal keys must mean equal
         laws, so callers settle each distinct key once. The default keys a
         law by itself, which is always sound; mechanisms whose law is fixed
-        by a smaller statistic key by that statistic and override the three
-        hooks below to settle keys without building a profile."""
+        by a smaller statistic key by that statistic and override the hooks
+        below to settle keys without building a profile."""
         return self.output_dist(x, mass_tol)
 
     def key_law(self, key, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         """The count law a ``law_key`` stands for."""
         return key
 
+    def log_pmf_table(self, key, support) -> tuple[float, ...]:
+        """Exact ln Pr[s] under the law of ``key`` for each count s in
+        ``support`` (-inf off the law's support). The default reads the atoms
+        of ``key_law(key)``, so it needs a law stored in full; a mechanism
+        whose law is truncated overrides it with a closed form."""
+        law = self.key_law(key)
+        if law.truncation_mass > 0.0:
+            raise ValueError(f"{type(self).__name__}.log_pmf_table needs a law stored in full; override it")
+        return tuple(math.log(p) if p > 0.0 else -math.inf for p in map(law.prob, support))
+
     def neighbor_law_keys(
         self, x: InputProfile, i: int, relation: NeighborRelation, mass_tol: float = DEFAULT_MASS_TOL
     ) -> list[tuple[PlayerType, object]]:
-        """``(candidate type, law key)`` for each admissible candidate of
-        player i, in the order and with the dedupe of ``neighbor_profiles``."""
-        return [(y.players[i], self.law_key(y, mass_tol)) for y in self.neighbor_profiles(x, i, relation)]
+        """``(candidate type, law key)`` for each of player i's
+        ``admissible_candidates`` among ``candidate_types``, in that order.
+        The default builds each neighbor profile and keys its law."""
+        cands = admissible_candidates(x, i, relation, self.candidate_types(x, i))
+        return [(c, self.law_key(x.with_player(i, c), mass_tol)) for c in cands]
 
     def law_distance(self, k1, k2, mass_tol: float = DEFAULT_MASS_TOL) -> Interval:
         """Certified total variation distance between the laws of two keys."""
@@ -345,3 +334,10 @@ class Mechanism(ABC):
         themselves always do; mechanisms whose laws read them through a
         smaller statistic return that statistic."""
         return x.players[:i] + x.players[i + 1 :]
+
+    def others_pays(self, x: InputProfile, i: int, player: PlayerType):
+        """The payments to every player but i when player i's type is
+        ``player``, or any value equal for two types iff they pay the others
+        alike. The default slices the built profile's ``pay_vector``."""
+        pays = self.pay_vector(x.with_player(i, player))
+        return pays[:i] + pays[i + 1 :]

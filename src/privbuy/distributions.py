@@ -52,10 +52,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def scale(self, factor: float) -> "Interval":
         """Interval for factor * x given x in self (factor may be negative)."""
         a, b = factor * self.lo, factor * self.hi

@@ -97,11 +97,6 @@ def max_neighbor_distance(
     return Interval(max(d.lo for _, d in pairs), max(d.hi for _, d in pairs))
 
 
-def _pay_minus(mech: Mechanism, x: InputProfile, i: int) -> tuple[float, ...]:
-    pays = mech.pay_vector(x)
-    return pays[:i] + pays[i + 1 :]
-
-
 def zero_loss() -> LossModel:
     """Everyone is indifferent: loss identically zero."""
     return LossModel(
@@ -117,9 +112,11 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
 
     The ratio compares what an adversary (who sees the count and the
     payments to everyone else) assigns to the realized outcome under the
-    true input versus under each neighbor. For the bundled mechanisms the
-    payments to j != i never depend on player i, so the ratio reduces to a
-    count-law ratio; a payment mismatch shows up as an infinite ratio. A
+    true input versus under each neighbor. Laws are read through law keys,
+    one ``log_pmf_table`` per distinct neighbor key, and the payments
+    through ``others_pays``. For the bundled mechanisms the payments to
+    j != i never depend on player i, so the ratio reduces to a count-law
+    ratio; a payment mismatch shows up as an infinite ratio. A
     zero-probability denominator against a positive numerator yields +inf
     loss, which is reported, never clipped.
 
@@ -130,27 +127,29 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
     """
 
     def expectation(mech2, x, i, declared, mass_tol):
-        declared_profile = x.with_valuation(i, declared)
-        dist = mech2.output_dist(declared_profile, mass_tol)
-        p_minus = _pay_minus(mech2, declared_profile, i)
         if mech2.cache_token != mech.cache_token:
             raise ValueError("loss model is bound to a different mechanism")
-        v = x.players[i].valuation
+        truth = x.players[i]
+        lied = PlayerType(truth.bit, declared)
+        dist = mech.key_law(mech.law_key(x.with_player(i, lied), mass_tol), mass_tol)
+        p_minus = mech.others_pays(x, i, lied)
+        v = truth.valuation
         if v == 0.0:
             return Interval(0.0, 0.0)
-        neighbors = mech.neighbor_profiles(x, i, relation)
-        if not neighbors:
+        # a neighbor is read through its law key and whether it pays the others alike
+        nbrs = mech.neighbor_law_keys(x, i, relation, mass_tol)
+        rows = dict.fromkeys((key, mech.others_pays(x, i, cand) == p_minus) for cand, key in nbrs)
+        if not rows:
             raise ValueError(f"no admissible {relation.value} candidates for player {i}")
         support = dist.support
-        cur = mech.log_pmf_table(x, support)
-        num_ok = _pay_minus(mech, x, i) == p_minus
+        # an outcome whose others' pays differ from the declaration's is impossible
+        impossible = (-_INF,) * len(support)
+        num_ok = mech.others_pays(x, i, truth) == p_minus
+        cur = mech.log_pmf_table(mech.law_key(x, mass_tol), support) if num_ok else impossible
         best = [-_INF] * len(support)
-        for nbr in neighbors:
-            nb = mech.log_pmf_table(nbr, support)
-            den_ok = _pay_minus(mech, nbr, i) == p_minus
-            for j in range(len(support)):
-                a = cur[j] if num_ok else -_INF
-                b = nb[j] if den_ok else -_INF
+        for key, den_ok in rows:
+            nb = mech.log_pmf_table(key, support) if den_ok else impossible
+            for j, (a, b) in enumerate(zip(cur, nb)):
                 # both outcomes impossible: the ratio carries no information
                 r = 0.0 if (a == -_INF and b == -_INF) else a - b
                 if r > best[j]:

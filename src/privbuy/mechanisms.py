@@ -53,14 +53,13 @@ class BudgetParams:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if not (is_int(self.n) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        # 2 theta is a candidate valuation, and valuations are finite
+        if not math.isfinite(2.0 * self.theta):
+            raise ValueError(f"2 theta = budget/(epsilon n) must be finite, got theta = {self.theta!r}")
 
     @property
     def theta(self) -> float:
         return self.budget / (2.0 * self.epsilon * self.n)
-
-    @property
-    def per_player_pay(self) -> float:
-        return self.budget / self.n
 
     def qualifies(self, valuation: float) -> bool:
         return 2.0 * self.epsilon * valuation <= self.budget / self.n
@@ -102,8 +101,8 @@ class CountedMechanism(Mechanism):
     Every law is fixed by the number of counted 1-bits, so that number is
     the law key, and the others' number is player i's ``others_key``. A
     subclass gives the rule, ``cache_token``, the law of a count
-    (``key_law``, ``log_pmf_table``) and its sampler; every key and every
-    payment follows here. A subclass that overrides ``counts`` overrides
+    (``key_law``) and its sampler; every key and every payment follows
+    here. A subclass that overrides ``counts`` overrides
     ``_counted`` to match.
     """
 
@@ -158,6 +157,10 @@ class CountedMechanism(Mechanism):
         p = x.players[i]
         return self.pay(p.bit, p.valuation)
 
+    def others_pays(self, x: InputProfile, i: int, player: PlayerType) -> tuple:
+        # a pay reads only its own player's type: player i moves no one else's
+        return ()
+
     def max_zero_valuation_pay(self) -> float:
         # a pay reads only its own type, so both bits at valuation 0 cover every bit vector
         return max(self.pay(0, 0.0), self.pay(1, 0.0))
@@ -192,10 +195,10 @@ class ShiftedGeometricMechanism(CountedMechanism):
             hit = self._distances[d, mass_tol] = statistical_distance(base, shifted_geom_dist(self.geom, d, mass_tol))
         return hit
 
-    def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
-        c = self.law_key(x)
+    def log_pmf_table(self, key: int, support) -> tuple[float, ...]:
+        # the closed form holds beyond the truncated window
         ln, eps = self.geom.log_norm, self.epsilon
-        return tuple(ln - eps * abs(s - c) for s in support)
+        return tuple(ln - eps * abs(s - key) for s in support)
 
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
         c = self._counted(x.players)
@@ -220,6 +223,9 @@ class BudgetMechanism(ShiftedGeometricMechanism):
         self.player_count = params.n
         # BudgetParams.qualifies, hoisted: same operands, same floats
         self._two_eps, self._share = 2.0 * params.epsilon, params.budget / params.n
+        theta = params.theta
+        self._landmarks = tuple(dict.fromkeys((0.0, theta, 2.0 * theta)))
+        self._landmark_types = tuple(PlayerType(b, w) for w in self._landmarks for b in (0, 1))
 
     @property
     def cache_token(self) -> tuple:
@@ -238,18 +244,14 @@ class BudgetMechanism(ShiftedGeometricMechanism):
         return sum([p.bit for p in players if two_eps * p.valuation <= share])
 
     def candidate_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
-        # The law and the payments to others depend on player i's type only
-        # through "qualifying bit-1 or not". The valuations below put an
-        # admissible representative in each class for both relations, for
-        # any real v_i (including negative ones).
-        v = x.players[i].valuation
-        theta = self.params.theta
-        vals = dict.fromkeys((0.0, theta, 2.0 * theta, v, min(v, 0.0), max(v, 2.0 * theta)))
-        return tuple(PlayerType(b, w) for w in vals for b in (0, 1))
-
-    def deviation_valuations(self, x: InputProfile, i: int) -> tuple[float, ...]:
-        theta = self.params.theta
-        return tuple(dict.fromkeys((0.0, theta, 2.0 * theta, x.players[i].valuation)))
+        # The law and the payments to others read player i's type only as
+        # "qualifying bit-1 or not". Both bits at 0, theta, 2 theta and any
+        # real v_i put an admissible representative in each class for both relations.
+        p = x.players[i]
+        if p.valuation in self._landmarks:
+            return self._landmark_types
+        flipped = PlayerType(1 - p.bit, p.valuation)
+        return self._landmark_types + ((p, flipped) if p.bit == 0 else (flipped, p))
 
     def claimed_truthful_players(self, x: InputProfile) -> tuple[int, ...]:
         return tuple(
@@ -309,10 +311,6 @@ class SubsampleMechanism(CountedMechanism):
     def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         return _subsample_law(self.params.n, self.params.sample_size, key)
 
-    def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
-        law = self.output_dist(x)
-        return tuple(math.log(p) if p > 0.0 else -math.inf for p in map(law.prob, support))
-
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
         n, k = self.params.n, self.params.sample_size
         bits, population = x.bits, range(n)
@@ -371,10 +369,6 @@ class ExactSumMechanism(CountedMechanism):
 
     def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         return CountDistribution((key,), (1.0,), 0.0)
-
-    def log_pmf_table(self, x: InputProfile, support) -> tuple[float, ...]:
-        c = self.law_key(x)
-        return tuple(0.0 if s == c else -math.inf for s in support)
 
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
         # the count is exact: no draws

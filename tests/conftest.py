@@ -2,7 +2,7 @@ import math
 import random
 from itertools import repeat
 
-from privbuy.core import InputProfile, Mechanism, PlayerType
+from privbuy.core import InputProfile, Mechanism, PlayerType, admissible_candidates
 from privbuy.distributions import CountDistribution
 
 
@@ -22,9 +22,6 @@ class ConstantMechanism(Mechanism):
         self.require_profile(x)
         return CountDistribution((0,), (1.0,), 0.0)
 
-    def log_pmf_table(self, x, support):
-        return tuple(0.0 if s == 0 else -math.inf for s in support)
-
     def pay_vector(self, x):
         self.require_profile(x)
         return (0.0,) * self.player_count
@@ -37,6 +34,27 @@ class ConstantMechanism(Mechanism):
         return (PlayerType(1 - p.bit, p.valuation), PlayerType(p.bit, p.valuation + 1.0))
 
 
+class SwapPayMechanism(Mechanism):
+    """Two players, the exact bit sum as a point mass, and each player paid
+    the other's declared valuation: a declaration can leave the law alone
+    and still move the other player's pay."""
+
+    name = "swap_pay"
+    player_count = 2
+    cache_token = ("swap_pay",)
+
+    def output_dist(self, x, mass_tol=1e-12):
+        self.require_profile(x)
+        return CountDistribution((x.bit_sum(),), (1.0,), 0.0)
+
+    def pay_vector(self, x):
+        self.require_profile(x)
+        return (x.players[1].valuation, x.players[0].valuation)
+
+    def _sample_counts(self, x, rng: random.Random, trials: int):
+        return repeat(x.bit_sum(), trials)
+
+
 def bit_vectors(n):
     for mask in range(2**n):
         yield [(mask >> j) & 1 for j in range(n)]
@@ -44,6 +62,15 @@ def bit_vectors(n):
 
 def profile(bits, valuations) -> InputProfile:
     return InputProfile.from_arrays(bits, valuations)
+
+
+def neighbor_profiles(mech, x, i, relation, candidates=None):
+    """Player i's admissible neighbor profiles, built one by one from
+    ``candidates`` (the mechanism's ``candidate_types`` by default): the
+    oracle that the keyed neighbor hooks are checked against."""
+    if candidates is None:
+        candidates = mech.candidate_types(x, i)
+    return [x.with_player(i, c) for c in admissible_candidates(x, i, relation, candidates)]
 
 
 def oracle_sample_geom(g, rng):

@@ -466,11 +466,12 @@ def test_rung_pins_cover_every_verdict():
 
 def test_monotonic_audit_settles_neighbours_from_law_keys(monkeypatch):
     # every neighbour law is keyed by its shift and every distance read from
-    # the mechanism's table, so no neighbour profile is built and only one
-    # window distance is summed per shift difference
+    # the mechanism's table, so the profile-building default
+    # neighbor_law_keys never runs and only one window distance is summed
+    # per shift difference
     from privbuy import audits, core, distributions, losses, mechanisms, verifiers
 
-    calls = {"neighbor_profiles": 0, "statistical_distance": 0}
+    calls = {"neighbor_law_keys": 0, "statistical_distance": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -478,7 +479,8 @@ def test_monotonic_audit_settles_neighbours_from_law_keys(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(core.Mechanism, "neighbor_profiles", counted("neighbor_profiles", core.Mechanism.neighbor_profiles))
+    default_keys = counted("neighbor_law_keys", core.Mechanism.neighbor_law_keys)
+    monkeypatch.setattr(core.Mechanism, "neighbor_law_keys", default_keys)
     kernel = counted("statistical_distance", distributions.statistical_distance)
     for mod in (audits, core, distributions, losses, mechanisms, verifiers):
         if hasattr(mod, "statistical_distance"):
@@ -486,5 +488,5 @@ def test_monotonic_audit_settles_neighbours_from_law_keys(monkeypatch):
     n = 256
     report = audit_monotonic_impossibility(alg1(512.0, 0.05, n), increasing_threshold_model(1.0 / (3 * n), relation=MON))
     assert report.verdict == IR_VIOLATED and report.failing_step == 0
-    assert calls["neighbor_profiles"] == 0
+    assert calls["neighbor_law_keys"] == 0
     assert 1 <= calls["statistical_distance"] <= 4, calls

@@ -431,3 +431,39 @@ def test_run_refuses_a_general_audit_above_the_scan_cap(tmp_path, capsys):
     assert proc.returncode == 3, proc.stderr
     assert "cap of 24" in proc.stderr
     assert not (tmp_path / "report.json").exists()
+
+
+INF = math.inf  # json.dumps writes it as Infinity, which json.load reads back
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"checks": [{"check": "dp", "bound": INF}]}, "checks[0].bound"),
+        ({"mechanism": {"name": "alg1", "budget": INF, "epsilon": 0.5, "n": 4}}, "mechanism.budget"),
+        (
+            {"mechanism": {"name": "subsample", "flat_pay": 1.0, "sample_size": 2, "n": 4, "distinguishability_budget": INF}},
+            "mechanism.distinguishability_budget",
+        ),
+        ({"loss_model": {**THRESHOLD_MODEL, "threshold_offset": -INF}}, "loss_model.threshold_offset"),
+        ({"checks": [{**TRADEOFF, "max_pay": INF}]}, "checks[0].max_pay"),
+    ],
+)
+def test_run_refuses_infinity_where_numbers_are_needed(tmp_path, capsys, overrides, field):
+    # an infinite dp bound would pass every row with margin inf, and strict
+    # JSON parsers reject the bare Infinity a report would then hold
+    cfg = base_config(tmp_path, **overrides)
+    assert main(["run", write_config(tmp_path, "inf.json", cfg)]) == 3
+    assert f"config error: {field}: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_names_theta_when_two_theta_overflows(tmp_path, capsys):
+    # theta = 1.7e308 / (2 * 0.01 * 2) is inf, and 2 theta is a candidate
+    # valuation: the error names theta, not a valuation of some later check
+    cfg = base_config(tmp_path, mechanism={"name": "alg1", "budget": 1.7e308, "epsilon": 0.01, "n": 2})
+    cfg["profiles"] = [{"bits": [1, 0], "valuations": [1.0, 0.0]}]
+    assert main(["run", write_config(tmp_path, "theta.json", cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "config error: mechanism: 2 theta" in err and "must be finite" in err
+    assert not (tmp_path / "report.json").exists()

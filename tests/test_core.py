@@ -9,7 +9,7 @@ from privbuy.core import (
     InputProfile,
     NeighborRelation,
     PlayerType,
-    i_neighbor_profiles,
+    admissible_candidates,
     monotonically_related,
 )
 
@@ -75,38 +75,35 @@ def test_profile_serialization_roundtrip():
 
 def test_neighbors_general_excludes_unchanged():
     x = InputProfile.from_arrays([1], [5.0])
-    got = i_neighbor_profiles(x, 0, GEN, [PlayerType(0, 0.0), PlayerType(1, 5.0)])
-    assert got == [InputProfile.from_arrays([0], [0.0])]
+    got = admissible_candidates(x, 0, GEN, [PlayerType(0, 0.0), PlayerType(1, 5.0)])
+    assert got == [PlayerType(0, 0.0)]
 
 
 def test_neighbors_monotonic_filters():
     x = InputProfile.from_arrays([1], [5.0])
     # (0, 9) is not monotonically related to (1, 5) since 9 <= 5 fails
-    got = i_neighbor_profiles(x, 0, MON, [PlayerType(0, 0.0), PlayerType(0, 9.0)])
-    assert got == [InputProfile.from_arrays([0], [0.0])]
+    got = admissible_candidates(x, 0, MON, [PlayerType(0, 0.0), PlayerType(0, 9.0)])
+    assert got == [PlayerType(0, 0.0)]
 
 
 def test_neighbors_monotonic_second_player():
     x = InputProfile.from_arrays([0, 1], [3.0, 1.0])
-    got = i_neighbor_profiles(x, 1, MON, [PlayerType(0, 0.0), PlayerType(0, 1.0)])
-    assert got == [
-        InputProfile.from_arrays([0, 0], [3.0, 0.0]),
-        InputProfile.from_arrays([0, 0], [3.0, 1.0]),
-    ]
+    got = admissible_candidates(x, 1, MON, [PlayerType(0, 0.0), PlayerType(0, 1.0), PlayerType(0, 0.0)])
+    assert got == [PlayerType(0, 0.0), PlayerType(0, 1.0)]  # in order, duplicates dropped
 
 
 def test_neighbors_index_out_of_range():
     x = InputProfile.from_arrays([0], [0.0])
     with pytest.raises(IndexError):
-        i_neighbor_profiles(x, 1, GEN, [PlayerType(1, 0.0)])
+        admissible_candidates(x, 1, GEN, [PlayerType(1, 0.0)])
 
 
 @given(st.lists(types, min_size=1, max_size=6, unique=True))
 def test_monotonic_subset_of_general(cands):
     x = InputProfile.from_arrays([1, 0], [2.0, -1.0])
     for i in range(2):
-        mono = i_neighbor_profiles(x, i, MON, cands)
-        gen = i_neighbor_profiles(x, i, GEN, cands)
+        mono = admissible_candidates(x, i, MON, cands)
+        gen = admissible_candidates(x, i, GEN, cands)
         assert set(mono) <= set(gen)
 
 

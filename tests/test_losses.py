@@ -9,12 +9,13 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from privbuy import losses
-from privbuy.core import InputProfile, NeighborRelation, PlayerType
-from privbuy.distributions import Interval
+from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType, admissible_candidates
+from privbuy.distributions import DEFAULT_MASS_TOL, CountDistribution, Interval
 from privbuy.losses import (
     clear_expectation_cache,
     growing_sd_model,
@@ -25,10 +26,19 @@ from privbuy.losses import (
     tight_dp_loss,
     zero_loss,
 )
-from privbuy.mechanisms import BudgetMechanism, alg1, alg1_prime, exact_sum, pay_declared, subsample
+from privbuy.mechanisms import (
+    BudgetMechanism,
+    CountedMechanism,
+    ShiftedGeometricMechanism,
+    alg1,
+    alg1_prime,
+    exact_sum,
+    pay_declared,
+    subsample,
+)
 from privbuy.verifiers import check_ir, check_truthful
 
-from conftest import ConstantMechanism, profile
+from conftest import ConstantMechanism, SwapPayMechanism, neighbor_profiles, profile
 
 GEN, MON = NeighborRelation.GENERAL, NeighborRelation.MONOTONIC
 LN2 = math.log(2.0)
@@ -76,7 +86,7 @@ def test_tight_monotonic_low_valuation_bit_one_matches_oracle():
     oracle = oracle_budget_loss(eps, v, true_shift=2, neighbor_shifts=[1], declared_shift=2)
     got = loss_expectation(model, mech, x, 0, v)
     assert got.lo <= oracle <= got.hi
-    assert got.width <= 1e-11
+    assert got.hi - got.lo <= 1e-11
     assert got.lo == pytest.approx(oracle, abs=1e-9)
     # closed form of the oracle: v * eps * (1-a)/(1+a)
     a = math.exp(-eps)
@@ -92,7 +102,7 @@ def test_tight_monotonic_low_valuation_bit_zero_matches_oracle():
     # to 2, the rest keep it at 1
     oracle = oracle_budget_loss(eps, v, true_shift=1, neighbor_shifts=[1, 2], declared_shift=1)
     got = loss_expectation(model, mech, x, 0, v)
-    assert got.lo <= oracle <= got.hi and got.width <= 1e-11
+    assert got.lo <= oracle <= got.hi and got.hi - got.lo <= 1e-11
 
 
 def test_tight_loss_under_deviated_declaration():
@@ -103,7 +113,7 @@ def test_tight_loss_under_deviated_declaration():
     x = profile([1, 0, 0, 0], [v, 0.0, 0.0, 0.0])
     oracle = oracle_budget_loss(eps, v, true_shift=1, neighbor_shifts=[0], declared_shift=0)
     got = loss_expectation(model, mech, x, 0, 10.0)
-    assert got.lo <= oracle <= got.hi and got.width <= 1e-11
+    assert got.lo <= oracle <= got.hi and got.hi - got.lo <= 1e-11
     assert oracle < 0  # deviating lowers the realized loss here
 
 
@@ -378,7 +388,7 @@ def _memo_inputs(mech, x, i):
         law(x),
         [law(y) for y in changed],
         [pms.index(pm) for pm in pms],  # which profiles pay the others alike
-        [[nbr.players[i] for nbr in mech.neighbor_profiles(x, i, rel)] for rel in (GEN, MON)],
+        [admissible_candidates(x, i, rel, cands) for rel in (GEN, MON)],
     )
 
 
@@ -430,3 +440,127 @@ def test_memo_size_after_criterion_grids():
             if p.bit == 0 or mech.params.qualifies(p.valuation):
                 check_truthful(mech, model, x, i)
     assert len(losses._EXPECTATION_CACHE) == 120
+
+
+# --- the keyed tight-DP expectation against the profile-building one ---------
+
+
+def _built_log_pmf_table(mech, y, support):
+    # per built profile: the geometric closed form, else the stored atoms
+    if isinstance(mech, ShiftedGeometricMechanism):
+        c = mech.law_key(y)
+        return tuple(mech.geom.log_norm - mech.epsilon * abs(s - c) for s in support)
+    law = mech.output_dist(y)
+    return tuple(math.log(p) if p > 0.0 else -math.inf for p in map(law.prob, support))
+
+
+def _built_expectation(mech, relation, x, i, declared, mass_tol=DEFAULT_MASS_TOL):
+    """The tight-DP expectation as it was written before law keys: a built
+    profile, a log-pmf table and a sliced pay_vector per neighbor."""
+
+    def pay_minus(y):
+        pays = mech.pay_vector(y)
+        return pays[:i] + pays[i + 1 :]
+
+    declared_profile = x.with_valuation(i, declared)
+    dist = mech.output_dist(declared_profile, mass_tol)
+    p_minus = pay_minus(declared_profile)
+    v = x.players[i].valuation
+    if v == 0.0:
+        return Interval(0.0, 0.0)
+    neighbors = neighbor_profiles(mech, x, i, relation)
+    if not neighbors:
+        raise ValueError(f"no admissible {relation.value} candidates for player {i}")
+    support = dist.support
+    cur = _built_log_pmf_table(mech, x, support)
+    num_ok = pay_minus(x) == p_minus
+    best = [-math.inf] * len(support)
+    for nbr in neighbors:
+        nb = _built_log_pmf_table(mech, nbr, support)
+        den_ok = pay_minus(nbr) == p_minus
+        for j in range(len(support)):
+            a = cur[j] if num_ok else -math.inf
+            b = nb[j] if den_ok else -math.inf
+            r = 0.0 if (a == -math.inf and b == -math.inf) else a - b
+            if r > best[j]:
+                best[j] = r
+    lam = [v * r for r in best]
+    has_pos = any(l == math.inf and p > 0.0 for l, p in zip(lam, dist.probs))
+    has_neg = any(l == -math.inf and p > 0.0 for l, p in zip(lam, dist.probs))
+    if has_pos and has_neg:
+        raise ValueError("per-outcome loss takes both +inf and -inf on the window")
+    if has_pos:
+        return Interval(math.inf, math.inf)
+    if has_neg:
+        return Interval(-math.inf, -math.inf)
+    total = math.fsum(l * p for l, p in zip(lam, dist.probs))
+    slack = dist.truncation_mass * max((abs(l) for l in lam), default=0.0)
+    return Interval(total - slack, total + slack)
+
+
+class QuietSwapPayMechanism(SwapPayMechanism):
+    """SwapPayMechanism with a count that never moves, so its neighbors
+    differ from a declaration only in the pays the others see."""
+
+    name = "quiet_swap_pay"
+    cache_token = ("quiet_swap_pay",)
+
+    def output_dist(self, x, mass_tol=1e-12):
+        self.require_profile(x)
+        return CountDistribution((0,), (1.0,), 0.0)
+
+    def _sample_counts(self, x, rng, trials):
+        return itertools.repeat(0, trials)
+
+
+KEYED_MECHANISMS = {
+    **MEMO_MECHANISMS,
+    "swap_pay": lambda n: SwapPayMechanism(),
+    "quiet_swap_pay": lambda n: QuietSwapPayMechanism(),
+}
+
+
+@pytest.mark.parametrize("name", KEYED_MECHANISMS)
+def test_keyed_expectation_matches_the_profile_building_one(name):
+    checked = 0
+    for n in (2,) if name.endswith("swap_pay") else (1, 2, 3):
+        mech = KEYED_MECHANISMS[name](n)
+        for relation in (GEN, MON):
+            expectation = tight_dp_loss(mech, relation).expectation
+            for x in _memo_grid(mech, n):
+                for i in range(n):
+                    for declared in dict.fromkeys(mech.deviation_valuations(x, i) + (1e300, -5.0)):
+                        try:
+                            want = _built_expectation(mech, relation, x, i, declared)
+                        except ValueError as exc:
+                            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                                expectation(mech, x, i, declared, DEFAULT_MASS_TOL)
+                            continue
+                        got = expectation(mech, x, i, declared, DEFAULT_MASS_TOL)
+                        assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex()), (str(x), i, declared)
+                        checked += 1
+    assert checked > 100
+
+
+def test_keyed_expectation_calls_no_pay_vector_and_no_default_neighbor_keys(monkeypatch):
+    calls = []
+
+    def refuse(name):
+        def hook(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return hook
+
+    # the default builds a profile per candidate; CountedMechanism defines
+    # the one pay_vector of the bundled mechanisms
+    monkeypatch.setattr(Mechanism, "neighbor_law_keys", refuse("neighbor_law_keys"))
+    monkeypatch.setattr(CountedMechanism, "pay_vector", refuse("pay_vector"))
+    for name in ("alg1", "alg1_prime", "pay_declared", "subsample", "exact_sum"):
+        mech = MEMO_MECHANISMS[name](3)
+        x = profile([1, 0, 1], [0.5, 1.0, -1.0])
+        for relation in (GEN, MON):
+            model = dataclasses.replace(tight_dp_loss(mech, relation), expectation_key=None)
+            for declared in (0.5, 1e300):
+                loss_expectation(model, mech, x, 0, declared)
+    assert calls == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType, i_neighbor_profiles
+from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType
 from privbuy.distributions import GeomParams, dp_level, shifted_geom_dist, statistical_distance, window_radius
 from privbuy.mechanisms import (
     BudgetParams,
@@ -23,7 +23,7 @@ from privbuy.mechanisms import (
     subsample,
 )
 
-from conftest import ConstantMechanism, bit_vectors, oracle_sample_geom, profile
+from conftest import ConstantMechanism, bit_vectors, neighbor_profiles, oracle_sample_geom, profile
 
 LN2 = math.log(2.0)
 
@@ -93,7 +93,7 @@ def test_log_pmf_table_matches_dist():
     x = profile([1, 1, 0], [0.0, 0.0, 0.0])
     for mech in (alg1(8.0, 0.5, 3), subsample(1.0, 2, 3), exact_sum(3), ConstantMechanism(3)):
         d = mech.output_dist(x)
-        assert mech.log_pmf_table(x, d.support) == pytest.approx([math.log(p) for p in d.probs], abs=1e-12)
+        assert mech.log_pmf_table(mech.law_key(x), d.support) == pytest.approx([math.log(p) for p in d.probs], abs=1e-12)
 
 
 def test_alg1_prime_payments():
@@ -154,7 +154,7 @@ def test_budget_rule_is_qualifies(budget, eps, n):
             q = params.qualifies(v)
             assert mech.counts(v) == q, (mech.name, v)
             for bit in (0, 1):
-                want = params.per_player_pay if q or (zero_bits and bit == 0) else 0.0
+                want = params.budget / params.n if q or (zero_bits and bit == 0) else 0.0
                 assert mech.pay(bit, v) == want, (mech.name, bit, v)
                 assert mech._counted([PlayerType(bit, v)]) == (bit if q else 0), (mech.name, bit, v)
         assert mech._counted(players) == sum(p.bit for p in players if params.qualifies(p.valuation))
@@ -190,6 +190,14 @@ def test_budget_params_validation():
             BudgetParams(*bad)
 
 
+def test_budget_params_refuse_a_two_theta_that_is_not_finite():
+    # 2 theta is a candidate valuation; budgets this large overflow it
+    for budget, eps, n in ((1.7e308, 0.01, 2), (1e308, 0.5, 1)):
+        with pytest.raises(ValueError, match="2 theta .* must be finite"):
+            BudgetParams(budget, eps, n)
+    assert BudgetParams(8.9e307, 0.5, 1).theta == 8.9e307
+
+
 def test_size_mismatch_rejected():
     mech = alg1(8.0, 0.5, 4)
     with pytest.raises(ValueError):
@@ -218,7 +226,7 @@ def test_alg1_dp_level_within_epsilon():
             x = profile(bits, vals)
             base = mech.output_dist(x)
             for i in range(3):
-                for nbr in mech.neighbor_profiles(x, i, NeighborRelation.GENERAL):
+                for nbr in neighbor_profiles(mech, x, i, NeighborRelation.GENERAL):
                     assert dp_level(base, mech.output_dist(nbr)) <= eps + 1e-9
 
 
@@ -229,7 +237,7 @@ def test_alg1_monotonic_invariance_beyond_threshold():
     x = profile([1, 0, 1, 1], [7.0, 0.0, 1.0, 2.0])
     base_dist = mech.output_dist(x)
     base_pay = mech.pay_vector(x)
-    neighbors = mech.neighbor_profiles(x, 0, NeighborRelation.MONOTONIC)
+    neighbors = neighbor_profiles(mech, x, 0, NeighborRelation.MONOTONIC)
     assert neighbors
     for nbr in neighbors:
         assert mech.output_dist(nbr) == base_dist
@@ -242,7 +250,7 @@ def test_candidate_set_nonempty_for_negative_valuations():
     for bit in (0, 1):
         x = profile([bit, 0], [-3.0, 0.0])
         for rel in NeighborRelation:
-            assert mech.neighbor_profiles(x, 0, rel)
+            assert neighbor_profiles(mech, x, 0, rel)
 
 
 @given(
@@ -265,10 +273,10 @@ def test_candidate_set_is_distribution_complete(bit, valuation):
     brute = [PlayerType(b, w) for b in (0, 1) for w in ladder]
     for rel in NeighborRelation:
         reachable = {
-            mech.law_key(y) for y in i_neighbor_profiles(x, 0, rel, brute)
+            mech.law_key(y) for y in neighbor_profiles(mech, x, 0, rel, brute)
         }
         canonical = {
-            mech.law_key(y) for y in mech.neighbor_profiles(x, 0, rel)
+            mech.law_key(y) for y in neighbor_profiles(mech, x, 0, rel)
         }
         assert canonical == reachable
 
@@ -470,6 +478,54 @@ def test_expected_pay_matches_sampled_payments():
         assert sum(draws) / len(draws) == mech.expected_pay(x, i)  # deterministic payments
 
 
+@pytest.mark.parametrize(
+    "budget,eps,n",
+    [(4.0, 0.5, 4), (8.0, 0.5, 4), (0.1, LN2, 6), (1e-323, 1.0, 1), (1e300, 0.5, 3), (3.0, 3.0, 2)],
+    ids=["exact_tie", "theta_2", "ln2", "subnormal_theta", "huge_theta", "n2"],
+)
+def test_budget_candidates_and_deviations_match_their_expressions(budget, eps, n):
+    # the candidate set as a dedupe of six valuations, and the budget
+    # mechanisms' old deviation_valuations override, kept here as oracles:
+    # the hoisted candidates and the default grid read from them give the
+    # same types and floats, in order
+    def old_candidates(mech, x, i):
+        v, theta = x.players[i].valuation, mech.params.theta
+        vals = dict.fromkeys((0.0, theta, 2.0 * theta, v, min(v, 0.0), max(v, 2.0 * theta)))
+        return tuple(PlayerType(b, w) for w in vals for b in (0, 1))
+
+    def old_grid(mech, x, i):
+        theta = mech.params.theta
+        return tuple(dict.fromkeys((0.0, theta, 2.0 * theta, x.players[i].valuation)))
+
+    theta = BudgetParams(budget, eps, n).theta
+    values = (
+        0.0, -0.0, theta, math.nextafter(theta, math.inf), math.nextafter(theta, -math.inf), 2.0 * theta,
+        -theta, -1.0, 1e300, -1e300, 5e-324, -5e-324,
+    )
+    for mech in (alg1(budget, eps, n), alg1_prime(budget, eps, n)):
+        for bits in bit_vectors(n):
+            for shift in range(len(values)):
+                x = profile(bits, [values[(j + shift) % len(values)] for j in range(n)])
+                for i in range(n):
+                    got, want = mech.candidate_types(x, i), old_candidates(mech, x, i)
+                    assert list(map(repr, got)) == list(map(repr, want)), (mech.name, str(x), i)
+                    got, want = mech.deviation_valuations(x, i), old_grid(mech, x, i)
+                    assert list(map(repr, got)) == list(map(repr, want)), (mech.name, str(x), i)
+
+
+def test_default_log_pmf_table_reads_a_law_stored_in_full():
+    # -inf off the support; a truncated law is refused, and the geometric
+    # closed form reaches beyond the window
+    assert exact_sum(3).log_pmf_table(2, (1, 2, 3)) == (-math.inf, 0.0, -math.inf)
+    law = _subsample_law(4, 2, 3)
+    assert subsample(1.0, 2, 4).log_pmf_table(3, (-1,) + law.support) == (-math.inf,) + tuple(map(math.log, law.probs))
+    mech = alg1(6.0, 0.5, 3)
+    far = mech.key_law(2).support[-1] + 5
+    assert mech.log_pmf_table(2, (far,)) == (mech.geom.log_norm - 0.5 * (far - 2),)
+    with pytest.raises(ValueError, match="needs a law stored in full"):
+        Mechanism.log_pmf_table(mech, 2, (2,))
+
+
 # --- declare ---------------------------------------------------------------
 
 def _declared_values(theta):
@@ -540,13 +596,29 @@ def test_neighbor_law_keys_match_the_built_neighbor_profiles(n):
                 for i in range(n):
                     for rel in (NeighborRelation.GENERAL, NeighborRelation.MONOTONIC):
                         keyed = mech.neighbor_law_keys(x, i, rel)
-                        built = mech.neighbor_profiles(x, i, rel)
+                        built = neighbor_profiles(mech, x, i, rel)
                         assert [c for c, _ in keyed] == [y.players[i] for y in built]
                         for (_, key), y in zip(keyed, built):
                             law = mech.output_dist(y)
                             assert key == mech.law_key(y) and mech.key_law(key) == law
                             got, want = mech.law_distance(base_key, key), statistical_distance(base, law)
                             assert (got.lo, got.hi) == (want.lo, want.hi), (mech.name, x, i, rel)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_counted_others_pays_group_types_as_the_default_does(n):
+    # CountedMechanism's constant is sound iff no change of player i moves
+    # another player's pay: the default slices the built pay_vector
+    mechs, vals = _law_key_cases(n)
+    for mech in mechs[:-1]:
+        for bits in bit_vectors(n):
+            for shift in range(len(vals)):
+                x = profile(bits, [vals[(j + shift) % len(vals)] for j in range(n)])
+                for i in range(n):
+                    types = mech.candidate_types(x, i) + tuple(PlayerType(b, v) for b in (0, 1) for v in vals)
+                    got = {mech.others_pays(x, i, t) for t in types}
+                    want = {Mechanism.others_pays(mech, x, i, t) for t in types}
+                    assert len(got) == len(want) == 1, (mech.name, str(x), i)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,14 +1,12 @@
 import dataclasses
 import itertools
 import math
-import random
 import tracemalloc
-from itertools import repeat
 
 import pytest
 
-from privbuy.core import InputProfile, Mechanism, NeighborRelation
-from privbuy.distributions import CountDistribution, Interval
+from privbuy.core import InputProfile, NeighborRelation
+from privbuy.distributions import Interval
 from privbuy.losses import loss_expectation, tight_dp_loss, zero_loss
 from privbuy.mechanisms import ShiftedGeometricMechanism
 from privbuy.mechanisms import alg1, alg1_prime, exact_sum, pay_declared, subsample
@@ -27,7 +25,7 @@ from privbuy.verifiers import (
     wilson_interval,
 )
 
-from conftest import ConstantMechanism, profile
+from conftest import ConstantMechanism, SwapPayMechanism, profile
 
 GEN, MON = NeighborRelation.GENERAL, NeighborRelation.MONOTONIC
 LN2 = math.log(2.0)
@@ -238,30 +236,6 @@ def test_truthful_on_alg1_builds_no_profile_and_no_law(monkeypatch):
     results = [check_truthful(mech, model, x, i, (0.0, theta, 2.0 * theta, 1e300, -1.0)) for model, x, i in cases]
     assert [r.verdict for r in results] == [PASS, PASS]
     assert built == [] and laws == []
-
-
-class SwapPayMechanism(Mechanism):
-    """Two players, the exact bit sum as a point mass, and each player paid
-    the other's declared valuation: a declaration can leave the law alone
-    and still move the other player's pay."""
-
-    name = "swap_pay"
-    player_count = 2
-    cache_token = ("swap_pay",)
-
-    def output_dist(self, x, mass_tol=1e-12):
-        self.require_profile(x)
-        return CountDistribution((x.bit_sum(),), (1.0,), 0.0)
-
-    def log_pmf_table(self, x, support):
-        return tuple(0.0 if s == x.bit_sum() else -math.inf for s in support)
-
-    def pay_vector(self, x):
-        self.require_profile(x)
-        return (x.players[1].valuation, x.players[0].valuation)
-
-    def _sample_counts(self, x, rng: random.Random, trials: int):
-        return repeat(x.bit_sum(), trials)
 
 
 @pytest.mark.parametrize("relation", [GEN, MON], ids=lambda r: r.value)
