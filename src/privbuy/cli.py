@@ -89,9 +89,14 @@ def _number(cfg: dict, field: str, context: str, default=_REQUIRED):
     if field not in cfg and default is not _REQUIRED:
         return default
     value = _need(cfg, field, context)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+    # NaN is the one value unequal to itself; math.isnan overflows on a huge int
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         raise ConfigError(f"{context}.{field}", f"must be a number, got {value!r}")
-    if math.isinf(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ConfigError(f"{context}.{field}", "must be finite, got an integer beyond the float range") from None
+    if not finite:
         raise ConfigError(f"{context}.{field}", f"must be finite, got {value!r}")
     return value
 
@@ -117,7 +122,7 @@ def build_mechanism(cfg: dict) -> Mechanism:
             return pay_declared(_number(cfg, "epsilon", "mechanism"), _need(cfg, "n", "mechanism"))
         if name == "exact_sum":
             return exact_sum(_need(cfg, "n", "mechanism"), _number(cfg, "flat_pay", "mechanism", 0.0))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError("mechanism", str(exc)) from exc
     raise ConfigError("mechanism.name", f"unknown mechanism {name!r}")
 
@@ -211,10 +216,11 @@ def parse_config(raw: dict) -> RunConfig:
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output", "must be an object")
-    output = {
-        "csv": output.get("csv", "privbuy_report.csv"),
-        "report": output.get("report", "privbuy_report.json"),
-    }
+    output = {"csv": output.get("csv", "privbuy_report.csv"), "report": output.get("report", "privbuy_report.json")}
+    for key, path in output.items():
+        # open() would take an int as a file descriptor
+        if not (isinstance(path, str) and path):
+            raise ConfigError(f"output.{key}", f"must be a non-empty file path, got {path!r}")
     return RunConfig(mechanism, loss_model, profiles, checks, seed, float(mass_tol), output, raw)
 
 
@@ -256,7 +262,8 @@ def _run_check(entry, mech, model, profiles, cfg, ctx) -> tuple[list[CheckResult
             for i in _players_scope(entry, mech, x, ctx):
                 devs = None
                 if extras is not None:
-                    devs = tuple(dict.fromkeys(tuple(mech.deviation_valuations(x, i)) + tuple(extras)))
+                    grid = [t.valuation for t in mech.deviation_types(x, i)]
+                    devs = tuple(dict.fromkeys(grid + list(extras)))
                 rows.append(check_truthful(mech, model, x, i, devs, tol, pid))
     elif name == "accuracy":
         spec = AccuracySpec(
@@ -343,23 +350,30 @@ def execute(cfg: RunConfig) -> tuple[int, list[CheckResult], list[AuditReport]]:
 
 
 def write_reports(cfg: RunConfig, code: int, rows: list[CheckResult], audits: list[AuditReport]) -> None:
-    with open(cfg.output["csv"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow(r.as_row())
-        for a in audits:
-            writer.writerow([a.audit, a.mechanism, "", "", a.verdict, "", a.witness])
-    report = {
-        "version": __version__,
-        "exit_code": code,
-        "config": cfg.raw,
-        "rows": [r.to_json_dict() for r in rows],
-        "audits": [a.to_json_dict() for a in audits],
-    }
-    with open(cfg.output["report"], "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write the CSV and the JSON report; a file that cannot be written is a
+    ``ConfigError`` naming its output field."""
+    field = "output.csv"
+    try:
+        with open(cfg.output["csv"], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            for r in rows:
+                writer.writerow(r.as_row())
+            for a in audits:
+                writer.writerow([a.audit, a.mechanism, "", "", a.verdict, "", a.witness])
+        report = {
+            "version": __version__,
+            "exit_code": code,
+            "config": cfg.raw,
+            "rows": [r.to_json_dict() for r in rows],
+            "audits": [a.to_json_dict() for a in audits],
+        }
+        field = "output.report"
+        with open(cfg.output["report"], "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(field, str(exc)) from exc
 
 
 def _print_rows(rows: list[CheckResult]) -> None:
@@ -396,6 +410,9 @@ def cmd_run(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: {args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # such as an integer literal above the int-string digit limit
+        print(f"config error: {args.config}: {exc}", file=sys.stderr)
+        return 3
     # the flags override the config's fields before parse_config checks them
     overrides = {k: v for k, v in (("seed", args.seed), ("mass_tol", args.mass_tol)) if v is not None}
     if overrides and isinstance(raw, dict):
@@ -405,10 +422,10 @@ def cmd_run(args) -> int:
         if args.out is not None:
             cfg.output = {"csv": args.out + ".csv", "report": args.out + ".json"}
         code, rows, audits = execute(cfg)
+        write_reports(cfg, code, rows, audits)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    write_reports(cfg, code, rows, audits)
     _print_rows(rows)
     for a in audits:
         _print_audit(a)

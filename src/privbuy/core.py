@@ -1,4 +1,4 @@
-"""Domain types: players, profiles, outcomes, neighbor relations, mechanisms.
+"""Domain types: players, profiles, neighbor relations, mechanisms.
 
 All types are immutable values and safe to share. Player indices are
 0-based throughout the package.
@@ -34,7 +34,10 @@ def finite_valuation(value) -> float:
     # the exact-type test first keeps the common float path cheap
     if type(value) is not float and isinstance(value, (bool, str)):
         raise ValueError(f"valuation must be a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ValueError("valuation must be finite, got an integer beyond the float range") from None
     if not math.isfinite(v):
         raise ValueError(f"valuation must be finite, got {value!r}")
     return v
@@ -142,14 +145,6 @@ class InputProfile:
         return "(" + ", ".join(str(p) for p in self.players) + ")"
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """A realized mechanism outcome: the published count and all payments."""
-
-    count: int
-    payments: tuple[float, ...]
-
-
 def require_scannable(n: int, what: str) -> None:
     """Refuse a scan over all 2^n bit vectors above ``MAX_SCAN_PLAYERS``."""
     if n > MAX_SCAN_PLAYERS:
@@ -185,7 +180,7 @@ class Mechanism(ABC):
     Bundled mechanisms have deterministic payments and a count law that is
     exactly representable (a shifted geometric, a scaled hypergeometric, or a
     point mass), so every verifier below works from closed forms.
-    ``sample`` exists for Monte Carlo cross-checks only.
+    ``sample_counts`` exists for Monte Carlo cross-checks only.
     """
 
     name: str
@@ -214,18 +209,18 @@ class Mechanism(ABC):
         self.require_profile(x)
         return self.pay_vector(x)[i]
 
-    def declare(self, x: InputProfile, i: int, values, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
-        """``(player i's pay, law key)`` for each declaration v in ``values``,
-        the other players keeping ``x``. Two declarations have equal keys iff
-        they give equal count laws and equal payments to the other players.
-        The default builds each declared profile and keys it by its law and
-        the others' pays, which is always sound; mechanisms whose law reads
-        player i through a smaller statistic return that statistic."""
+    def retype(self, x: InputProfile, i: int, types, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
+        """``(player i's pay, law key, payments to the others)`` for ``x``
+        with player i's type set to each t in ``types``. The payments to the
+        others may be any value equal for two types iff they pay the others
+        alike. The default builds each retyped profile once and slices its
+        ``pay_vector``, which is always sound; mechanisms whose laws and pays
+        read player i through a smaller statistic settle it from that."""
         out = []
-        for v in values:
-            y = x.with_valuation(i, v)
+        for t in types:
+            y = x.with_player(i, t)
             pays = self.pay_vector(y)
-            out.append((self.expected_pay(y, i), (self.output_dist(y, mass_tol), pays[:i] + pays[i + 1 :])))
+            out.append((pays[i], self.law_key(y, mass_tol), pays[:i] + pays[i + 1 :]))
         return out
 
     def max_zero_valuation_pay(self) -> float:
@@ -255,11 +250,6 @@ class Mechanism(ABC):
         self.require_profile(x)
         return self._sample_counts(x, rng, trials)
 
-    def sample(self, x: InputProfile, rng) -> Outcome:
-        """Draw one outcome; ``rng`` is a seed int or a random.Random."""
-        (count,) = self.sample_counts(x, rng, 1)
-        return Outcome(count, self.pay_vector(x))
-
     def candidate_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
         """Canonical finite candidate set, distribution-complete for this
         mechanism: every output-law class reachable by changing player i's
@@ -281,11 +271,24 @@ class Mechanism(ABC):
             )
         )
 
-    def deviation_valuations(self, x: InputProfile, i: int) -> tuple[float, ...]:
-        """Default deviation grid: canonical candidate valuations plus truth."""
-        vals = [t.valuation for t in self.candidate_types(x, i)]
-        vals.append(x.players[i].valuation)
-        return tuple(dict.fromkeys(vals))
+    def deviation_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
+        """Default deviation grid: player i's own-bit types at the canonical
+        candidates' valuations plus the truth's, in first-seen order. Each is
+        the first candidate (or the truth) of player i's bit at that float,
+        so a candidate set holding both bits builds no type."""
+        p = x.players[i]
+        bit = p.bit
+        # valuation -> (its first-seen float, the first own-bit type at that float)
+        grid: dict = {}
+        for t in self.candidate_types(x, i) + (p,):
+            v = t.valuation
+            first = grid.get(v)
+            if first is None:
+                grid[v] = (v, t if t.bit == bit else None)
+            # 0.0 == -0.0 as a key, but the grid keeps its first-seen sign
+            elif first[1] is None and t.bit == bit and (v or math.copysign(1.0, v) == math.copysign(1.0, first[0])):
+                grid[v] = (first[0], t)
+        return tuple([t or PlayerType(bit, v) for v, t in grid.values()])
 
     def claimed_truthful_players(self, x: InputProfile) -> tuple[int, ...]:
         """Players for whom this mechanism claims truthfulness."""
@@ -295,8 +298,8 @@ class Mechanism(ABC):
         """Hashable key of the count law of ``x``: equal keys must mean equal
         laws, so callers settle each distinct key once. The default keys a
         law by itself, which is always sound; mechanisms whose law is fixed
-        by a smaller statistic key by that statistic and override the hooks
-        below to settle keys without building a profile."""
+        by a smaller statistic key by that statistic and override ``retype``
+        to settle keys without building a profile."""
         return self.output_dist(x, mass_tol)
 
     def key_law(self, key, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
@@ -313,15 +316,6 @@ class Mechanism(ABC):
             raise ValueError(f"{type(self).__name__}.log_pmf_table needs a law stored in full; override it")
         return tuple(math.log(p) if p > 0.0 else -math.inf for p in map(law.prob, support))
 
-    def neighbor_law_keys(
-        self, x: InputProfile, i: int, relation: NeighborRelation, mass_tol: float = DEFAULT_MASS_TOL
-    ) -> list[tuple[PlayerType, object]]:
-        """``(candidate type, law key)`` for each of player i's
-        ``admissible_candidates`` among ``candidate_types``, in that order.
-        The default builds each neighbor profile and keys its law."""
-        cands = admissible_candidates(x, i, relation, self.candidate_types(x, i))
-        return [(c, self.law_key(x.with_player(i, c), mass_tol)) for c in cands]
-
     def law_distance(self, k1, k2, mass_tol: float = DEFAULT_MASS_TOL) -> Interval:
         """Certified total variation distance between the laws of two keys."""
         return statistical_distance(self.key_law(k1, mass_tol), self.key_law(k2, mass_tol))
@@ -335,9 +329,12 @@ class Mechanism(ABC):
         smaller statistic return that statistic."""
         return x.players[:i] + x.players[i + 1 :]
 
-    def others_pays(self, x: InputProfile, i: int, player: PlayerType):
-        """The payments to every player but i when player i's type is
-        ``player``, or any value equal for two types iff they pay the others
-        alike. The default slices the built profile's ``pay_vector``."""
-        pays = self.pay_vector(x.with_player(i, player))
-        return pays[:i] + pays[i + 1 :]
+
+def neighbor_law_keys(
+    mech: Mechanism, x: InputProfile, i: int, relation: NeighborRelation, mass_tol: float = DEFAULT_MASS_TOL
+) -> list[tuple]:
+    """``(candidate type, law key, payments to the others)`` for each of
+    player i's ``admissible_candidates`` among ``candidate_types``, in that
+    order, as ``Mechanism.retype`` settles them."""
+    cands = admissible_candidates(x, i, relation, mech.candidate_types(x, i))
+    return [(c, key, others) for c, (_, key, others) in zip(cands, mech.retype(x, i, cands, mass_tol))]

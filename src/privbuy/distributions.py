@@ -153,6 +153,22 @@ class CountDistribution:
         return cls(ks, tuple(atoms[k] for k in ks), truncation_mass)
 
 
+def _tail_index(a: float, one_a: float, log_a: float, m: float) -> int:
+    """Smallest t >= 0 with 2 a^{t+1} / (1+a) <= m, for one_a = 1 + a and
+    log_a = ln a: a guess from logarithms, nudged against float slop to the
+    exact minimizer."""
+    target = m * one_a / 2.0
+    if target >= a:
+        t = 0
+    else:
+        t = max(0, math.ceil(math.log(target) / log_a) - 1)
+    while t > 0 and 2.0 * a**t / one_a <= m:
+        t -= 1
+    while 2.0 * a ** (t + 1) / one_a > m:
+        t += 1
+    return t
+
+
 def window_radius(g: GeomParams, mass_tol: float) -> int:
     """Smallest t >= 0 whose symmetric window leaves out mass <= mass_tol.
 
@@ -164,16 +180,7 @@ def window_radius(g: GeomParams, mass_tol: float) -> int:
     if not (0.0 < mass_tol < 1.0):
         raise ValueError(f"mass_tol must be in (0, 1), got {mass_tol}")
     a = g.alpha
-    target = mass_tol * (1.0 + a) / 2.0
-    if target >= a:
-        t = 0
-    else:
-        t = max(0, math.ceil(math.log(target) / math.log(a)) - 1)
-    # float slop: nudge to the exact minimizer
-    while t > 0 and 2.0 * a**t / (1.0 + a) <= mass_tol:
-        t -= 1
-    while 2.0 * a ** (t + 1) / (1.0 + a) > mass_tol:
-        t += 1
+    t = _tail_index(a, 1.0 + a, math.log(a), mass_tol)
     if 2 * t + 1 > MAX_WINDOW_ATOMS:
         raise ValueError(
             f"epsilon {g.epsilon!r} at mass_tol {mass_tol!r} needs a window of {2 * t + 1} atoms, "
@@ -305,15 +312,7 @@ def sample_geoms(g: GeomParams, rng, trials: int) -> Iterator[int]:
     for _ in range(trials):
         u = getrandbits(64) / 2.0**64  # in [0, 1)
         # magnitude: smallest k >= 0 with CDF(k) = 1 - 2 a^{k+1}/(1+a) >= u
-        target = (1.0 - u) * one_a / 2.0
-        if target >= a:
-            k = 0
-        else:
-            k = max(0, math.ceil(math.log(target) / log_a) - 1)
-        while k > 0 and 2.0 * a**k / one_a <= 1.0 - u:
-            k -= 1
-        while 2.0 * a ** (k + 1) / one_a > 1.0 - u:
-            k += 1
+        k = _tail_index(a, one_a, log_a, 1.0 - u)
         yield -k if k and getrandbits(1) else k
 
 

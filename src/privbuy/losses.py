@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import InputProfile, Mechanism, NeighborRelation, PlayerType
+from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, neighbor_law_keys
 from .distributions import DEFAULT_MASS_TOL, Interval
 
 _INF = math.inf
@@ -75,7 +75,7 @@ def neighbor_distances(
     base = mech.law_key(x, mass_tol)
     distances: dict = {}
     out = []
-    for cand, key in mech.neighbor_law_keys(x, i, relation, mass_tol):
+    for cand, key, _ in neighbor_law_keys(mech, x, i, relation, mass_tol):
         d = distances.get(key)
         if d is None:
             d = distances[key] = mech.law_distance(base, key, mass_tol)
@@ -112,13 +112,13 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
 
     The ratio compares what an adversary (who sees the count and the
     payments to everyone else) assigns to the realized outcome under the
-    true input versus under each neighbor. Laws are read through law keys,
-    one ``log_pmf_table`` per distinct neighbor key, and the payments
-    through ``others_pays``. For the bundled mechanisms the payments to
-    j != i never depend on player i, so the ratio reduces to a count-law
-    ratio; a payment mismatch shows up as an infinite ratio. A
-    zero-probability denominator against a positive numerator yields +inf
-    loss, which is reported, never clipped.
+    true input versus under each neighbor. ``Mechanism.retype`` settles the
+    declaration, the truth and each neighbor to a law key, read through one
+    ``log_pmf_table`` per distinct key, and to the payments to the others.
+    For the bundled mechanisms the payments to j != i never depend on
+    player i, so the ratio reduces to a count-law ratio; a payment mismatch
+    shows up as an infinite ratio. A zero-probability denominator against a
+    positive numerator yields +inf loss, which is reported, never clipped.
 
     The expectation runs over the truncated output law of the declared
     profile; the enclosure widens by truncation_mass times the largest |loss|
@@ -131,21 +131,20 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
             raise ValueError("loss model is bound to a different mechanism")
         truth = x.players[i]
         lied = PlayerType(truth.bit, declared)
-        dist = mech.key_law(mech.law_key(x.with_player(i, lied), mass_tol), mass_tol)
-        p_minus = mech.others_pays(x, i, lied)
+        (_, lied_key, p_minus), (_, truth_key, truth_others) = mech.retype(x, i, (lied, truth), mass_tol)
+        dist = mech.key_law(lied_key, mass_tol)
         v = truth.valuation
         if v == 0.0:
             return Interval(0.0, 0.0)
         # a neighbor is read through its law key and whether it pays the others alike
-        nbrs = mech.neighbor_law_keys(x, i, relation, mass_tol)
-        rows = dict.fromkeys((key, mech.others_pays(x, i, cand) == p_minus) for cand, key in nbrs)
+        nbrs = neighbor_law_keys(mech, x, i, relation, mass_tol)
+        rows = dict.fromkeys((key, others == p_minus) for _, key, others in nbrs)
         if not rows:
             raise ValueError(f"no admissible {relation.value} candidates for player {i}")
         support = dist.support
         # an outcome whose others' pays differ from the declaration's is impossible
         impossible = (-_INF,) * len(support)
-        num_ok = mech.others_pays(x, i, truth) == p_minus
-        cur = mech.log_pmf_table(mech.law_key(x, mass_tol), support) if num_ok else impossible
+        cur = mech.log_pmf_table(truth_key, support) if truth_others == p_minus else impossible
         best = [-_INF] * len(support)
         for key, den_ok in rows:
             nb = mech.log_pmf_table(key, support) if den_ok else impossible

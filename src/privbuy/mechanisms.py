@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
-from .core import (
-    InputProfile,
-    Mechanism,
-    NeighborRelation,
-    PlayerType,
-    admissible_candidates,
-    finite_valuation,
-    is_int,
-)
+from .core import InputProfile, Mechanism, PlayerType, is_int
 from .distributions import (
     DEFAULT_MASS_TOL,
     CountDistribution,
@@ -132,21 +124,12 @@ class CountedMechanism(Mechanism):
         p = x.players[i]
         return self._counted(x.players) - (p.bit if self.counts(p.valuation) else 0)
 
-    def declare(self, x: InputProfile, i: int, values, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
-        # one test of ``counts`` keys each declaration, and no one else's pay moves
+    def retype(self, x: InputProfile, i: int, types, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
+        # one test of ``counts`` keys each type, and a pay reads only its own
+        # player's type: player i moves no one else's
         _require_player(self, x, i)
-        others, bit = self.others_key(x, i), x.players[i].bit
-        return [(self.pay(bit, v), others + bit if self.counts(v) else others) for v in map(finite_valuation, values)]
-
-    def neighbor_law_keys(
-        self, x: InputProfile, i: int, relation: NeighborRelation, mass_tol: float = DEFAULT_MASS_TOL
-    ) -> list[tuple[PlayerType, int]]:
-        _require_player(self, x, i)
-        others = self.others_key(x, i)
-        return [
-            (c, others + c.bit if self.counts(c.valuation) else others)
-            for c in admissible_candidates(x, i, relation, self.candidate_types(x, i))
-        ]
+        others, counts, pay = self.others_key(x, i), self.counts, self.pay
+        return [(pay(t.bit, t.valuation), others + t.bit if counts(t.valuation) else others, ()) for t in types]
 
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
         self.require_profile(x)
@@ -156,10 +139,6 @@ class CountedMechanism(Mechanism):
         self.require_profile(x)
         p = x.players[i]
         return self.pay(p.bit, p.valuation)
-
-    def others_pays(self, x: InputProfile, i: int, player: PlayerType) -> tuple:
-        # a pay reads only its own player's type: player i moves no one else's
-        return ()
 
     def max_zero_valuation_pay(self) -> float:
         # a pay reads only its own type, so both bits at valuation 0 cover every bit vector
@@ -339,9 +318,10 @@ class PayDeclaredMechanism(ShiftedGeometricMechanism):
     def pay(self, bit: int, valuation: float) -> float:
         return valuation * self.epsilon
 
-    def deviation_valuations(self, x: InputProfile, i: int) -> tuple[float, ...]:
-        v = x.players[i].valuation
-        return tuple(dict.fromkeys((0.0, v + 1.0, 100.0 * (abs(v) + 1.0), v)))
+    def deviation_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
+        p = x.players[i]
+        vals = dict.fromkeys((0.0, p.valuation + 1.0, 100.0 * (abs(p.valuation) + 1.0), p.valuation))
+        return tuple(PlayerType(p.bit, v) for v in vals)
 
     def claimed_truthful_players(self, x: InputProfile) -> tuple[int, ...]:
         return ()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
-from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, is_int
+from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, is_int, neighbor_law_keys
 from .distributions import DEFAULT_MASS_TOL, Interval, dp_level
 from .losses import LossModel, loss_expectation, neighbor_distances
 
@@ -137,33 +137,40 @@ def check_truthful(
 ) -> CheckResult:
     """No deviation in the grid beats the truthful declaration.
 
-    ``Mechanism.declare`` settles every declaration to a pay and a law key.
-    A deviation with the truth's key (identical output law and payments to
-    the other players) is settled exactly when the model respects identical
-    output distributions: the loss terms cancel and the utility gap is the
-    payment difference. Everything else is compared interval-soundly: the
-    truth's utility lower bound against the deviation's upper bound.
+    ``deviations`` are valuations player i may declare instead, by default
+    the valuations of ``Mechanism.deviation_types``. ``Mechanism.retype``
+    settles the truth and every deviation to a pay, a law key and the
+    payments to the other players. A deviation with the truth's key and
+    others' pays (identical output law and payments to the other players)
+    is settled exactly when the model respects identical output
+    distributions: the loss terms cancel and the utility gap is the payment
+    difference. Everything else is compared interval-soundly: the truth's
+    utility lower bound against the deviation's upper bound.
     """
     mech.require_profile(x)
-    truth = x.players[i].valuation
-    devs = tuple(deviations) if deviations is not None else mech.deviation_valuations(x, i)
+    truth = x.players[i]
+    if deviations is None:
+        devs = mech.deviation_types(x, i)
+    else:
+        devs = tuple(PlayerType(truth.bit, v) for v in deviations)
     if not devs:
         raise ValueError("deviations must be nonempty")
 
-    # the truth is settled from its own value, so a -0.0 keeps its sign
-    (truth_pay, truth_key), *settled = mech.declare(x, i, (truth,) + devs, mass_tol)
+    # the truth is settled as its own type, so a -0.0 keeps its sign
+    (truth_pay, truth_key, truth_others), *settled = mech.retype(x, i, (truth,) + devs, mass_tol)
     truth_loss = None  # computed lazily; identical-law deviations never need it
 
     # one certified profitable deviation fails the check no matter what the
     # other deviations' enclosures look like, so verdicts are bucketed
     by_verdict = {PASS: [], FAIL: [], INCONCLUSIVE: []}
-    for dev, (dev_pay, dev_key) in zip(devs, settled):
-        if dev_key == truth_key and model.respects_identical_output_dists:
+    for dev_type, (dev_pay, dev_key, dev_others) in zip(devs, settled):
+        dev = dev_type.valuation
+        if dev_key == truth_key and dev_others == truth_others and model.respects_identical_output_dists:
             margin = truth_pay - dev_pay
             verdict = PASS if margin >= 0.0 else FAIL
         else:
             if truth_loss is None:
-                truth_loss = loss_expectation(model, mech, x, i, truth, mass_tol)
+                truth_loss = loss_expectation(model, mech, x, i, truth.valuation, mass_tol)
             dev_loss = loss_expectation(model, mech, x, i, dev, mass_tol)
             margin = (truth_pay - truth_loss.hi) - (dev_pay - dev_loss.lo)
             if margin >= 0.0:
@@ -323,7 +330,7 @@ def check_dp(
     out = []
     for i in range(x.n):
         worst, worst_nbr = 0.0, None
-        for cand, key in mech.neighbor_law_keys(x, i, relation, mass_tol):
+        for cand, key, _ in neighbor_law_keys(mech, x, i, relation, mass_tol):
             level = levels.get(key)
             if level is None:
                 level = levels[key] = dp_level(base, mech.key_law(key, mass_tol))

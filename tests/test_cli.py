@@ -467,3 +467,66 @@ def test_run_names_theta_when_two_theta_overflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: mechanism: 2 theta" in err and "must be finite" in err
     assert not (tmp_path / "report.json").exists()
+
+
+HUGE = 10**400  # json.dumps writes every digit, and json.load reads back an int
+
+
+BEYOND = "must be finite, got an integer beyond the float range"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"mechanism": {"name": "alg1", "budget": HUGE, "epsilon": 0.5, "n": 4}}, f"mechanism.budget: {BEYOND}"),
+        ({"checks": [{"check": "dp", "bound": HUGE}]}, f"checks[0].bound: {BEYOND}"),
+        ({"checks": [{"check": "dp", "bound": -HUGE}]}, f"checks[0].bound: {BEYOND}"),
+        ({"mechanism": {"name": "alg1", "budget": 8.0, "epsilon": 0.5, "n": HUGE}}, "mechanism: int too large to convert to float"),
+        (
+            {"profiles": [{"bits": [1, 0, 0, 1], "valuations": [HUGE, 0.0, 0.0, 0.0]}]},
+            f"profiles[0]: valuation {BEYOND}",
+        ),
+        ({"checks": [{"check": "truthful", "deviations": [-HUGE]}]}, f"checks[0].deviations: valuation {BEYOND}"),
+    ],
+    ids=["budget", "bound", "negative_bound", "n", "valuation", "deviation"],
+)
+def test_run_refuses_integers_beyond_the_float_range(tmp_path, capsys, overrides, message):
+    cfg = base_config(tmp_path, **overrides)
+    assert main(["run", write_config(tmp_path, "huge.json", cfg)]) == 3
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_refuses_an_integer_literal_above_the_digit_limit(tmp_path, capsys):
+    # json.load raises a plain ValueError, not a JSONDecodeError, for it
+    path = tmp_path / "digits.json"
+    path.write_text('{"mechanism": {"name": "alg1", "budget": ' + "9" * 5000 + "}}", encoding="utf-8")
+    assert main(["run", str(path)]) == 3
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["csv", "report"])
+@pytest.mark.parametrize("path", [None, "", 1, ["r.csv"]], ids=["null", "empty", "int", "list"])
+def test_run_refuses_output_paths_that_are_not_strings(tmp_path, capsys, key, path):
+    # an int would reach open() as a file descriptor: 1 is stdout. A
+    # subprocess keeps a lost guard from closing this process's stdout.
+    cfg = base_config(tmp_path)
+    cfg["output"][key] = path
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "privbuy.cli", "run", write_config(tmp_path, "out.json", cfg)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert f"config error: output.{key}: must be a non-empty file path, got {path!r}" in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "report.csv").exists() and not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("key", ["csv", "report"])
+def test_run_exits_three_when_a_report_cannot_be_written(tmp_path, capsys, key):
+    cfg = base_config(tmp_path)
+    cfg["output"][key] = str(tmp_path / "missing" / f"report.{key}")
+    assert main(["run", write_config(tmp_path, "out.json", cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"config error: output.{key}: " in err and "No such file or directory" in err

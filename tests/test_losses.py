@@ -353,7 +353,7 @@ def test_memo_matches_unmemoized_expectation(factory):
             plain = dataclasses.replace(model, expectation_key=None)
             for x in _memo_grid(mech, n):
                 for i in range(n):
-                    for declared in mech.deviation_valuations(x, i):
+                    for declared in (t.valuation for t in mech.deviation_types(x, i)):
                         calls.append((model, plain, mech, x, i, declared))
     random.Random(0).shuffle(calls)
     clear_expectation_cache()
@@ -380,7 +380,7 @@ def _memo_inputs(mech, x, i):
     cands = mech.candidate_types(x, i)
     bit = x.players[i].bit
     changed = [x.with_player(i, t) for t in cands] + [
-        x.with_player(i, PlayerType(bit, d)) for d in mech.deviation_valuations(x, i)
+        x.with_player(i, PlayerType(bit, t.valuation)) for t in mech.deviation_types(x, i)
     ]
     pms = [pays_minus(y) for y in [x] + changed]
     return (
@@ -529,7 +529,8 @@ def test_keyed_expectation_matches_the_profile_building_one(name):
             expectation = tight_dp_loss(mech, relation).expectation
             for x in _memo_grid(mech, n):
                 for i in range(n):
-                    for declared in dict.fromkeys(mech.deviation_valuations(x, i) + (1e300, -5.0)):
+                    grid = [t.valuation for t in mech.deviation_types(x, i)]
+                    for declared in dict.fromkeys(grid + [1e300, -5.0]):
                         try:
                             want = _built_expectation(mech, relation, x, i, declared)
                         except ValueError as exc:
@@ -552,9 +553,9 @@ def test_keyed_expectation_calls_no_pay_vector_and_no_default_neighbor_keys(monk
 
         return hook
 
-    # the default builds a profile per candidate; CountedMechanism defines
+    # the default retype builds a profile per type; CountedMechanism defines
     # the one pay_vector of the bundled mechanisms
-    monkeypatch.setattr(Mechanism, "neighbor_law_keys", refuse("neighbor_law_keys"))
+    monkeypatch.setattr(Mechanism, "retype", refuse("retype"))
     monkeypatch.setattr(CountedMechanism, "pay_vector", refuse("pay_vector"))
     for name in ("alg1", "alg1_prime", "pay_declared", "subsample", "exact_sum"):
         mech = MEMO_MECHANISMS[name](3)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType
+from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType, neighbor_law_keys
 from privbuy.distributions import GeomParams, dp_level, shifted_geom_dist, statistical_distance, window_radius
 from privbuy.mechanisms import (
     BudgetParams,
@@ -23,7 +23,10 @@ from privbuy.mechanisms import (
     subsample,
 )
 
-from conftest import ConstantMechanism, bit_vectors, neighbor_profiles, oracle_sample_geom, profile
+from privbuy.losses import zero_loss
+from privbuy.verifiers import check_truthful
+
+from conftest import ConstantMechanism, SwapPayMechanism, bit_vectors, neighbor_profiles, oracle_sample_geom, profile
 
 LN2 = math.log(2.0)
 
@@ -37,9 +40,8 @@ def test_alg1_worked_example():
     assert mech.params.theta == pytest.approx(2.0)
     assert mech.pay_vector(x) == (2.0, 0.0, 2.0, 2.0)
     assert mech.law_key(x) == 2
-    out = mech.sample(x, 11)
-    assert out.payments == (2.0, 0.0, 2.0, 2.0)
-    assert mech.sample(x, 11) == out  # deterministic given the seed
+    counts = list(mech.sample_counts(x, 11, 5))
+    assert list(mech.sample_counts(x, 11, 5)) == counts  # deterministic given the seed
 
 
 def test_alg1_all_indifferent_pays_everyone():
@@ -288,8 +290,8 @@ def test_subsample_full_sample_is_exact():
     x = profile([1, 0, 1, 1], [2.0, 0.0, 1.0, 9.0])
     d = mech.output_dist(x)
     assert d.support == (3,) and d.probs == (1.0,)
-    out = mech.sample(x, 3)
-    assert out.count == 3 and out.payments == (1.5,) * 4
+    assert list(mech.sample_counts(x, 3, 5)) == [3] * 5
+    assert mech.pay_vector(x) == (1.5,) * 4
 
 
 def test_subsample_law_matches_subset_enumeration():
@@ -371,7 +373,7 @@ def test_exact_sum_point_mass():
     d = mech.output_dist(x)
     assert d.support == (2,) and d.probs == (1.0,) and d.truncation_mass == 0.0
     assert mech.pay_vector(x) == (0.0,) * 3
-    assert mech.sample(x, 0).count == 2
+    assert list(mech.sample_counts(x, 0, 3)) == [2] * 3
     assert exact_sum(3, flat_pay=1.5).pay_vector(x) == (1.5,) * 3
 
 
@@ -417,8 +419,7 @@ def test_empirical_law_matches_output_dist(mech, x):
     rng = random.Random(99)
     trials = 20000
     freq = {}
-    for _ in range(trials):
-        c = mech.sample(x, rng).count
+    for c in mech.sample_counts(x, rng, trials):
         freq[c] = freq.get(c, 0) + 1
     d = mech.output_dist(x)
     for k, p in zip(d.support, d.probs):
@@ -457,7 +458,7 @@ def test_sample_counts_draw_the_one_draw_stream(mech, seed, trials):
     x = profile([1, 1, 0, 1, 0, 1], [0.0, 3.0, 0.5, 0.1, 2.0, 0.2])
     rng_a, rng_b, rng_c = random.Random(seed), random.Random(seed), random.Random(seed)
     batch = list(mech.sample_counts(x, rng_a, trials))
-    assert batch == [mech.sample(x, rng_b).count for _ in range(trials)]
+    assert batch == [c for _ in range(trials) for c in mech.sample_counts(x, rng_b, 1)]
     assert batch == [one_draw_oracle(mech, x, rng_c) for _ in range(trials)]
     assert rng_a.getstate() == rng_b.getstate() == rng_c.getstate()
     assert list(mech.sample_counts(x, seed, trials)) == batch  # a seed int works too
@@ -467,15 +468,6 @@ def test_sample_counts_check_the_profile_before_drawing():
     mech = alg1(6.0, 0.5, 6)
     with pytest.raises(ValueError, match="players"):
         mech.sample_counts(profile([1, 0], [0.0, 0.0]), 0, 10)
-
-
-def test_expected_pay_matches_sampled_payments():
-    mech = alg1(8.0, 0.5, 4)
-    x = profile([1, 1, 0, 1], [1.0, 3.0, 0.0, 2.0])
-    rng = random.Random(5)
-    for i in range(4):
-        draws = [mech.sample(x, rng).payments[i] for _ in range(50)]
-        assert sum(draws) / len(draws) == mech.expected_pay(x, i)  # deterministic payments
 
 
 @pytest.mark.parametrize(
@@ -509,7 +501,7 @@ def test_budget_candidates_and_deviations_match_their_expressions(budget, eps, n
                 for i in range(n):
                     got, want = mech.candidate_types(x, i), old_candidates(mech, x, i)
                     assert list(map(repr, got)) == list(map(repr, want)), (mech.name, str(x), i)
-                    got, want = mech.deviation_valuations(x, i), old_grid(mech, x, i)
+                    got, want = [t.valuation for t in mech.deviation_types(x, i)], old_grid(mech, x, i)
                     assert list(map(repr, got)) == list(map(repr, want)), (mech.name, str(x), i)
 
 
@@ -526,46 +518,76 @@ def test_default_log_pmf_table_reads_a_law_stored_in_full():
         Mechanism.log_pmf_table(mech, 2, (2,))
 
 
-# --- declare ---------------------------------------------------------------
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_deviation_types_are_the_valuation_grid(n):
+    # the valuation grids deviation_valuations returned, kept here as oracles:
+    # the default's candidate valuations plus the truth, and pay_declared's
+    # four points; every type holds player i's bit
+    def old_grid(mech, x, i):
+        v = x.players[i].valuation
+        if mech.name == "pay_declared":
+            return tuple(dict.fromkeys((0.0, v + 1.0, 100.0 * (abs(v) + 1.0), v)))
+        return tuple(dict.fromkeys([t.valuation for t in mech.candidate_types(x, i)] + [v]))
 
-def _declared_values(theta):
-    return (0.0, -0.0, theta, math.nextafter(theta, math.inf), math.nextafter(theta, -math.inf), 2.0 * theta, -1.0, 1e300)
+    mechs, vals = _law_key_cases(n)
+    for mech in mechs:
+        for bits in bit_vectors(n):
+            for shift in range(len(vals)):
+                x = profile(bits, [vals[(j + shift) % len(vals)] for j in range(n)])
+                for i in range(n):
+                    got = mech.deviation_types(x, i)
+                    assert {t.bit for t in got} == {x.players[i].bit}
+                    want = old_grid(mech, x, i)
+                    assert [repr(t.valuation) for t in got] == list(map(repr, want)), (mech.name, str(x), i)
+
+
+# --- retype ------------------------------------------------------------------
+
+def _partition(items):
+    """For each item, the index of the first item equal to it: two lists
+    with equal partitions have the same equalities."""
+    return [next(j for j, b in enumerate(items) if b == a) for a in items]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_declare_matches_the_profile_building_default(n):
-    theta = alg1(2.0 * n, 0.5, n).params.theta
-    values = _declared_values(theta)
-    for mech in _every_mechanism(n):
+def test_retype_matches_the_profile_building_default(n):
+    theta = BudgetParams(2.0 * n, 0.5, n).theta
+    vals = (0.0, -0.0, theta, math.nextafter(theta, math.inf), math.nextafter(theta, -math.inf), 2.0 * theta, -1.0, 1e300)
+    types = tuple(PlayerType(b, v) for v in vals for b in (0, 1))
+    mechs = list(_every_mechanism(n)) + ([SwapPayMechanism()] if n == 2 else [])
+    for mech in mechs:
         for bits in bit_vectors(n):
-            for vals in itertools.product((0.0, theta, 2.0 * theta), repeat=n):
-                x = profile(bits, vals)
+            # rotating the grid puts every valuation at every player
+            for shift in range(len(vals)):
+                x = profile(bits, [vals[(j + shift) % len(vals)] for j in range(n)])
                 for i in range(n):
-                    got = mech.declare(x, i, values)
-                    want = Mechanism.declare(mech, x, i, values)
-                    assert len(got) == len(want) == len(values)
-                    for (pay, _), (want_pay, _) in zip(got, want):
+                    got = mech.retype(x, i, types)
+                    want = Mechanism.retype(mech, x, i, types)
+                    assert len(got) == len(want) == len(types)
+                    for (pay, _, _), (want_pay, _, _) in zip(got, want):
                         assert pay == want_pay and math.copysign(1.0, pay) == math.copysign(1.0, want_pay), mech.name
-                    for (_, ka), (_, wa) in zip(got, want):
-                        for (_, kb), (_, wb) in zip(got, want):
-                            assert (ka == kb) == (wa == wb), (mech.name, str(x), i)
+                    for part in (1, 2):  # keys, then the others' pays
+                        got_part = _partition([r[part] for r in got])
+                        assert got_part == _partition([r[part] for r in want]), (mech.name, str(x), i, part)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_declare_rejects_values_that_are_not_finite(bad):
+    # a declared deviation becomes player i's type, which refuses it
     x = profile([1, 0], [0.5, 1.0])
     for mech in _every_mechanism(2):
         with pytest.raises(ValueError, match="valuation must be finite"):
-            mech.declare(x, 0, (0.0, bad))
+            check_truthful(mech, zero_loss(), x, 0, (0.0, bad))
 
 
-def test_declare_checks_the_profile_and_the_player():
+def test_retype_checks_the_profile_and_the_player():
+    t = (PlayerType(0, 0.0),)
     for mech in _every_mechanism(2):
         with pytest.raises(ValueError, match="players"):
-            mech.declare(profile([1, 0, 1], [0.0, 0.0, 0.0]), 0, (0.0,))
+            mech.retype(profile([1, 0, 1], [0.0, 0.0, 0.0]), 0, t)
         for i in (-1, 2):
             with pytest.raises(IndexError):
-                mech.declare(profile([1, 0], [0.0, 0.0]), i, (0.0,))
+                mech.retype(profile([1, 0], [0.0, 0.0]), i, t)
 
 
 # --- neighbour law keys ------------------------------------------------------
@@ -595,10 +617,10 @@ def test_neighbor_law_keys_match_the_built_neighbor_profiles(n):
                 assert mech.key_law(base_key) == base
                 for i in range(n):
                     for rel in (NeighborRelation.GENERAL, NeighborRelation.MONOTONIC):
-                        keyed = mech.neighbor_law_keys(x, i, rel)
+                        keyed = neighbor_law_keys(mech, x, i, rel)
                         built = neighbor_profiles(mech, x, i, rel)
-                        assert [c for c, _ in keyed] == [y.players[i] for y in built]
-                        for (_, key), y in zip(keyed, built):
+                        assert [c for c, _, _ in keyed] == [y.players[i] for y in built]
+                        for (_, key, _), y in zip(keyed, built):
                             law = mech.output_dist(y)
                             assert key == mech.law_key(y) and mech.key_law(key) == law
                             got, want = mech.law_distance(base_key, key), statistical_distance(base, law)
@@ -616,8 +638,8 @@ def test_counted_others_pays_group_types_as_the_default_does(n):
                 x = profile(bits, [vals[(j + shift) % len(vals)] for j in range(n)])
                 for i in range(n):
                     types = mech.candidate_types(x, i) + tuple(PlayerType(b, v) for b in (0, 1) for v in vals)
-                    got = {mech.others_pays(x, i, t) for t in types}
-                    want = {Mechanism.others_pays(mech, x, i, t) for t in types}
+                    got = {others for _, _, others in mech.retype(x, i, types)}
+                    want = {others for _, _, others in Mechanism.retype(mech, x, i, types)}
                     assert len(got) == len(want) == 1, (mech.name, str(x), i)
 
 

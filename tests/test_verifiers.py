@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from privbuy.core import InputProfile, NeighborRelation
+from privbuy.core import InputProfile, NeighborRelation, PlayerType
 from privbuy.distributions import Interval
 from privbuy.losses import loss_expectation, tight_dp_loss, zero_loss
 from privbuy.mechanisms import ShiftedGeometricMechanism
@@ -123,12 +123,12 @@ def test_truthful_requires_deviations():
 
 
 def parent_check_truthful(mech, model, x, i, deviations=None, mass_tol=1e-12, profile_id=""):
-    """The profile-building check_truthful that Mechanism.declare replaced,
-    kept verbatim as the differential oracle: a profile and a law for every
+    """The profile-building check_truthful that Mechanism.retype replaced,
+    kept as the differential oracle: a profile and a law for every
     deviation, compared by law alone."""
     mech.require_profile(x)
     truth = x.players[i].valuation
-    devs = tuple(deviations) if deviations is not None else mech.deviation_valuations(x, i)
+    devs = tuple(deviations) if deviations is not None else tuple(t.valuation for t in mech.deviation_types(x, i))
     if not devs:
         raise ValueError("deviations must be nonempty")
     truth_pay = mech.expected_pay(x, i)
@@ -180,7 +180,7 @@ def _assert_matches_parent(mech, model, xs, extras):
         for i in range(x.n):
             grids = [None]
             for extra in extras:
-                grids.append(tuple(dict.fromkeys(tuple(mech.deviation_valuations(x, i)) + extra)))
+                grids.append(tuple(dict.fromkeys(tuple(t.valuation for t in mech.deviation_types(x, i)) + extra)))
             for devs in grids:
                 want = parent_check_truthful(mech, model, x, i, devs, profile_id="p")
                 assert repr(check_truthful(mech, model, x, i, devs, profile_id="p")) == repr(want)
@@ -236,6 +236,50 @@ def test_truthful_on_alg1_builds_no_profile_and_no_law(monkeypatch):
     results = [check_truthful(mech, model, x, i, (0.0, theta, 2.0 * theta, 1e300, -1.0)) for model, x, i in cases]
     assert [r.verdict for r in results] == [PASS, PASS]
     assert built == [] and laws == []
+
+
+def test_truthful_default_grid_builds_no_type_and_skips_the_default_retype(monkeypatch):
+    from privbuy import core
+
+    mechs = [alg1(8.0, 0.5, 4), alg1_prime(8.0, 0.5, 4), pay_declared(0.5, 4), subsample(1.0, 2, 4), exact_sum(4)]
+    theta = mechs[0].params.theta
+    landmarks = (0.0, theta, 2.0 * theta, theta)
+    xs = [profile(b, v) for b in itertools.product((0, 1), repeat=4) for v in (landmarks, (theta / 2.0, 3.0 * theta, -0.0, 1e300))]
+    models = {m.name: tight_dp_loss(m, MON) for m in mechs}
+    built, default = [], []
+    original_post_init = PlayerType.__post_init__
+
+    def counted_post_init(self):
+        built.append(1)
+        original_post_init(self)
+
+    def default_retype(self, *args, **kwargs):
+        default.append(self.name)
+        raise AssertionError("Mechanism.retype called")
+
+    monkeypatch.setattr(PlayerType, "__post_init__", counted_post_init)
+    monkeypatch.setattr(core.Mechanism, "retype", default_retype)
+    for mech in mechs:
+        for x in xs:
+            for i in range(x.n):
+                check_truthful(mech, models[mech.name], x, i)
+    assert default == []
+    for mech in mechs[:2]:
+        for x in xs:
+            for i in range(x.n):
+                # the budget grid reuses candidate and truth objects
+                built.clear()
+                mech.candidate_types(x, i)
+                by_candidates = len(built)
+                built.clear()
+                mech.deviation_types(x, i)
+                assert len(built) == by_candidates
+        # with the loss memo warm, landmark valuations build no type at all
+        built.clear()
+        for x in xs[::2]:
+            for i in range(x.n):
+                check_truthful(mech, models[mech.name], x, i)
+        assert built == []
 
 
 @pytest.mark.parametrize("relation", [GEN, MON], ids=lambda r: r.value)
