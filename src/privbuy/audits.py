@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, product, repeat
-from operator import is_not, itemgetter, ne
+from itertools import compress
+from operator import is_not, ne
 from typing import Callable, Optional
 
-from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, require_scannable
+from .core import InputProfile, Mechanism, NeighborRelation, PlayerType
 from .distributions import DEFAULT_MASS_TOL, Interval
 from .losses import LossModel, loss_expectation, neighbor_distances
 from .verifiers import (
@@ -313,11 +313,10 @@ def audit_general_impossibility(
         return _report(audit, mech, None, (), details, (("delta", delta), ("n", float(n))),
                        {PAYMENTS_VIOLATED: [(None, unbounded)]})
 
-    # every bit vector in mask order (bit j of mask is player j's bit), so
-    # ties in max resolve as they always have
-    require_scannable(n, "the general audit's threshold")
-    bit_vectors = map(itemgetter(slice(None, None, -1)), product((0, 1), repeat=n))
-    threshold = max(map(model.threshold_fn, repeat(pay_cap), bit_vectors, repeat((0.0,) * (n - 1))))
+    # T is read only where the IR step needs L >= T: at probe 2i+1, whose
+    # bits are i+1 ones then zeros and whose other valuations are all 0
+    zeros = (0.0,) * (n - 1)
+    threshold = max(model.threshold_fn(pay_cap, (1,) * (i + 1) + (0,) * (n - 1 - i), zeros) for i in range(n))
     details.append(f"threshold valuation: L = {threshold:g}")
 
     inputs = [_zeros(n)]

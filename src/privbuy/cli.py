@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -32,7 +33,15 @@ from .audits import (
     audit_payment_accuracy_tradeoff,
 )
 from .core import InputProfile, Mechanism, NeighborRelation, finite_valuation, is_int
-from .distributions import DEFAULT_MASS_TOL, GeomParams, dp_level, shifted_geom_dist, statistical_distance, window_radius
+from .distributions import (
+    DEFAULT_MASS_TOL,
+    MAX_SAMPLE_TRIALS,
+    GeomParams,
+    dp_level,
+    shifted_geom_dist,
+    statistical_distance,
+    window_radius,
+)
 from .losses import (
     LossModel,
     growing_sd_model,
@@ -134,6 +143,11 @@ def _relation(value, context: str) -> NeighborRelation:
         raise ConfigError(context, f"unknown relation {value!r}") from exc
 
 
+def _offset_threshold(offset: float):
+    """T(l) = l + ``offset``, as a config's ``threshold_offset`` sets it."""
+    return lambda ell, bits=None, v_minus=None: ell + offset
+
+
 def build_model(cfg: dict, mech: Mechanism) -> LossModel:
     if not isinstance(cfg, dict):
         raise ConfigError("loss_model", "must be an object")
@@ -151,11 +165,9 @@ def build_model(cfg: dict, mech: Mechanism) -> LossModel:
             offset = _number(cfg, "threshold_offset", "loss_model", 1.0)
             return increasing_threshold_model(
                 _number(cfg, "delta", "loss_model"),
-                threshold_fn=lambda ell, bits=None, v_minus=None: ell + offset,
+                threshold_fn=_offset_threshold(offset),
                 relation=_relation(cfg.get("relation", "general"), "loss_model.relation"),
             )
-    except ConfigError:
-        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError("loss_model", str(exc)) from exc
     raise ConfigError("loss_model.kind", f"unknown loss model {kind!r}")
@@ -221,6 +233,8 @@ def parse_config(raw: dict) -> RunConfig:
         # open() would take an int as a file descriptor
         if not (isinstance(path, str) and path):
             raise ConfigError(f"output.{key}", f"must be a non-empty file path, got {path!r}")
+    if output["csv"] == output["report"]:  # both are open at once while they are written
+        raise ConfigError("output.report", "must differ from output.csv")
     return RunConfig(mechanism, loss_model, profiles, checks, seed, float(mass_tol), output, raw)
 
 
@@ -231,6 +245,9 @@ def _players_scope(entry: dict, mech: Mechanism, x: InputProfile, context: str):
     if scope == "claimed":
         return mech.claimed_truthful_players(x)
     if isinstance(scope, list) and all(map(is_int, scope)):
+        for i in scope:
+            if not 0 <= i < x.n:
+                raise ConfigError(f"{context}.players", f"player index {i} out of range for n={x.n}")
         return scope
     raise ConfigError(f"{context}.players", f"expected 'all', 'claimed', or a list of indices, got {scope!r}")
 
@@ -273,6 +290,8 @@ def _run_check(entry, mech, model, profiles, cfg, ctx) -> tuple[list[CheckResult
         trials = entry.get("trials", 10000)
         if not (is_int(trials) and trials >= 1):
             raise ConfigError(f"{ctx}.trials", f"must be an integer >= 1, got {trials!r}")
+        if trials > MAX_SAMPLE_TRIALS:
+            raise ConfigError(f"{ctx}.trials", f"must be at most the cap of {MAX_SAMPLE_TRIALS}")
         for pid, x in each_profile():
             rows.append(
                 check_accuracy(
@@ -298,9 +317,7 @@ def _run_check(entry, mech, model, profiles, cfg, ctx) -> tuple[list[CheckResult
         cap = 1.0 / (6 * mech.player_count) if name == "audit_general" else 1.0 / (3 * mech.player_count)
         delta = _number(entry, "delta", ctx, cap)
         offset = _number(entry, "threshold_offset", ctx, 1.0)
-        audit_model = increasing_threshold_model(
-            delta, threshold_fn=lambda ell, bits=None, v_minus=None: ell + offset, relation=relation
-        )
+        audit_model = increasing_threshold_model(delta, threshold_fn=_offset_threshold(offset), relation=relation)
         fn = audit_general_impossibility if name == "audit_general" else audit_monotonic_impossibility
         audits.append(fn(mech, audit_model, delta=delta, mass_tol=tol))
     elif name == "audit_tradeoff":
@@ -342,8 +359,6 @@ def execute(cfg: RunConfig) -> tuple[int, list[CheckResult], list[AuditReport]]:
             r, a = _run_check(entry, mech, model, cfg.profiles, cfg, f"checks[{idx}]")
             rows.extend(r)
             audits.extend(a)
-    except ConfigError:
-        raise
     except (ValueError, TypeError, IndexError) as exc:
         raise ConfigError("<run>", str(exc)) from exc
     return exit_code_for(rows, audits), rows, audits
@@ -351,28 +366,33 @@ def execute(cfg: RunConfig) -> tuple[int, list[CheckResult], list[AuditReport]]:
 
 def write_reports(cfg: RunConfig, code: int, rows: list[CheckResult], audits: list[AuditReport]) -> None:
     """Write the CSV and the JSON report; a file that cannot be written is a
-    ``ConfigError`` naming its output field."""
+    ``ConfigError`` naming its output field. Both files are opened before
+    either is written, and on such an error the files this run created are
+    removed, so a refused run leaves no half of its output."""
+    report = {
+        "version": __version__,
+        "exit_code": code,
+        "config": cfg.raw,
+        "rows": [r.to_json_dict() for r in rows],
+        "audits": [a.to_json_dict() for a in audits],
+    }
+    fresh = [path for path in cfg.output.values() if not os.path.lexists(path)]
     field = "output.csv"
     try:
-        with open(cfg.output["csv"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+        with open(cfg.output["csv"], "w", newline="", encoding="utf-8") as csv_fh:
+            field = "output.report"
+            with open(cfg.output["report"], "w", encoding="utf-8") as report_fh:
+                json.dump(report, report_fh, indent=2, sort_keys=True)
+                report_fh.write("\n")
+            field = "output.csv"
+            writer = csv.writer(csv_fh)
             writer.writerow(CSV_COLUMNS)
-            for r in rows:
-                writer.writerow(r.as_row())
-            for a in audits:
-                writer.writerow([a.audit, a.mechanism, "", "", a.verdict, "", a.witness])
-        report = {
-            "version": __version__,
-            "exit_code": code,
-            "config": cfg.raw,
-            "rows": [r.to_json_dict() for r in rows],
-            "audits": [a.to_json_dict() for a in audits],
-        }
-        field = "output.report"
-        with open(cfg.output["report"], "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            writer.writerows(r.as_row() for r in rows)
+            writer.writerows([a.audit, a.mechanism, "", "", a.verdict, "", a.witness] for a in audits)
     except OSError as exc:
+        for path in fresh:  # a refused run leaves no half of its output
+            if os.path.lexists(path):
+                os.remove(path)
         raise ConfigError(field, str(exc)) from exc
 
 

@@ -16,8 +16,8 @@ from functools import cached_property
 
 from .distributions import DEFAULT_MASS_TOL, CountDistribution, Interval, statistical_distance
 
-# Largest n whose 2^n bit vectors a scan enumerates; each +2 costs 4x, and
-# n = 24 takes about 6 s on a 2-core x86-64 VM.
+# Largest n the default ``max_zero_valuation_pay`` scans over all 2^n bit
+# vectors; each +2 costs 4x, and n = 24 takes about 6 s on a 2-core x86-64 VM.
 MAX_SCAN_PLAYERS = 24
 
 
@@ -145,12 +145,6 @@ class InputProfile:
         return "(" + ", ".join(str(p) for p in self.players) + ")"
 
 
-def require_scannable(n: int, what: str) -> None:
-    """Refuse a scan over all 2^n bit vectors above ``MAX_SCAN_PLAYERS``."""
-    if n > MAX_SCAN_PLAYERS:
-        raise ValueError(f"{what} scans all 2^n bit vectors; n = {n} is above the cap of {MAX_SCAN_PLAYERS}")
-
-
 def admissible_candidates(
     x: InputProfile,
     i: int,
@@ -229,12 +223,11 @@ class Mechanism(ABC):
         mechanisms with a closed form override it, and tests use this scan
         as their oracle."""
         n = self.player_count
-        require_scannable(n, "the zero-valuation pay cap")
-        best = -math.inf
-        for mask in range(2**n):
-            x = InputProfile.from_arrays([(mask >> j) & 1 for j in range(n)], [0.0] * n)
-            best = max(best, max(self.pay_vector(x)))
-        return best
+        if n > MAX_SCAN_PLAYERS:
+            raise ValueError(f"the zero-valuation pay scan refuses n = {n}, above the cap of {MAX_SCAN_PLAYERS}")
+        zeros = [0.0] * n
+        profiles = (InputProfile.from_arrays([(mask >> j) & 1 for j in range(n)], zeros) for mask in range(2**n))
+        return max(max(self.pay_vector(x)) for x in profiles)
 
     @abstractmethod
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
@@ -329,12 +322,3 @@ class Mechanism(ABC):
         smaller statistic return that statistic."""
         return x.players[:i] + x.players[i + 1 :]
 
-
-def neighbor_law_keys(
-    mech: Mechanism, x: InputProfile, i: int, relation: NeighborRelation, mass_tol: float = DEFAULT_MASS_TOL
-) -> list[tuple]:
-    """``(candidate type, law key, payments to the others)`` for each of
-    player i's ``admissible_candidates`` among ``candidate_types``, in that
-    order, as ``Mechanism.retype`` settles them."""
-    cands = admissible_candidates(x, i, relation, mech.candidate_types(x, i))
-    return [(c, key, others) for c, (_, key, others) in zip(cands, mech.retype(x, i, cands, mass_tol))]

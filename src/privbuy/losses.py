@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, neighbor_law_keys
+from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, admissible_candidates
 from .distributions import DEFAULT_MASS_TOL, Interval
 
 _INF = math.inf
@@ -71,11 +71,13 @@ def neighbor_distances(
 ) -> list[tuple[PlayerType, Interval]]:
     """``(candidate type, certified output-law distance)`` for each
     admissible candidate of player i, one ``law_distance`` per distinct
-    neighbor law key."""
-    base = mech.law_key(x, mass_tol)
+    neighbor law key. One ``retype`` settles the truth's key and every
+    candidate's."""
+    cands = admissible_candidates(x, i, relation, mech.candidate_types(x, i))
+    (_, base, _), *settled = mech.retype(x, i, (x.players[i], *cands), mass_tol)
     distances: dict = {}
     out = []
-    for cand, key, _ in neighbor_law_keys(mech, x, i, relation, mass_tol):
+    for cand, (_, key, _) in zip(cands, settled):
         d = distances.get(key)
         if d is None:
             d = distances[key] = mech.law_distance(base, key, mass_tol)
@@ -92,9 +94,7 @@ def max_neighbor_distance(
 ) -> Interval:
     """Enclosure of the supremum neighbor distance (0 when none exist)."""
     pairs = neighbor_distances(mech, x, i, relation, mass_tol)
-    if not pairs:
-        return Interval(0.0, 0.0)
-    return Interval(max(d.lo for _, d in pairs), max(d.hi for _, d in pairs))
+    return Interval(max((d.lo for _, d in pairs), default=0.0), max((d.hi for _, d in pairs), default=0.0))
 
 
 def zero_loss() -> LossModel:
@@ -131,16 +131,17 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
             raise ValueError("loss model is bound to a different mechanism")
         truth = x.players[i]
         lied = PlayerType(truth.bit, declared)
-        (_, lied_key, p_minus), (_, truth_key, truth_others) = mech.retype(x, i, (lied, truth), mass_tol)
-        dist = mech.key_law(lied_key, mass_tol)
         v = truth.valuation
         if v == 0.0:
             return Interval(0.0, 0.0)
-        # a neighbor is read through its law key and whether it pays the others alike
-        nbrs = neighbor_law_keys(mech, x, i, relation, mass_tol)
-        rows = dict.fromkeys((key, others == p_minus) for _, key, others in nbrs)
-        if not rows:
+        cands = admissible_candidates(x, i, relation, mech.candidate_types(x, i))
+        if not cands:
             raise ValueError(f"no admissible {relation.value} candidates for player {i}")
+        settled = mech.retype(x, i, (lied, truth, *cands), mass_tol)
+        (_, lied_key, p_minus), (_, truth_key, truth_others), *nbrs = settled
+        # a neighbor is read through its law key and whether it pays the others alike
+        rows = dict.fromkeys((key, others == p_minus) for _, key, others in nbrs)
+        dist = mech.key_law(lied_key, mass_tol)
         support = dist.support
         # an outcome whose others' pays differ from the declaration's is impossible
         impossible = (-_INF,) * len(support)

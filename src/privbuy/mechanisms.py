@@ -79,12 +79,6 @@ class SubsampleParams:
             raise ValueError(f"sample_size {self.sample_size} must be < budget C {c}")
 
 
-def _require_player(mech: Mechanism, x: InputProfile, i: int) -> None:
-    mech.require_profile(x)
-    if not 0 <= i < x.n:
-        raise IndexError(f"player index {i} out of range for n={x.n}")
-
-
 class CountedMechanism(Mechanism):
     """A per-player rule plus a law of one count: a bit-1 player whose
     declared valuation ``counts`` adds 1 to the count, and every player is
@@ -127,7 +121,9 @@ class CountedMechanism(Mechanism):
     def retype(self, x: InputProfile, i: int, types, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
         # one test of ``counts`` keys each type, and a pay reads only its own
         # player's type: player i moves no one else's
-        _require_player(self, x, i)
+        self.require_profile(x)
+        if not 0 <= i < x.n:
+            raise IndexError(f"player index {i} out of range for n={x.n}")
         others, counts, pay = self.others_key(x, i), self.counts, self.pay
         return [(pay(t.bit, t.valuation), others + t.bit if counts(t.valuation) else others, ()) for t in types]
 

@@ -10,13 +10,14 @@ would settle it. Truncation can therefore never flip a verdict.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Optional
 
-from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, is_int, neighbor_law_keys
-from .distributions import DEFAULT_MASS_TOL, Interval, dp_level
+from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, admissible_candidates, is_int
+from .distributions import DEFAULT_MASS_TOL, MAX_SAMPLE_TRIALS, Interval, dp_level
 from .losses import LossModel, loss_expectation, neighbor_distances
 
 # two-sided 99% normal quantile for Wilson intervals
@@ -89,15 +90,7 @@ class CheckResult:
         ]
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "mechanism": self.mechanism,
-            "profile": self.profile,
-            "player": self.player,
-            "verdict": self.verdict,
-            "margin": self.margin,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def check_ir(
@@ -223,6 +216,8 @@ def check_accuracy(
     mech.require_profile(x)
     if not (is_int(trials) and trials >= 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if trials > MAX_SAMPLE_TRIALS:
+        raise ValueError(f"trials must be at most the cap of {MAX_SAMPLE_TRIALS}")
     bbar_n = x.bit_sum()
     lo_edge = bbar_n - spec.alpha * x.n
     hi_edge = bbar_n + spec.alpha_prime * x.n
@@ -237,8 +232,6 @@ def check_accuracy(
         out = Interval(out_lo, min(1.0, out_lo + dist.truncation_mass))
         detail = f"Pr[outside ({lo_edge:g}, {hi_edge:g})] in {out}"
     elif method == "monte_carlo":
-        import random
-
         counts = mech.sample_counts(x, random.Random(seed), trials)
         # a generator, so memory does not grow with trials
         misses = sum(1 for c in counts if not lo_edge < c < hi_edge)
@@ -330,7 +323,8 @@ def check_dp(
     out = []
     for i in range(x.n):
         worst, worst_nbr = 0.0, None
-        for cand, key, _ in neighbor_law_keys(mech, x, i, relation, mass_tol):
+        cands = admissible_candidates(x, i, relation, mech.candidate_types(x, i))
+        for cand, (_, key, _) in zip(cands, mech.retype(x, i, cands, mass_tol)):
             level = levels.get(key)
             if level is None:
                 level = levels[key] = dp_level(base, mech.key_law(key, mass_tol))

@@ -305,7 +305,9 @@ def test_chain_compares_player_values_not_identities():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_general_threshold_scan_sees_mask_order(n):
+def test_general_threshold_sees_the_probe_bits_in_chain_order(n):
+    # T is read once per probe hybrid, at that probe's bits and the other
+    # players' valuations, which are all 0 before L is known
     seen = []
 
     def recording_threshold(ell, bits, v_minus):
@@ -313,10 +315,24 @@ def test_general_threshold_scan_sees_mask_order(n):
         return ell + 1.0
 
     model = increasing_threshold_model(1.0 / (6 * n), recording_threshold, GEN)
-    audit_general_impossibility(exact_sum(n, 0.5), model)
-    masks = [tuple((mask >> j) & 1 for j in range(n)) for mask in range(2**n)]
-    assert [bits for _, bits, _ in seen] == masks
+    rep = audit_general_impossibility(exact_sum(n, 0.5), model)
+    probes = rep.chain.inputs[1::2]
+    assert [bits for _, bits, _ in seen] == [x.bits for x in probes]
+    assert [bits for _, bits, _ in seen] == [(1,) * (i + 1) + (0,) * (n - 1 - i) for i in range(n)]
     assert all(ell == 0.5 and v_minus == (0.0,) * (n - 1) for ell, _, v_minus in seen)
+    for i, x in enumerate(probes):
+        assert x.valuations[:i] + x.valuations[i + 1 :] == (0.0,) * (n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_general_threshold_that_reads_the_bits_is_maxed_over_the_probes(n):
+    # T = l + 1 + sum(bits) peaks at the last probe, whose bits are all ones
+    model = increasing_threshold_model(1.0 / (6 * n), lambda ell, bits, v_minus: ell + 1.0 + sum(bits), GEN)
+    rep = audit_general_impossibility(exact_sum(n, 0.5), model)
+    params = dict(rep.params)
+    assert params["L"] == params["P"] + 1.0 + n == 1.5 + n
+    assert rep.chain.thresholds == (1.5 + n,) * n
+    assert [x.players[i].valuation for i, x in enumerate(rep.chain.inputs[1::2])] == [1.5 + n] * n
 
 
 def test_chain_rejects_distance_count_mismatch():

@@ -413,9 +413,17 @@ def test_run_rejects_booleans_and_strings_as_bits_and_valuations(tmp_path, capsy
     assert main(["run", write_config(tmp_path, "numbers.json", _bool_and_string_config(tmp_path))]) == 1
 
 
-def test_run_refuses_a_general_audit_above_the_scan_cap(tmp_path, capsys):
-    # 2^40 bit vectors would never finish; the guard answers at once. A
-    # subprocess with a timeout turns a lost guard into a failure, not a hang.
+def run_cli(tmp_path, name, cfg):
+    """``privbuy run`` in a subprocess, whose timeout turns a hang into a failure."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "privbuy.cli", "run", write_config(tmp_path, name, cfg)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+def test_run_runs_a_general_audit_at_n_40(tmp_path):
+    # the threshold is read at the n probes, not over 2^40 bit vectors
     cfg = {
         "mechanism": {"name": "exact_sum", "n": 40},
         "loss_model": {"kind": "dp_bounded_general"},
@@ -423,14 +431,33 @@ def test_run_refuses_a_general_audit_above_the_scan_cap(tmp_path, capsys):
         "checks": ["audit_general"],
         "output": {"csv": str(tmp_path / "report.csv"), "report": str(tmp_path / "report.json")},
     }
-    path = write_config(tmp_path, "scan.json", cfg)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "privbuy.cli", "run", path], capture_output=True, text=True, timeout=60, env=env
-    )
+    proc = run_cli(tmp_path, "general.json", cfg)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [a["verdict"] for a in report["audits"]] == ["ir_violated"]
+
+
+@pytest.mark.parametrize("trials", [10**6 + 1, 10**400], ids=["cap_plus_one", "huge"])
+def test_run_refuses_monte_carlo_trials_above_the_cap(tmp_path, trials):
+    cfg = base_config(tmp_path, seed=3, checks=[{**MONTE_CARLO, "trials": trials}])
+    proc = run_cli(tmp_path, "trials.json", cfg)
     assert proc.returncode == 3, proc.stderr
-    assert "cap of 24" in proc.stderr
-    assert not (tmp_path / "report.json").exists()
+    assert "config error: checks[0].trials: must be at most the cap of 1000000" in proc.stderr
+    assert not (tmp_path / "report.csv").exists() and not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("check", ["truthful", "distinguishability"])
+@pytest.mark.parametrize("index", [-1, 6, 10**400], ids=["minus_one", "n", "huge"])
+def test_run_refuses_player_indices_outside_the_profile(tmp_path, capsys, check, index):
+    cfg = base_config(
+        tmp_path,
+        mechanism={"name": "alg1", "budget": 8.0, "epsilon": 0.5, "n": 6},
+        profiles=[{"bits": [1, 0, 1, 0, 1, 0], "valuations": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}],
+        checks=[{"check": check, "delta": 0.3, "players": [0, 5, index]}],
+    )
+    assert main(["run", write_config(tmp_path, "players.json", cfg)]) == 3
+    assert "config error: checks[0].players: player index " in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists() and not (tmp_path / "report.json").exists()
 
 
 INF = math.inf  # json.dumps writes it as Infinity, which json.load reads back
@@ -530,3 +557,23 @@ def test_run_exits_three_when_a_report_cannot_be_written(tmp_path, capsys, key):
     assert main(["run", write_config(tmp_path, "out.json", cfg)]) == 3
     err = capsys.readouterr().err
     assert f"config error: output.{key}: " in err and "No such file or directory" in err
+    # neither file is left behind: a failed run writes no half of its output
+    other = "report" if key == "csv" else "csv"
+    assert not Path(cfg["output"][other]).exists()
+
+
+def test_run_keeps_a_csv_it_did_not_create_when_the_report_cannot_be_written(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    cfg["output"]["report"] = str(tmp_path / "missing" / "report.json")
+    Path(cfg["output"]["csv"]).write_text("an older run\n")
+    assert main(["run", write_config(tmp_path, "out.json", cfg)]) == 3
+    assert "config error: output.report: " in capsys.readouterr().err
+    assert Path(cfg["output"]["csv"]).exists()
+
+
+def test_run_refuses_one_path_for_both_outputs(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    cfg["output"]["report"] = cfg["output"]["csv"]
+    assert main(["run", write_config(tmp_path, "out.json", cfg)]) == 3
+    assert "config error: output.report: must differ from output.csv" in capsys.readouterr().err
+    assert not Path(cfg["output"]["csv"]).exists()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType, neighbor_law_keys
+from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType
 from privbuy.distributions import GeomParams, dp_level, shifted_geom_dist, statistical_distance, window_radius
 from privbuy.mechanisms import (
     BudgetParams,
@@ -23,7 +23,7 @@ from privbuy.mechanisms import (
     subsample,
 )
 
-from privbuy.losses import zero_loss
+from privbuy.losses import neighbor_distances, zero_loss
 from privbuy.verifiers import check_truthful
 
 from conftest import ConstantMechanism, SwapPayMechanism, bit_vectors, neighbor_profiles, oracle_sample_geom, profile
@@ -617,13 +617,14 @@ def test_neighbor_law_keys_match_the_built_neighbor_profiles(n):
                 assert mech.key_law(base_key) == base
                 for i in range(n):
                     for rel in (NeighborRelation.GENERAL, NeighborRelation.MONOTONIC):
-                        keyed = neighbor_law_keys(mech, x, i, rel)
                         built = neighbor_profiles(mech, x, i, rel)
-                        assert [c for c, _, _ in keyed] == [y.players[i] for y in built]
-                        for (_, key, _), y in zip(keyed, built):
+                        cands = [y.players[i] for y in built]
+                        pairs = neighbor_distances(mech, x, i, rel)
+                        assert [c for c, _ in pairs] == cands
+                        for (_, key, _), (_, got), y in zip(mech.retype(x, i, cands), pairs, built):
                             law = mech.output_dist(y)
                             assert key == mech.law_key(y) and mech.key_law(key) == law
-                            got, want = mech.law_distance(base_key, key), statistical_distance(base, law)
+                            want = statistical_distance(base, law)
                             assert (got.lo, got.hi) == (want.lo, want.hi), (mech.name, x, i, rel)
 
 

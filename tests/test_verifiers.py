@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from privbuy.core import InputProfile, NeighborRelation, PlayerType
-from privbuy.distributions import Interval
+from privbuy.distributions import MAX_SAMPLE_TRIALS, Interval
 from privbuy.losses import loss_expectation, tight_dp_loss, zero_loss
 from privbuy.mechanisms import ShiftedGeometricMechanism
 from privbuy.mechanisms import alg1, alg1_prime, exact_sum, pay_declared, subsample
@@ -403,6 +403,17 @@ def test_accuracy_rejects_trials_that_are_not_positive_integers(trials):
     for method in ("monte_carlo", "exact"):
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             check_accuracy(alg1(4.0, 0.5, 2), x, AccuracySpec(0.5, 0.5, 0.5), method=method, trials=trials, seed=1)
+
+
+def test_accuracy_caps_monte_carlo_trials():
+    x = profile([1, 0], [0.0, 0.0])
+    spec = AccuracySpec(0.5, 0.5, 0.5)
+    for method in ("monte_carlo", "exact"):
+        with pytest.raises(ValueError, match="trials must be at most the cap of 1000000"):
+            check_accuracy(exact_sum(2), x, spec, method=method, trials=MAX_SAMPLE_TRIALS + 1, seed=1)
+    # the cap itself is allowed; an exact count makes its draws cheap
+    row = check_accuracy(exact_sum(2), x, spec, method="monte_carlo", trials=MAX_SAMPLE_TRIALS, seed=1)
+    assert row.verdict == "pass" and "0/1000000" in row.witness
 
 
 def test_accuracy_spec_validation():
