@@ -172,8 +172,9 @@ def _zeros(n: int) -> InputProfile:
     return InputProfile.from_arrays([0] * n, [0.0] * n)
 
 
-def _consecutive_distances(mech: Mechanism, inputs, mass_tol):
-    keys = [mech.law_key(x, mass_tol) for x in inputs]
+def _consecutive_distances(mech: Mechanism, keys: list, mass_tol):
+    """Step distances between consecutive law keys of a chain, and the
+    end-to-end distance."""
     steps = tuple(mech.law_distance(a, b, mass_tol) for a, b in zip(keys, keys[1:]))
     return steps, mech.law_distance(keys[0], keys[-1], mass_tol)
 
@@ -345,7 +346,7 @@ def audit_general_impossibility(
                       f"P = {pay_cap:g} >= pay {pay_probe:g}", f"chain input {2 * i + 1}")
         max_seen = max(max_seen, hi)
 
-    steps, end = _consecutive_distances(mech, inputs, mass_tol)
+    steps, end = _consecutive_distances(mech, [mech.law_key(x, mass_tol) for x in inputs], mass_tol)
     chain = HybridChain(tuple(inputs), (pay_cap,) * n, (threshold,) * n, steps, end)
     accuracy = (
         check_accuracy(mech, inputs[0], _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_zeros"),
@@ -386,6 +387,10 @@ def audit_monotonic_impossibility(
     max_seen = 0.0
 
     x = hybrids[0]
+    keys = [mech.law_key(x, mass_tol)]
+    # the probe's bits and the others' valuations, moved one entry per step:
+    # players before i hold (1, L_j), the rest (0, 0.0)
+    bits, v_minus = [0] * n, [0.0] * (n - 1)
     for i in range(n):
         probe = x.with_player(i, PlayerType(1, 0.0))
         pay_i = mech.expected_pay(probe, i)
@@ -394,8 +399,11 @@ def audit_monotonic_impossibility(
             details.append(f"step {i}: payment at the probe input is not finite: VIOLATED")
             return _report(audit, mech, None, (), details, (("delta", delta), ("n", float(n))),
                            {PAYMENTS_VIOLATED: [(i, f"payment not finite at step {i}")]})
-        level = model.threshold_fn(pay_i, probe.bits, probe.valuations[:i] + probe.valuations[i + 1 :])
+        bits[i] = 1
+        level = model.threshold_fn(pay_i, tuple(bits), tuple(v_minus))
         after = probe.with_valuation(i, level)
+        if i < n - 1:
+            v_minus[i] = after.players[i].valuation  # the float PlayerType stored
         pay_after = mech.expected_pay(after, i)
         ok = pay_after <= pay_i
         details.append(
@@ -408,13 +416,14 @@ def audit_monotonic_impossibility(
         hi = _ir_step(mech, model, after, query, level, mass_tol, found, details, "hybrid",
                       f"P_{i} = {pay_i:g} >= pay {pay_after:g}", f"hybrid {i + 1}")
         max_seen = max(max_seen, hi)
+        keys.append(mech.law_key(after, mass_tol))  # the neighbour pass just counted it
         probes.append(probe)
         pays.append(pay_i)
         thresholds.append(level)
         hybrids.append(after)
         x = after
 
-    steps, end = _consecutive_distances(mech, hybrids, mass_tol)
+    steps, end = _consecutive_distances(mech, keys, mass_tol)
     chain = HybridChain(tuple(hybrids), tuple(pays), tuple(thresholds), steps, end, probes=tuple(probes))
     accuracy = (
         check_accuracy(mech, hybrids[0], _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_zeros"),
@@ -487,7 +496,7 @@ def audit_payment_accuracy_tradeoff(
         hybrids.append(after)
         x = after
 
-    steps, end = _consecutive_distances(mech, hybrids, mass_tol)
+    steps, end = _consecutive_distances(mech, [mech.law_key(x, mass_tol) for x in hybrids], mass_tol)
     for i, d in enumerate(steps):
         bound = cap / highs[i]
         if d.lo >= bound:

@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 
@@ -233,7 +234,7 @@ def parse_config(raw: dict) -> RunConfig:
         # open() would take an int as a file descriptor
         if not (isinstance(path, str) and path):
             raise ConfigError(f"output.{key}", f"must be a non-empty file path, got {path!r}")
-    if output["csv"] == output["report"]:  # both are open at once while they are written
+    if output["csv"] == output["report"]:  # the report would replace the CSV
         raise ConfigError("output.report", "must differ from output.csv")
     return RunConfig(mechanism, loss_model, profiles, checks, seed, float(mass_tol), output, raw)
 
@@ -366,9 +367,10 @@ def execute(cfg: RunConfig) -> tuple[int, list[CheckResult], list[AuditReport]]:
 
 def write_reports(cfg: RunConfig, code: int, rows: list[CheckResult], audits: list[AuditReport]) -> None:
     """Write the CSV and the JSON report; a file that cannot be written is a
-    ``ConfigError`` naming its output field. Both files are opened before
-    either is written, and on such an error the files this run created are
-    removed, so a refused run leaves no half of its output."""
+    ``ConfigError`` naming its output field. Each output is written to a
+    temporary file beside it (beside a symlink's target, so the run writes
+    through the link), and both are moved into place only once both are
+    written, so a refused run leaves any older output as it was."""
     report = {
         "version": __version__,
         "exit_code": code,
@@ -376,24 +378,41 @@ def write_reports(cfg: RunConfig, code: int, rows: list[CheckResult], audits: li
         "rows": [r.to_json_dict() for r in rows],
         "audits": [a.to_json_dict() for a in audits],
     }
-    fresh = [path for path in cfg.output.values() if not os.path.lexists(path)]
-    field = "output.csv"
+
+    def write_csv(fh):
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(r.as_row() for r in rows)
+        writer.writerows([a.audit, a.mechanism, "", "", a.verdict, "", a.witness] for a in audits)
+
+    def write_report(fh):
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    outputs = (("csv", "", write_csv), ("report", None, write_report))
+    targets = {key: os.path.realpath(cfg.output[key]) for key, _, _ in outputs}
+    if targets["csv"] == targets["report"]:  # two names of one file
+        raise ConfigError("output.report", "must differ from output.csv")
+    for key, target in targets.items():
+        if os.path.isdir(target):  # os.replace would fail there only after replacing the CSV
+            raise ConfigError(f"output.{key}", f"Is a directory: {cfg.output[key]!r}")
+    temps: list[str] = []
     try:
-        with open(cfg.output["csv"], "w", newline="", encoding="utf-8") as csv_fh:
-            field = "output.report"
-            with open(cfg.output["report"], "w", encoding="utf-8") as report_fh:
-                json.dump(report, report_fh, indent=2, sort_keys=True)
-                report_fh.write("\n")
-            field = "output.csv"
-            writer = csv.writer(csv_fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(r.as_row() for r in rows)
-            writer.writerows([a.audit, a.mechanism, "", "", a.verdict, "", a.witness] for a in audits)
+        for key, newline, write in outputs:
+            temp = f"{targets[key]}.{os.getpid()}.tmp"
+            # "x" creates the file as "w" would, so the umask sets its mode
+            with open(temp, "x", newline=newline, encoding="utf-8") as fh:
+                temps.append(temp)
+                write(fh)
+            if os.path.exists(targets[key]):  # an older output keeps its mode, as "w" kept it
+                shutil.copymode(targets[key], temp)
+        for (key, _, _), temp in zip(outputs, temps):
+            os.replace(temp, targets[key])
     except OSError as exc:
-        for path in fresh:  # a refused run leaves no half of its output
-            if os.path.lexists(path):
-                os.remove(path)
-        raise ConfigError(field, str(exc)) from exc
+        for temp in temps:
+            if os.path.lexists(temp):
+                os.remove(temp)
+        raise ConfigError(f"output.{key}", f"{exc.strerror or exc}: {cfg.output[key]!r}") from exc
 
 
 def _print_rows(rows: list[CheckResult]) -> None:

@@ -90,7 +90,19 @@ class CountedMechanism(Mechanism):
     (``key_law``) and its sampler; every key and every payment follows
     here. A subclass that overrides ``counts`` overrides
     ``_counted`` to match.
+
+    Two things are kept on the instance. The last counted profile's
+    ``players`` tuple and its count sit in one slot, held by a strong
+    reference, so ``law_key``, ``others_key`` and ``retype`` on one profile
+    count its players once, and no other tuple can take the held one's
+    identity; threads that race on the slot only miss it. Distances
+    between keys at most one apart, the only pairs a change of one player
+    makes, sit in a table: at most 2n + 1 entries per ``mass_tol``.
     """
+
+    def __init__(self):
+        self._last_count: tuple = (None, 0)
+        self._distances: dict = {}
 
     def counts(self, valuation: float) -> bool:
         """Whether a bit-1 player declaring ``valuation`` is counted."""
@@ -103,20 +115,30 @@ class CountedMechanism(Mechanism):
     def _counted(self, players) -> int:
         return sum([p.bit for p in players])
 
+    def _count(self, x: InputProfile) -> int:
+        """``_counted(x.players)``, read from the one-slot memo when ``x``'s
+        players were the last counted."""
+        players = x.players
+        seen, count = self._last_count
+        if seen is not players:
+            count = self._counted(players)
+            self._last_count = (players, count)
+        return count
+
     @abstractmethod
     def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         """The count law when ``key`` 1-bits are counted."""
 
     def law_key(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> int:
         self.require_profile(x)
-        return self._counted(x.players)
+        return self._count(x)
 
     def output_dist(self, x: InputProfile, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         return self.key_law(self.law_key(x, mass_tol), mass_tol)
 
     def others_key(self, x: InputProfile, i: int) -> int:
         p = x.players[i]
-        return self._counted(x.players) - (p.bit if self.counts(p.valuation) else 0)
+        return self._count(x) - (p.bit if self.counts(p.valuation) else 0)
 
     def retype(self, x: InputProfile, i: int, types, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
         # one test of ``counts`` keys each type, and a pay reads only its own
@@ -126,6 +148,16 @@ class CountedMechanism(Mechanism):
             raise IndexError(f"player index {i} out of range for n={x.n}")
         others, counts, pay = self.others_key(x, i), self.counts, self.pay
         return [(pay(t.bit, t.valuation), others + t.bit if counts(t.valuation) else others, ()) for t in types]
+
+    def law_distance(self, k1: int, k2: int, mass_tol: float = DEFAULT_MASS_TOL) -> Interval:
+        if abs(k1 - k2) > 1:
+            return super().law_distance(k1, k2, mass_tol)
+        # statistical_distance is symmetric: |p - q| == |q - p| and fsum is correctly rounded
+        slot = (min(k1, k2), max(k1, k2), mass_tol)
+        hit = self._distances.get(slot)
+        if hit is None:
+            hit = self._distances[slot] = super().law_distance(k1, k2, mass_tol)
+        return hit
 
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
         self.require_profile(x)
@@ -150,14 +182,14 @@ class ShiftedGeometricMechanism(CountedMechanism):
     depends only on the shift difference d: the terms summed are the same
     multiset for d and -d (fsum is correctly rounded, so their order cannot
     matter), and every |d| > 2t gives disjoint windows of radius t.
-    ``law_distance`` therefore keeps one entry per (min(|d|, 2t + 1),
-    mass_tol) on the instance.
+    ``law_distance`` therefore keeps, in place of the counted table, one
+    entry per (min(|d|, 2t + 1), mass_tol) on the instance.
     """
 
     def __init__(self, epsilon: float):
+        super().__init__()
         self.epsilon = epsilon
         self.geom = GeomParams(epsilon)
-        self._distances: dict[tuple[int, float], Interval] = {}
 
     def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         return shifted_geom_dist(self.geom, key, mass_tol)
@@ -176,7 +208,7 @@ class ShiftedGeometricMechanism(CountedMechanism):
         return tuple(ln - eps * abs(s - key) for s in support)
 
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
-        c = self._counted(x.players)
+        c = self._count(x)
         return (c + k for k in sample_geoms(self.geom, rng, trials))
 
 
@@ -267,6 +299,7 @@ class SubsampleMechanism(CountedMechanism):
     are ignored entirely, which is what makes it trivially truthful."""
 
     def __init__(self, params: SubsampleParams):
+        super().__init__()
         self.params = params
         self.name = "subsample"
         self.player_count = params.n
@@ -332,6 +365,7 @@ class ExactSumMechanism(CountedMechanism):
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
         if not (math.isfinite(flat_pay) and flat_pay >= 0):
             raise ValueError(f"flat_pay must be finite and >= 0, got {flat_pay!r}")
+        super().__init__()
         self.flat_pay = flat_pay
         self.name = "exact_sum"
         self.player_count = n
@@ -348,7 +382,7 @@ class ExactSumMechanism(CountedMechanism):
 
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
         # the count is exact: no draws
-        return repeat(self._counted(x.players), trials)
+        return repeat(self._count(x), trials)
 
 
 def alg1(budget: float, epsilon: float, n: int) -> BudgetMechanism:

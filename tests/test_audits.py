@@ -324,6 +324,31 @@ def test_general_threshold_sees_the_probe_bits_in_chain_order(n):
         assert x.valuations[:i] + x.valuations[i + 1 :] == (0.0,) * (n - 1)
 
 
+@pytest.mark.parametrize("as_int", [False, True], ids=["float", "int"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_monotonic_threshold_sees_the_chain_so_far(n, as_int):
+    # step i reads T at its probe: players before i hold (1, L_j), player i
+    # (1, 0) and the rest (0, 0); v_minus holds the floats the hybrids store,
+    # even when T returns an int
+    seen = []
+
+    def recording_threshold(ell, bits, v_minus):
+        seen.append((ell, bits, v_minus))
+        level = ell + 1.0 + len(seen)  # a distinct L per step
+        return int(level) if as_int else level
+
+    model = increasing_threshold_model(1.0 / (3 * n), recording_threshold, MON)
+    rep = audit_monotonic_impossibility(exact_sum(n, 0.5), model)
+    levels = [float(L) for L in rep.chain.thresholds]
+    assert levels == [int(1.5 + i + 1) if as_int else 1.5 + i + 1 for i in range(n)]
+    assert [bits for _, bits, _ in seen] == [(1,) * (i + 1) + (0,) * (n - 1 - i) for i in range(n)]
+    assert [v_minus for _, _, v_minus in seen] == [tuple(levels[:i]) + (0.0,) * (n - 1 - i) for i in range(n)]
+    assert all(type(v) is float for _, _, v_minus in seen for v in v_minus)
+    assert all(ell == 0.5 for ell, _, _ in seen)
+    for (_, bits, v_minus), (i, x) in zip(seen, enumerate(rep.chain.probes)):
+        assert bits == x.bits and v_minus == x.valuations[:i] + x.valuations[i + 1 :]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_general_threshold_that_reads_the_bits_is_maxed_over_the_probes(n):
     # T = l + 1 + sum(bits) peaks at the last probe, whose bits are all ones
@@ -505,3 +530,44 @@ def test_monotonic_audit_settles_neighbours_from_law_keys(monkeypatch):
     assert report.verdict == IR_VIOLATED and report.failing_step == 0
     assert calls["retype"] == 0
     assert 1 <= calls["statistical_distance"] <= 4, calls
+
+
+def _count_calls(monkeypatch, calls, owner, attr, name):
+    fn = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
+@pytest.mark.parametrize("name", ["alg1_ln2", "alg1_0.05", "exact_sum"])
+def test_monotonic_audit_counts_each_hybrid_once(monkeypatch, name):
+    # the neighbour pass counts each hybrid's players; the loss's second
+    # pass and the chain's law keys read the memo (the endpoints' accuracy
+    # checks and the start count the rest)
+    from privbuy.mechanisms import BudgetMechanism, CountedMechanism
+
+    calls = {"_counted": 0}
+    for cls in (CountedMechanism, BudgetMechanism):
+        _count_calls(monkeypatch, calls, cls, "_counted", "_counted")
+    n = 256
+    mech = {"alg1_ln2": alg1(2.0 * n, LN2, n), "alg1_0.05": alg1(2.0 * n, 0.05, n), "exact_sum": exact_sum(n)}[name]
+    audit_monotonic_impossibility(mech, monotonic_model(1.0 / (3 * n)))
+    assert calls["_counted"] <= n + 3, calls
+
+
+def test_monotonic_audit_sums_each_step_distance_once(monkeypatch):
+    # subsample's distance table settles the neighbour pass, the loss's
+    # second pass and the chain steps from one sum per step, plus the end
+    from privbuy import audits, core, distributions, losses, mechanisms, verifiers
+
+    calls = {"statistical_distance": 0}
+    for mod in (audits, core, distributions, losses, mechanisms, verifiers):
+        if hasattr(mod, "statistical_distance"):
+            _count_calls(monkeypatch, calls, mod, "statistical_distance", "statistical_distance")
+    n = 256
+    report = audit_monotonic_impossibility(subsample(1.0, n // 2, n), monotonic_model(1.0 / (3 * n)))
+    assert report.verdict == IR_VIOLATED
+    assert calls["statistical_distance"] <= n + 1, calls

@@ -568,7 +568,53 @@ def test_run_keeps_a_csv_it_did_not_create_when_the_report_cannot_be_written(tmp
     Path(cfg["output"]["csv"]).write_text("an older run\n")
     assert main(["run", write_config(tmp_path, "out.json", cfg)]) == 3
     assert "config error: output.report: " in capsys.readouterr().err
-    assert Path(cfg["output"]["csv"]).exists()
+    assert Path(cfg["output"]["csv"]).read_text() == "an older run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "report.csv"]  # no temporary file left
+
+
+def test_run_keeps_an_older_csv_when_the_report_path_is_a_directory(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    Path(cfg["output"]["csv"]).write_text("an older run\n")
+    Path(cfg["output"]["report"]).mkdir()
+    assert main(["run", write_config(tmp_path, "out.json", cfg)]) == 3
+    assert "config error: output.report: Is a directory" in capsys.readouterr().err
+    assert Path(cfg["output"]["csv"]).read_text() == "an older run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "report.csv", "report.json"]
+
+
+def test_run_replaces_older_outputs_only_once_both_are_written(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    for key, mode in (("csv", 0o600), ("report", 0o640)):
+        Path(cfg["output"][key]).write_text("an older run\n")
+        os.chmod(cfg["output"][key], mode)
+    assert main(["run", write_config(tmp_path, "out.json", cfg)]) == 0
+    # the new outputs keep the older files' modes
+    assert [os.stat(cfg["output"][key]).st_mode & 0o777 for key in ("csv", "report")] == [0o600, 0o640]
+    assert Path(cfg["output"]["csv"]).read_text().startswith("check,mechanism,")
+    assert json.loads(Path(cfg["output"]["report"]).read_text())["exit_code"] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "report.csv", "report.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+def test_run_writes_through_a_symlinked_output(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "kept.csv"
+    target.write_text("an older run\n")
+    os.symlink(target, cfg["output"]["csv"])
+    assert main(["run", write_config(tmp_path, "out.json", cfg)]) == 0
+    assert Path(cfg["output"]["csv"]).is_symlink()
+    assert target.read_text().startswith("check,mechanism,")
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+def test_run_refuses_a_report_that_links_to_the_csv(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    Path(cfg["output"]["csv"]).write_text("an older run\n")
+    os.symlink(cfg["output"]["csv"], cfg["output"]["report"])
+    assert main(["run", write_config(tmp_path, "out.json", cfg)]) == 3
+    assert "config error: output.report: must differ from output.csv" in capsys.readouterr().err
+    assert Path(cfg["output"]["csv"]).read_text() == "an older run\n"
 
 
 def test_run_refuses_one_path_for_both_outputs(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType
 from privbuy.distributions import GeomParams, dp_level, shifted_geom_dist, statistical_distance, window_radius
 from privbuy.mechanisms import (
     BudgetParams,
+    CountedMechanism,
     ShiftedGeometricMechanism,
     SubsampleMechanism,
     SubsampleParams,
@@ -661,3 +664,88 @@ def test_geometric_law_distance_is_the_window_kernel(eps, mass_tol, c, data):
         want = statistical_distance(shifted_geom_dist(mech.geom, c, mass_tol), shifted_geom_dist(mech.geom, c + d, mass_tol))
         assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex()), d
     assert len(mech._distances) <= 2 * t + 2
+
+
+# --- the count memo and the counted distance table --------------------------
+
+_COUNTED = {
+    "alg1": lambda n: alg1(4.0, 0.5, n),
+    "alg1_prime": lambda n: alg1_prime(4.0, 0.5, n),
+    "subsample": lambda n: subsample(1.0, (n + 1) // 2, n),
+    "pay_declared": lambda n: pay_declared(0.5, n),
+    "exact_sum": lambda n: exact_sum(n),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNTED))
+def test_counted_memo_answers_as_a_fresh_instance(name):
+    # one instance reads its one-slot memo across interleaved profiles: two
+    # share one players tuple, and the rest are built and dropped in turn,
+    # so a freed tuple's identity could be reused were the slot not holding it
+    n, make = 4, _COUNTED[name]
+    mech = make(n)
+    by_bit = (PlayerType(0, 0.0), PlayerType(1, 0.0))
+
+    def count_and_drop(bits):
+        mech.law_key(InputProfile(tuple([by_bit[b] for b in bits])))
+
+    for bits in bit_vectors(n):
+        count_and_drop(bits)
+        # CPython hands the dropped tuple's address to the next tuple of its size
+        y = InputProfile(tuple([by_bit[1 - b] for b in bits]))
+        assert mech.law_key(y) == make(n).law_key(y), (name, bits)
+
+    mech = make(n)
+    vals = (0.0, 1.0, 2.0, 4.0, -1.0)  # theta = 1 for alg1(4, 0.5, 4)
+    kept = profile([1, 0, 1, 1], [0.0, 2.0, 1.0, 4.0])
+    twin = InputProfile(kept.players)
+    assert twin.players is kept.players
+    for step, bits in enumerate(bit_vectors(n)):
+        x = profile(bits, [vals[(j + step) % len(vals)] for j in range(n)])
+        for y in (x, kept, x, twin, kept):
+            i = step % n
+            types = mech.candidate_types(y, i)
+            assert mech.law_key(y) == make(n).law_key(y), (name, str(y))
+            assert mech.others_key(y, i) == make(n).others_key(y, i), (name, str(y), i)
+            assert mech.retype(y, i, types) == make(n).retype(y, i, types), (name, str(y), i)
+
+
+def test_counted_memo_shared_by_threads_only_misses():
+    # more threads than cores hammer one instance's slot at a short switch
+    # interval; a slot read torn between two profiles would give a wrong count
+    n = 64
+    mech = alg1(8.0, 0.5, n)
+    profiles = [profile([1] * k + [0] * (n - k), [0.0] * n) for k in (0, n // 2, n)]
+    wrong = []
+
+    def work(offset):
+        for k in range(2000):
+            x = profiles[(k + offset) % len(profiles)]
+            if mech.law_key(x) != sum(x.bits) or mech.others_key(x, 0) != sum(x.bits[1:]):
+                wrong.append(str(x))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("name", ["subsample", "exact_sum"])
+def test_counted_law_distance_table_holds_keys_at_most_one_apart(name):
+    n = 6
+    mech = _COUNTED[name](n)
+    assert type(mech).law_distance is CountedMechanism.law_distance
+    for mass_tol in (1e-9, 1e-12):
+        for k1, k2 in itertools.product(range(n + 1), repeat=2):
+            got = mech.law_distance(k1, k2, mass_tol)
+            want = statistical_distance(mech.key_law(k1, mass_tol), mech.key_law(k2, mass_tol))
+            assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex()), (k1, k2)
+    assert len(mech._distances) == 2 * (2 * n + 1)  # n + 1 equal pairs and n one apart per mass_tol
