@@ -496,7 +496,13 @@ def audit_payment_accuracy_tradeoff(
         hybrids.append(after)
         x = after
 
-    steps, end = _consecutive_distances(mech, [mech.law_key(x, mass_tol) for x in hybrids], mass_tol)
+    acc_spec = AccuracySpec(params.eta + params.gamma, params.gamma, params.beta)
+    # checked right after its law key, a hybrid's accuracy reads its count from the one-slot memo
+    keys, accuracy = [], []
+    for idx, hyb in enumerate(hybrids):
+        keys.append(mech.law_key(hyb, mass_tol))
+        accuracy.append(check_accuracy(mech, hyb, acc_spec, mass_tol=mass_tol, profile_id=f"hybrid_{idx}"))
+    steps, end = _consecutive_distances(mech, keys, mass_tol)
     for i, d in enumerate(steps):
         bound = cap / highs[i]
         if d.lo >= bound:
@@ -515,18 +521,13 @@ def audit_payment_accuracy_tradeoff(
     chain = HybridChain(
         tuple(hybrids), tuple(observed_pays), tuple(highs), steps, end, probes=tuple(probes)
     )
-    acc_spec = AccuracySpec(params.eta + params.gamma, params.gamma, params.beta)
-    accuracy = tuple(
-        check_accuracy(mech, hyb, acc_spec, mass_tol=mass_tol, profile_id=f"hybrid_{idx}")
-        for idx, hyb in enumerate(hybrids)
-    )
     report_params = (
         ("beta", params.beta), ("eta", params.eta), ("gamma", params.gamma),
         ("tau", params.tau), ("P", cap), ("L", level), ("n", float(n)),
     )
     drift_bound = h * (cap / level if level > 0 else 0.0) + g2 * cap / params.tau
     return _report(
-        "payment_accuracy_tradeoff", mech, chain, accuracy, details, report_params, found,
+        "payment_accuracy_tradeoff", mech, chain, tuple(accuracy), details, report_params, found,
         f"premises hold: end-to-end distance {end} < h*P/L + 2*gamma*n*P/tau = {drift_bound:g} <= {1.0 - 2.0 * params.beta:g}",
         on_fail=lambda r: (
             ACCURACY_VIOLATED, int(r.profile.rsplit("_", 1)[1]), f"{r.profile}: {r.witness}",

@@ -386,8 +386,8 @@ def write_reports(cfg: RunConfig, code: int, rows: list[CheckResult], audits: li
         writer.writerows([a.audit, a.mechanism, "", "", a.verdict, "", a.witness] for a in audits)
 
     def write_report(fh):
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # one string: json.dump would stream it through many small writes
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     outputs = (("csv", "", write_csv), ("report", None, write_report))
     targets = {key: os.path.realpath(cfg.output[key]) for key, _, _ in outputs}

@@ -315,9 +315,12 @@ def sample_geoms(g: GeomParams, rng, trials: int) -> Iterator[int]:
     log_a = math.log(a)
     getrandbits = rng.getrandbits
     for _ in range(trials):
-        u = getrandbits(64) / 2.0**64  # in [0, 1)
+        # in [0, 1]: the top 1,024 of the 2^64 draws round to 1.0, whose
+        # 1 - u of 0 is read as 2^-53, the 1 - u of the largest double below
+        # 1; every other 1 - u is exact and at least 2^-53
+        u = getrandbits(64) / 2.0**64
         # magnitude: smallest k >= 0 with CDF(k) = 1 - 2 a^{k+1}/(1+a) >= u
-        k = _tail_index(a, one_a, log_a, 1.0 - u)
+        k = _tail_index(a, one_a, log_a, 1.0 - u or 2.0**-53)
         yield -k if k and getrandbits(1) else k
 
 

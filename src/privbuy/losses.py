@@ -29,11 +29,15 @@ zero-valuation player loses nothing whatever they declare).
 from __future__ import annotations
 
 import math
+import struct
+import threading
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub
 from typing import Callable, Optional
 
 from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, admissible_candidates
-from .distributions import DEFAULT_MASS_TOL, Interval
+from .distributions import DEFAULT_MASS_TOL, MAX_WINDOW_ATOMS, Interval
 
 _INF = math.inf
 
@@ -106,6 +110,29 @@ def zero_loss() -> LossModel:
     )
 
 
+def _worst_log_ratios(mech: Mechanism, support, truth_key, truth_ok: bool, rows) -> list[float]:
+    """Per outcome of ``support``, the largest ln Pr[truth] - ln Pr[neighbour]
+    over ``rows``, (law key, pays the others alike) pairs in order. A side
+    that pays the others differently from the declaration is impossible
+    (-inf everywhere), and a ratio of two impossible outcomes is 0."""
+    impossible = (-_INF,) * len(support)
+    cur = mech.log_pmf_table(truth_key, support) if truth_ok else impossible
+    cur_finite = -_INF not in cur
+    best = [-_INF] * len(support)
+    for key, den_ok in rows:
+        nb = mech.log_pmf_table(key, support) if den_ok else impossible
+        if cur_finite and -_INF not in nb:
+            # every ratio is finite, and max keeps the earlier of two equal
+            # ones, as the loop below does
+            best = list(map(max, best, map(sub, cur, nb)))
+            continue
+        for j, (a, b) in enumerate(zip(cur, nb)):
+            r = 0.0 if (a == -_INF and b == -_INF) else a - b
+            if r > best[j]:
+                best[j] = r
+    return best
+
+
 def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
     """Extremal DP-bounded loss: v_i times the worst per-outcome
     log-likelihood ratio over the mechanism's admissible candidate neighbors.
@@ -113,18 +140,46 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
     The ratio compares what an adversary (who sees the count and the
     payments to everyone else) assigns to the realized outcome under the
     true input versus under each neighbor. ``Mechanism.retype`` settles the
-    declaration, the truth and each neighbor to a law key, read through one
-    ``log_pmf_table`` per distinct key, and to the payments to the others.
-    For the bundled mechanisms the payments to j != i never depend on
-    player i, so the ratio reduces to a count-law ratio; a payment mismatch
-    shows up as an infinite ratio. A zero-probability denominator against a
-    positive numerator yields +inf loss, which is reported, never clipped.
+    declaration, the truth and each neighbor to a law key and to the
+    payments to the others. For the bundled mechanisms the payments to
+    j != i never depend on player i, so the ratio reduces to a count-law
+    ratio; a payment mismatch shows up as an infinite ratio. A
+    zero-probability denominator against a positive numerator yields +inf
+    loss, which is reported, never clipped.
+
+    The worst-ratio row reads nothing of the valuation, so the model keeps
+    it per slot: (declared key, truth key, whether the truth pays the others
+    alike, the neighbour rows in first-seen order, mass_tol). Only a slot's
+    first sight reads ``log_pmf_table``, once for the truth and once per
+    neighbour row. Rows are stored as doubles, and the table is cleared
+    before its rows would hold more than ``MAX_WINDOW_ATOMS`` entries.
 
     The expectation runs over the truncated output law of the declared
     profile; the enclosure widens by truncation_mass times the largest |loss|
     seen on the window. Infinite per-outcome losses propagate to infinite
     endpoints.
     """
+    # slot -> (declared law, worst log-ratio row, largest |entry| of the row)
+    table: dict = {}
+    stored = 0  # entries held by the table's rows
+    lock = threading.Lock()
+
+    def settle(slot) -> tuple:
+        nonlocal stored
+        lied_key, truth_key, truth_ok, rows, mass_tol = slot
+        dist = mech.key_law(lied_key, mass_tol)
+        best = _worst_log_ratios(mech, dist.support, truth_key, truth_ok, rows)
+        # 8 bytes an entry, where a tuple would add a float object to each
+        row = memoryview(struct.pack(f"{len(best)}d", *best)).cast("d")
+        entry = (dist, row, max(map(abs, row), default=0.0))
+        with lock:
+            if stored + len(row) > MAX_WINDOW_ATOMS:
+                table.clear()
+                stored = 0
+            if len(row) <= MAX_WINDOW_ATOMS:
+                table[slot] = entry
+                stored += len(row)
+        return entry
 
     def expectation(mech2, x, i, declared, mass_tol):
         if mech2.cache_token != mech.cache_token:
@@ -140,32 +195,23 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
         settled = mech.retype(x, i, (lied, truth, *cands), mass_tol)
         (_, lied_key, p_minus), (_, truth_key, truth_others), *nbrs = settled
         # a neighbor is read through its law key and whether it pays the others alike
-        rows = dict.fromkeys((key, others == p_minus) for _, key, others in nbrs)
-        dist = mech.key_law(lied_key, mass_tol)
-        support = dist.support
-        # an outcome whose others' pays differ from the declaration's is impossible
-        impossible = (-_INF,) * len(support)
-        cur = mech.log_pmf_table(truth_key, support) if truth_others == p_minus else impossible
-        best = [-_INF] * len(support)
-        for key, den_ok in rows:
-            nb = mech.log_pmf_table(key, support) if den_ok else impossible
-            for j, (a, b) in enumerate(zip(cur, nb)):
-                # both outcomes impossible: the ratio carries no information
-                r = 0.0 if (a == -_INF and b == -_INF) else a - b
-                if r > best[j]:
-                    best[j] = r
-        lam = [v * r for r in best]
-
-        has_pos = any(l == _INF and p > 0.0 for l, p in zip(lam, dist.probs))
-        has_neg = any(l == -_INF and p > 0.0 for l, p in zip(lam, dist.probs))
-        if has_pos and has_neg:
-            raise ValueError("per-outcome loss takes both +inf and -inf on the window")
-        if has_pos:
-            return Interval(_INF, _INF)
-        if has_neg:
-            return Interval(-_INF, -_INF)
-        total = math.fsum(l * p for l, p in zip(lam, dist.probs))
-        slack = dist.truncation_mass * max((abs(l) for l in lam), default=0.0)
+        rows = tuple(dict.fromkeys((key, others == p_minus) for _, key, others in nbrs))
+        slot = (lied_key, truth_key, truth_others == p_minus, rows, mass_tol)
+        dist, row, peak = table.get(slot) or settle(slot)
+        # rounding is monotone, so this is the largest |v * r| over the row
+        bound = abs(v) * peak
+        if bound == _INF:
+            lam = list(map(mul, repeat(v), row))
+            has_pos = any(l == _INF and p > 0.0 for l, p in zip(lam, dist.probs))
+            has_neg = any(l == -_INF and p > 0.0 for l, p in zip(lam, dist.probs))
+            if has_pos and has_neg:
+                raise ValueError("per-outcome loss takes both +inf and -inf on the window")
+            if has_pos:
+                return Interval(_INF, _INF)
+            if has_neg:
+                return Interval(-_INF, -_INF)
+        total = math.fsum(map(mul, map(mul, repeat(v), row), dist.probs))
+        slack = dist.truncation_mass * bound
         return Interval(total - slack, total + slack)
 
     def expectation_key(mech2, x, i, declared, mass_tol):

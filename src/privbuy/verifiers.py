@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
@@ -90,7 +90,8 @@ class CheckResult:
         ]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar, so a shallow copy is asdict's result
+        return dict(vars(self))
 
 
 def check_ir(

@@ -55,21 +55,16 @@ class PointMass(ConstantMechanism):
 
 
 class TwoFacedLaw(PointMass):
-    """A law that changes between passes: the first ``still_calls`` laws are
-    the point mass at 0, every later one is PointMass's. A fixed law cannot
-    pass the tradeoff audit's step caps and then hold or straddle accuracy at
-    every hybrid (the theorem forbids it); this one shows the distance pass a
-    still law and the accuracy pass one that tracks the bit sum."""
+    """A law with two faces: its ``law_key``, which the distance pass reads,
+    is the point mass at 0, and its ``output_dist``, which the accuracy
+    checks read, is PointMass's. A fixed law cannot pass the tradeoff
+    audit's step caps and then hold or straddle accuracy at every hybrid
+    (the theorem forbids it); this one shows the distance pass a still law
+    and the accuracy pass one that tracks the bit sum."""
 
-    def __init__(self, n, still_calls, slack=0.0):
-        super().__init__(n, slack)
-        self.still_calls = still_calls
-
-    def output_dist(self, x, mass_tol=1e-12):
-        self.still_calls -= 1
-        if self.still_calls >= 0:
-            return CountDistribution((0,), (1.0,), 0.0)
-        return super().output_dist(x, mass_tol)
+    def law_key(self, x, mass_tol=1e-12):
+        self.require_profile(x)
+        return CountDistribution((0,), (1.0,), 0.0)
 
 
 def general_model(delta):
@@ -467,9 +462,8 @@ def _pinned_report(audit, name, n):
         "blurred_alone": lambda: PointMass(n, 0.5),
         "alone": lambda: PointMass(n),
         "underpaid_cap": lambda: exact_sum(n, 1.0),
-        # eta*n + 2*gamma*n = 4 steps: the distance pass reads 5 laws first
-        "two_faced_blurred": lambda: TwoFacedLaw(n, 5, 0.5),
-        "two_faced": lambda: TwoFacedLaw(n, 5),
+        "two_faced_blurred": lambda: TwoFacedLaw(n, 0.5),
+        "two_faced": lambda: TwoFacedLaw(n),
     }[name]()
     if audit == "general":
         return audit_general_impossibility(mech, general_model(1.0 / (6 * n)), mass_tol=mass_tol)
@@ -556,6 +550,22 @@ def test_monotonic_audit_counts_each_hybrid_once(monkeypatch, name):
     mech = {"alg1_ln2": alg1(2.0 * n, LN2, n), "alg1_0.05": alg1(2.0 * n, 0.05, n), "exact_sum": exact_sum(n)}[name]
     audit_monotonic_impossibility(mech, monotonic_model(1.0 / (3 * n)))
     assert calls["_counted"] <= n + 3, calls
+
+
+@pytest.mark.parametrize("eps", [LN2, 0.05])
+def test_tradeoff_audit_counts_each_hybrid_once(monkeypatch, eps):
+    # each hybrid's law key counts its players, and its accuracy check,
+    # taken right after, reads the one-slot count
+    from privbuy.mechanisms import BudgetMechanism, CountedMechanism
+
+    calls = {"_counted": 0}
+    for cls in (CountedMechanism, BudgetMechanism):
+        _count_calls(monkeypatch, calls, cls, "_counted", "_counted")
+    n = 256
+    params = TradeoffParams(tau=8.0, gamma=1.0 / n, eta=0.25, beta=0.25, max_pay=0.5)
+    report = audit_payment_accuracy_tradeoff(alg1(n / 2.0, eps, n), growing_sd_model(), params)
+    assert len(report.chain.inputs) == 67
+    assert calls["_counted"] == len(report.chain.inputs), calls
 
 
 def test_monotonic_audit_sums_each_step_distance_once(monkeypatch):

@@ -444,6 +444,27 @@ def test_sample_geom_is_the_first_batched_draw(seed):
     assert sample_geom(g, rng_a) == next(sample_geoms(g, rng_b, 3))
     assert rng_a.getstate() == rng_b.getstate()  # the batch draws lazily
 
+
+class _StubRng:
+    """Returns ``top`` for every 64-bit draw and 1 for every sign bit."""
+
+    def __init__(self, top):
+        self.top = top
+
+    def getrandbits(self, k):
+        return self.top if k == 64 else 1
+
+
+@pytest.mark.parametrize("eps", (0.05, 0.5, math.log(2.0), 40.0))
+def test_sampler_reads_a_draw_that_rounds_to_one_as_the_largest_double_below_it(eps):
+    # 2^64 - 1 over 2^64 rounds to 1.0, whose tail 1 - u = 0 has no log;
+    # 2^64 - 2048 over 2^64 is exactly 1 - 2^-53
+    assert (2**64 - 1) / 2.0**64 == 1.0 and 1.0 - (2**64 - 2048) / 2.0**64 == 2.0**-53
+    g = GeomParams(eps)
+    want = oracle_sample_geom(g, _StubRng(2**64 - 2048))
+    assert list(sample_geoms(g, _StubRng(2**64 - 1), 3)) == [want] * 3
+    assert sample_geom(g, _StubRng(2**64 - 1)) == want
+
 def test_sampler_deterministic_given_seed():
     g = GeomParams(0.5)
     draws1 = [sample_geom(g, random.Random(7)) for _ in range(1)]

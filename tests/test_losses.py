@@ -565,3 +565,99 @@ def test_keyed_expectation_calls_no_pay_vector_and_no_default_neighbor_keys(monk
             for declared in (0.5, 1e300):
                 loss_expectation(model, mech, x, 0, declared)
     assert calls == []
+
+
+# --- the per-model table of worst log-ratio rows ------------------------------
+
+
+def _slot_table(model):
+    """The slot table the model's expectation keeps in its closure."""
+    expectation = model.expectation
+    return dict(zip(expectation.__code__.co_freevars, expectation.__closure__))["table"].cell_contents
+
+
+SLOT_MECHANISMS = {
+    "alg1_eps40": lambda: alg1(8.0, 40.0, 2),
+    "pay_declared_eps40": lambda: pay_declared(40.0, 2),
+    "alg1": lambda: alg1(4.0, 0.5, 2),
+    "subsample": lambda: subsample(1.5, 1, 2),
+    "swap_pay": SwapPayMechanism,
+    "quiet_swap_pay": QuietSwapPayMechanism,
+}
+
+
+@pytest.mark.parametrize("name", SLOT_MECHANISMS)
+def test_slot_rows_reused_across_valuations_mass_tols_and_models_match_a_fresh_fold(name):
+    # one model per relation, and its dataclasses.replace twin, serve every
+    # valuation and both mass_tols from one table; at epsilon 40, v = 1e307
+    # times a ratio of 40 overflows to +-inf where v = 1e300 does not
+    mech = SLOT_MECHANISMS[name]()
+    checked, kinds = 0, set()
+    for relation in (GEN, MON):
+        model = tight_dp_loss(mech, relation)
+        twins = (model, dataclasses.replace(model, expectation_key=None))
+        for bits in itertools.product((0, 1), repeat=2):
+            for v, w in itertools.product((1e307, -1e307, 1e300, -2.0, 0.01, 3.0), (0.0, 0.5)):
+                x = InputProfile.from_arrays(bits, (v, w))
+                for declared in dict.fromkeys((v, 1e307, -3.0, 0.01)):
+                    for mass_tol in (DEFAULT_MASS_TOL, 1e-6):
+                        expectation = twins[checked % 2].expectation
+                        try:
+                            want = _built_expectation(mech, relation, x, 0, declared, mass_tol)
+                        except ValueError as exc:
+                            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                                expectation(mech, x, 0, declared, mass_tol)
+                            continue
+                        got = expectation(mech, x, 0, declared, mass_tol)
+                        assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex()), (str(x), declared, mass_tol)
+                        kinds.add(got.lo if math.isinf(got.lo) else "finite")
+                        checked += 1
+        assert 0 < len(_slot_table(model)) < checked / 4
+    if name.endswith("eps40"):
+        assert kinds == {math.inf, -math.inf, "finite"}
+
+
+def test_a_second_miss_with_the_same_law_keys_reads_no_log_pmf_table(monkeypatch):
+    calls = []
+    original = ShiftedGeometricMechanism.log_pmf_table
+
+    def counted(self, key, support):
+        calls.append(key)
+        return original(self, key, support)
+
+    monkeypatch.setattr(ShiftedGeometricMechanism, "log_pmf_table", counted)
+    mech = alg1(8.0, 0.5, 4)  # theta = 1
+    model = tight_dp_loss(mech, MON)
+    clear_expectation_cache()
+    x = profile([1, 0, 1, 1], [0.5, 0.0, 2.0, 0.25])
+    loss_expectation(model, mech, x, 0, 0.5)
+    assert calls
+    calls.clear()
+    y = x.with_valuation(0, 0.75)  # counted as 0.5 is: the same law keys
+    got = loss_expectation(model, mech, y, 0, 0.75)
+    assert calls == [] and len(losses._EXPECTATION_CACHE) == 2
+    want = _built_expectation(mech, MON, y, 0, 0.75)
+    assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
+
+
+def test_slot_table_rows_never_pass_the_cap(monkeypatch):
+    # a window of 111 atoms at epsilon 0.5: two rows fit, a third clears the
+    # table; the 1e-15 window of 139 atoms fits beside one; a row longer than
+    # the cap (epsilon 0.05) is folded every time and never stored
+    cap = 250
+    monkeypatch.setattr(losses, "MAX_WINDOW_ATOMS", cap)
+    cleared = 0
+    for mech in (alg1(12.0, 0.5, 3), alg1(12.0, 0.05, 3)):
+        model = tight_dp_loss(mech, GEN)
+        table = _slot_table(model)
+        for x in _memo_grid(mech, 3):
+            for mass_tol in (DEFAULT_MASS_TOL, 1e-15):
+                before = len(table)
+                got = model.expectation(mech, x, 0, x.players[0].valuation, mass_tol)
+                want = _built_expectation(mech, GEN, x, 0, x.players[0].valuation, mass_tol)
+                assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
+                assert sum(len(row) for _, row, _ in table.values()) <= cap
+                cleared += len(table) < before
+        if mech.epsilon == 0.05:
+            assert table == {}
+    assert cleared > 0

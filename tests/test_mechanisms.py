@@ -521,6 +521,27 @@ def test_default_log_pmf_table_reads_a_law_stored_in_full():
         Mechanism.log_pmf_table(mech, 2, (2,))
 
 
+@pytest.mark.parametrize("factory", [lambda: alg1(6.0, 0.5, 3), lambda: pay_declared(LN2, 3), lambda: alg1(6.0, 40.0, 3)])
+def test_sliced_geometric_log_pmf_table_is_the_closed_form(factory):
+    mech = factory()
+    window = mech.key_law(0).support
+    cases = [
+        (0, window),  # centred on the key
+        (2, window),  # the key right of the support
+        (-3, window),  # the key left of the support
+        (1, (1,)),
+        (40, tuple(range(-5, 3))),  # beyond the row so far: it grows
+        (0, window),  # read again from the grown row
+        (-60, tuple(range(-70, -65))),  # grows again, on the left
+        (1, (-2, 0, 3, 4)),  # not contiguous
+        (1, ()),
+    ]
+    for key, support in cases:
+        got = mech.log_pmf_table(key, support)
+        want = tuple(mech.geom.log_norm - mech.epsilon * abs(s - key) for s in support)
+        assert type(got) is tuple and [r.hex() for r in got] == [r.hex() for r in want], (key, support)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_deviation_types_are_the_valuation_grid(n):
     # the valuation grids deviation_valuations returned, kept here as oracles:
