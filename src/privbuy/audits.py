@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from operator import is_not, ne
+from functools import cached_property
 from typing import Callable, Optional
 
-from .core import InputProfile, Mechanism, NeighborRelation, PlayerType
+from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, is_int
 from .distributions import DEFAULT_MASS_TOL, Interval
 from .losses import LossModel, loss_expectation, neighbor_distances
 from .verifiers import (
@@ -46,45 +45,57 @@ THEOREM_CONTRADICTED = "theorem_contradicted"
 _NONTRIVIAL = AccuracySpec(0.5, 0.5, 1.0 / 3.0)  # "non-trivial accuracy"
 
 
-def _changed_players(a: InputProfile, b: InputProfile) -> int:
-    """Number of players whose types differ. Consecutive hybrids share their
-    unchanged PlayerType objects, so only the pairs that are not the same
-    object reach the dataclass ``!=``."""
-    moved = list(map(is_not, a.players, b.players))
-    return sum(map(ne, compress(a.players, moved), compress(b.players, moved)))
-
-
 @dataclass(frozen=True)
 class HybridChain:
-    """A hybrid-argument chain record.
+    """A hybrid-argument chain record: a start input and one move per step.
 
-    ``inputs`` are the chain hybrids (consecutive ones differ in exactly one
-    player's type); ``payments`` and ``thresholds`` hold the per-step payment
-    caps and threshold valuations; ``step_distances`` are certified
-    enclosures between consecutive hybrids' count laws and ``end_to_end``
-    between the first and last. ``probes`` holds auxiliary
-    payment-measurement inputs for the adaptive chains (empty when the
-    probes are part of ``inputs`` itself).
+    ``moves`` holds ``(player, type)`` pairs, each giving that player a new
+    type; hybrid k + 1 is hybrid k with move k applied. ``payments`` and
+    ``thresholds`` hold the per-step payment caps and threshold valuations;
+    ``step_distances`` are certified enclosures between consecutive hybrids'
+    count laws and ``end_to_end`` between the first and last. ``probe`` is
+    the type the adaptive chains give each step's player to measure their
+    pay (None when the probes are hybrids themselves). ``inputs`` (the
+    hybrids) and ``probes`` (hybrid k with move k's player at ``probe``)
+    are expanded from these on demand.
     """
 
-    inputs: tuple[InputProfile, ...]
+    start: InputProfile
+    moves: tuple[tuple[int, PlayerType], ...]
     payments: tuple[float, ...]
     thresholds: tuple[float, ...]
     step_distances: tuple[Interval, ...]
     end_to_end: Interval
-    probes: tuple[InputProfile, ...] = ()
+    probe: Optional[PlayerType] = None
 
     def __post_init__(self):
-        if len(self.inputs) < 2:
-            raise ValueError("a chain needs at least two inputs")
-        if len(self.step_distances) != len(self.inputs) - 1:
-            raise ValueError("need one step distance per consecutive pair")
-        for a, b in zip(self.inputs, self.inputs[1:]):
-            if a.n != b.n or _changed_players(a, b) != 1:
-                raise ValueError("consecutive chain inputs must differ in exactly one player")
+        if not self.moves:
+            raise ValueError("a chain needs at least one move")
+        if len(self.step_distances) != len(self.moves):
+            raise ValueError("need one step distance per move")
+        n, current = self.start.n, list(self.start.players)
+        for i, t in self.moves:
+            if not (is_int(i) and 0 <= i < n):
+                raise ValueError(f"move player {i!r} is not an index below n={n}")
+            if not isinstance(t, PlayerType) or t == current[i]:
+                raise ValueError(f"each move must change its player's type; player {i} already holds {t}")
+            current[i] = t
         total = math.fsum(d.hi for d in self.step_distances)
         if self.end_to_end.lo > total + 1e-12:  # triangle inequality, float headroom
             raise ValueError(f"end-to-end distance {self.end_to_end.lo} exceeds step sum {total}")
+
+    @cached_property
+    def inputs(self) -> tuple[InputProfile, ...]:
+        out = [self.start]
+        for i, t in self.moves:
+            out.append(out[-1].with_player(i, t))
+        return tuple(out)
+
+    @cached_property
+    def probes(self) -> tuple[InputProfile, ...]:
+        if self.probe is None:
+            return ()
+        return tuple([x.with_player(i, self.probe) for x, (i, _) in zip(self.inputs, self.moves)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -320,18 +331,15 @@ def audit_general_impossibility(
     threshold = max(model.threshold_fn(pay_cap, (1,) * (i + 1) + (0,) * (n - 1 - i), zeros) for i in range(n))
     details.append(f"threshold valuation: L = {threshold:g}")
 
-    inputs = [_zeros(n)]
-    for i in range(n):
-        probe = inputs[-1].with_player(i, PlayerType(1, threshold))
-        inputs.append(probe)
-        inputs.append(probe.with_valuation(i, 0.0))
-
+    # step i moves player i to (1, L), the probe, and then to (1, 0)
+    high, low = PlayerType(1, threshold), PlayerType(1, 0.0)
+    start = x = _zeros(n)
+    keys = [mech.law_key(x, mass_tol)]
     found: dict = {TRUTHFULNESS_VIOLATED: [], IR_VIOLATED: [], INCONCLUSIVE: []}
     max_seen = 0.0
     for i in range(n):
-        probe, after = inputs[2 * i + 1], inputs[2 * i + 2]
-        pay_probe = mech.expected_pay(probe, i)
-        pay_after = mech.expected_pay(after, i)
+        (pay_probe, probe_key, _), (pay_after, after_key, _) = mech.retype(x, i, (high, low), mass_tol)
+        keys += (probe_key, after_key)
         ok = pay_probe <= pay_after <= pay_cap
         details.append(
             f"step {i}: truthful-for-indifferent claim pay {pay_probe:g} <= {pay_after:g} <= P: "
@@ -341,16 +349,19 @@ def audit_general_impossibility(
             found[TRUTHFULNESS_VIOLATED].append(
                 (i, f"indifferent player {i} gains by declaring L at chain input {2 * i + 1}")
             )
+        probe = x.with_player(i, high)
         query = DistinguishabilityQuery(i, delta, NeighborRelation.GENERAL)
         hi = _ir_step(mech, model, probe, query, threshold, mass_tol, found, details, "probe hybrid",
                       f"P = {pay_cap:g} >= pay {pay_probe:g}", f"chain input {2 * i + 1}")
         max_seen = max(max_seen, hi)
+        x = probe.with_player(i, low)
 
-    steps, end = _consecutive_distances(mech, [mech.law_key(x, mass_tol) for x in inputs], mass_tol)
-    chain = HybridChain(tuple(inputs), (pay_cap,) * n, (threshold,) * n, steps, end)
+    steps, end = _consecutive_distances(mech, keys, mass_tol)
+    moves = tuple((i, t) for i in range(n) for t in (high, low))
+    chain = HybridChain(start, moves, (pay_cap,) * n, (threshold,) * n, steps, end)
     accuracy = (
-        check_accuracy(mech, inputs[0], _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_zeros"),
-        check_accuracy(mech, inputs[-1], _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_ones"),
+        check_accuracy(mech, start, _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_zeros"),
+        check_accuracy(mech, x, _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_ones"),
     )
     params = (("delta", delta), ("n", float(n)), ("P", pay_cap), ("L", threshold))
     details.extend(_escape_note(mech, max_seen))
@@ -379,21 +390,21 @@ def audit_monotonic_impossibility(
     n, delta = _validate(mech, model, NeighborRelation.MONOTONIC, delta, 3)
     audit = "monotonic_impossibility"
     details: list[str] = []
-    hybrids = [_zeros(n)]
-    probes: list[InputProfile] = []
+    moves: list[tuple[int, PlayerType]] = []
     pays: list[float] = []
     thresholds: list[float] = []
     found: dict = {TRUTHFULNESS_VIOLATED: [], IR_VIOLATED: [], INCONCLUSIVE: []}
     max_seen = 0.0
 
-    x = hybrids[0]
+    probe = PlayerType(1, 0.0)
+    start = x = _zeros(n)
     keys = [mech.law_key(x, mass_tol)]
     # the probe's bits and the others' valuations, moved one entry per step:
     # players before i hold (1, L_j), the rest (0, 0.0)
     bits, v_minus = [0] * n, [0.0] * (n - 1)
     for i in range(n):
-        probe = x.with_player(i, PlayerType(1, 0.0))
-        pay_i = mech.expected_pay(probe, i)
+        # L_i reads P_i, so player i is retyped twice: to the probe, then to (1, L_i)
+        [(pay_i, _, _)] = mech.retype(x, i, (probe,), mass_tol)
         if not math.isfinite(pay_i):
             # no finite threshold exists, so the chain cannot be continued
             details.append(f"step {i}: payment at the probe input is not finite: VIOLATED")
@@ -401,10 +412,10 @@ def audit_monotonic_impossibility(
                            {PAYMENTS_VIOLATED: [(i, f"payment not finite at step {i}")]})
         bits[i] = 1
         level = model.threshold_fn(pay_i, tuple(bits), tuple(v_minus))
-        after = probe.with_valuation(i, level)
+        t = PlayerType(1, level)
         if i < n - 1:
-            v_minus[i] = after.players[i].valuation  # the float PlayerType stored
-        pay_after = mech.expected_pay(after, i)
+            v_minus[i] = t.valuation  # the float PlayerType stored
+        [(pay_after, key, _)] = mech.retype(x, i, (t,), mass_tol)
         ok = pay_after <= pay_i
         details.append(
             f"step {i}: P_{i} = {pay_i:g}, L_{i} = {level:g}; "
@@ -412,22 +423,21 @@ def audit_monotonic_impossibility(
         )
         if not ok:
             found[TRUTHFULNESS_VIOLATED].append((i, f"indifferent player {i} gains by declaring L_{i} at hybrid {i + 1}"))
+        x = x.with_player(i, t)
         query = DistinguishabilityQuery(i, delta, NeighborRelation.MONOTONIC)
-        hi = _ir_step(mech, model, after, query, level, mass_tol, found, details, "hybrid",
+        hi = _ir_step(mech, model, x, query, level, mass_tol, found, details, "hybrid",
                       f"P_{i} = {pay_i:g} >= pay {pay_after:g}", f"hybrid {i + 1}")
         max_seen = max(max_seen, hi)
-        keys.append(mech.law_key(after, mass_tol))  # the neighbour pass just counted it
-        probes.append(probe)
+        keys.append(key)
+        moves.append((i, t))
         pays.append(pay_i)
         thresholds.append(level)
-        hybrids.append(after)
-        x = after
 
     steps, end = _consecutive_distances(mech, keys, mass_tol)
-    chain = HybridChain(tuple(hybrids), tuple(pays), tuple(thresholds), steps, end, probes=tuple(probes))
+    chain = HybridChain(start, tuple(moves), tuple(pays), tuple(thresholds), steps, end, probe)
     accuracy = (
-        check_accuracy(mech, hybrids[0], _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_zeros"),
-        check_accuracy(mech, hybrids[-1], _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_ones_at_L"),
+        check_accuracy(mech, start, _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_zeros"),
+        check_accuracy(mech, x, _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_ones_at_L"),
     )
     details.extend(_escape_note(mech, max_seen))
     return _report(
@@ -471,37 +481,34 @@ def audit_payment_accuracy_tradeoff(
     details = [
         f"h = {h} players at L = {level:g}, {g2} players at tau = {params.tau:g}, payment cap P = {cap:g}"
     ]
-    hybrids = [_zeros(n)]
-    probes: list[InputProfile] = []
+    moves: list[tuple[int, PlayerType]] = []
     observed_pays: list[float] = []
     highs: list[float] = []
     found: dict = {PAYMENTS_VIOLATED: [], TRUTHFULNESS_VIOLATED: [], IR_VIOLATED: [], INCONCLUSIVE: []}
 
-    x = hybrids[0]
+    acc_spec = AccuracySpec(params.eta + params.gamma, params.gamma, params.beta)
+    probe = PlayerType(1, 0.0)
+    start = x = _zeros(n)
+    # a hybrid's accuracy check counts its players, and the next step's retype reads that count from the one-slot memo
+    keys = [mech.law_key(x, mass_tol)]
+    accuracy = [check_accuracy(mech, x, acc_spec, mass_tol=mass_tol, profile_id="hybrid_0")]
     for i in range(h + g2):
-        probe = x.with_player(i, PlayerType(1, 0.0))
-        pay_probe = mech.expected_pay(probe, i)
+        high = level if i < h else params.tau
+        t = PlayerType(1, high)
+        (pay_probe, _, _), (pay_after, key, _) = mech.retype(x, i, (probe, t), mass_tol)
         if not pay_probe <= cap:
             found[PAYMENTS_VIOLATED].append((i, f"payment cap premise fails at step {i}"))
             details.append(f"step {i}: pay {pay_probe:g} to a zero-valuation declarer exceeds P = {cap:g}: VIOLATED")
-        high = level if i < h else params.tau
-        after = probe.with_valuation(i, high)
-        pay_after = mech.expected_pay(after, i)
         if not pay_after <= pay_probe:
             found[TRUTHFULNESS_VIOLATED].append((i, f"truthfulness-for-indifferent fails at step {i}"))
             details.append(f"step {i}: indifferent player gains by declaring {high:g} ({pay_probe:g} -> {pay_after:g}): VIOLATED")
-        probes.append(probe)
+        x = x.with_player(i, t)
+        keys.append(key)
+        accuracy.append(check_accuracy(mech, x, acc_spec, mass_tol=mass_tol, profile_id=f"hybrid_{i + 1}"))
+        moves.append((i, t))
         observed_pays.append(pay_probe)
         highs.append(high)
-        hybrids.append(after)
-        x = after
 
-    acc_spec = AccuracySpec(params.eta + params.gamma, params.gamma, params.beta)
-    # checked right after its law key, a hybrid's accuracy reads its count from the one-slot memo
-    keys, accuracy = [], []
-    for idx, hyb in enumerate(hybrids):
-        keys.append(mech.law_key(hyb, mass_tol))
-        accuracy.append(check_accuracy(mech, hyb, acc_spec, mass_tol=mass_tol, profile_id=f"hybrid_{idx}"))
     steps, end = _consecutive_distances(mech, keys, mass_tol)
     for i, d in enumerate(steps):
         bound = cap / highs[i]
@@ -518,9 +525,7 @@ def audit_payment_accuracy_tradeoff(
         else:
             details.append(f"step {i}: step distance {d} < P/v = {bound:g}: ok")
 
-    chain = HybridChain(
-        tuple(hybrids), tuple(observed_pays), tuple(highs), steps, end, probes=tuple(probes)
-    )
+    chain = HybridChain(start, tuple(moves), tuple(observed_pays), tuple(highs), steps, end, probe)
     report_params = (
         ("beta", params.beta), ("eta", params.eta), ("gamma", params.gamma),
         ("tau", params.tau), ("P", cap), ("L", level), ("n", float(n)),

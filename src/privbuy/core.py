@@ -131,9 +131,6 @@ class InputProfile:
             raise IndexError(f"player index {i} out of range for n={self.n}")
         return InputProfile(self.players[:i] + (player,) + self.players[i + 1 :])
 
-    def with_valuation(self, i: int, valuation: float) -> "InputProfile":
-        return self.with_player(i, PlayerType(self.players[i].bit, valuation))
-
     def to_json_dict(self) -> dict:
         return {"bits": list(self.bits), "valuations": list(self.valuations)}
 
@@ -198,10 +195,6 @@ class Mechanism(ABC):
     @abstractmethod
     def pay_vector(self, x: InputProfile) -> tuple[float, ...]:
         """Deterministic payments to all players under declarations ``x``."""
-
-    def expected_pay(self, x: InputProfile, i: int) -> float:
-        self.require_profile(x)
-        return self.pay_vector(x)[i]
 
     def retype(self, x: InputProfile, i: int, types, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
         """``(player i's pay, law key, payments to the others)`` for ``x``

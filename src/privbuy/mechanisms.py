@@ -163,11 +163,6 @@ class CountedMechanism(Mechanism):
         self.require_profile(x)
         return tuple([self.pay(p.bit, p.valuation) for p in x.players])
 
-    def expected_pay(self, x: InputProfile, i: int) -> float:
-        self.require_profile(x)
-        p = x.players[i]
-        return self.pay(p.bit, p.valuation)
-
     def max_zero_valuation_pay(self) -> float:
         # a pay reads only its own type, so both bits at valuation 0 cover every bit vector
         return max(self.pay(0, 0.0), self.pay(1, 0.0))

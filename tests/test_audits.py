@@ -17,7 +17,7 @@ from privbuy.audits import (
     audit_monotonic_impossibility,
     audit_payment_accuracy_tradeoff,
 )
-from privbuy.core import NeighborRelation
+from privbuy.core import NeighborRelation, PlayerType
 from privbuy.distributions import CountDistribution, Interval
 from privbuy.losses import growing_sd_model, increasing_threshold_model, zero_loss
 from privbuy.mechanisms import alg1, exact_sum, max_zero_valuation_pay, pay_declared, subsample
@@ -272,31 +272,49 @@ def test_tradeoff_deterministic():
 
 # --- chain record invariants -----------------------------------------------------
 
+def _chain(start, moves, steps=None, end=Interval(0.0, 1.0), probe=None):
+    steps = (Interval(0.0, 1.0),) * len(moves) if steps is None else steps
+    return HybridChain(start, tuple(moves), (0.0,) * len(moves), (0.0,) * len(moves), steps, end, probe)
+
+
 def test_chain_rejects_multi_player_jumps():
+    # a move names one player by an int index; a pair of players, a bool
+    # (True is the int 1) and an index outside the profile are refused
     a = profile([0, 0], [0.0, 0.0])
-    b = profile([1, 1], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        HybridChain((a, b), (0.0,), (0.0,), (Interval(0.0, 1.0),), Interval(0.0, 1.0))
+    one = PlayerType(1, 0.0)
+    assert _chain(a, [(1, one)]).inputs[1] == profile([0, 1], [0.0, 0.0])
+    for bad in ((0, 1), True, -1, 2, 1.0):
+        with pytest.raises(ValueError, match="not an index"):
+            _chain(a, [(bad, one)])
 
 
 def test_chain_compares_player_values_not_identities():
     a = profile([0, 0, 0], [0.0, 1.0, 2.0])
-    # every PlayerType of b is a fresh object; only player 1's value changes
-    b = profile([0, 1, 0], [0.0, 1.0, 2.0])
-    assert all(pa is not pb for pa, pb in zip(a.players, b.players))
-    step, end = (Interval(0.0, 1.0),), Interval(0.0, 1.0)
-    HybridChain((a, b), (0.0,), (0.0,), step, end)
-    same = profile([0, 0, 0], [0.0, 1.0, 2.0])  # equal to a, no object shared
-    with pytest.raises(ValueError):
-        HybridChain((a, same), (0.0,), (0.0,), step, end)
-    with pytest.raises(ValueError):
-        HybridChain((a, a), (0.0,), (0.0,), step, end)
-    two = profile([0, 1, 0], [0.0, 1.0, 3.0])
-    with pytest.raises(ValueError):
-        HybridChain((a, two), (0.0,), (0.0,), step, end)
-    # a shared object next to a changed one still counts one change
-    shared = a.with_player(2, two.players[2])
-    HybridChain((a, shared), (0.0,), (0.0,), step, end)
+    # a fresh PlayerType equal to player 1's is no move; a changed one is
+    with pytest.raises(ValueError, match="change its player's type"):
+        _chain(a, [(1, PlayerType(0, 1.0))])
+    with pytest.raises(ValueError, match="change its player's type"):
+        _chain(a, [(1, a.players[1])])
+    with pytest.raises(ValueError, match="change its player's type"):
+        _chain(a, [(1, (1, 1.0))])  # a tuple is not a PlayerType
+    chain = _chain(a, [(1, PlayerType(1, 1.0))])
+    assert chain.inputs == (a, profile([0, 1, 0], [0.0, 1.0, 2.0]))
+    # the check tracks the current types: moving back is a change, repeating the last move is not
+    chain = _chain(a, [(1, PlayerType(1, 1.0)), (1, PlayerType(0, 1.0))])
+    assert chain.inputs[2] == a
+    with pytest.raises(ValueError, match="change its player's type"):
+        _chain(a, [(1, PlayerType(1, 1.0)), (2, PlayerType(1, 2.0)), (1, PlayerType(1, 1.0))])
+    with pytest.raises(ValueError, match="at least one move"):
+        _chain(a, [])
+
+
+def test_chain_expands_probes_from_its_probe_type():
+    a = profile([0, 0], [0.0, 0.0])
+    moves = [(0, PlayerType(1, 3.0)), (1, PlayerType(1, 5.0))]
+    assert _chain(a, moves).probes == ()
+    chain = _chain(a, moves, probe=PlayerType(1, 0.0))
+    assert chain.probes == (profile([1, 0], [0.0, 0.0]), profile([1, 1], [3.0, 0.0]))
+    assert chain.inputs[-1] == profile([1, 1], [3.0, 5.0])
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -357,16 +375,17 @@ def test_general_threshold_that_reads_the_bits_is_maxed_over_the_probes(n):
 
 def test_chain_rejects_distance_count_mismatch():
     a = profile([0, 0], [0.0, 0.0])
-    b = profile([1, 0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        HybridChain((a, b), (0.0,), (0.0,), (), Interval(0.0, 0.0))
+    moves = [(0, PlayerType(1, 0.0))]
+    with pytest.raises(ValueError, match="one step distance per move"):
+        _chain(a, moves, steps=(), end=Interval(0.0, 0.0))
+    with pytest.raises(ValueError, match="one step distance per move"):
+        _chain(a, moves, steps=(Interval(0.0, 0.1),) * 2)
 
 
 def test_chain_rejects_triangle_violation():
     a = profile([0, 0], [0.0, 0.0])
-    b = profile([1, 0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        HybridChain((a, b), (0.0,), (0.0,), (Interval(0.0, 0.1),), Interval(0.5, 0.6))
+    with pytest.raises(ValueError, match="exceeds step sum"):
+        _chain(a, [(0, PlayerType(1, 0.0))], steps=(Interval(0.0, 0.1),), end=Interval(0.5, 0.6))
 
 
 def test_emitted_chains_satisfy_invariants():
@@ -483,6 +502,27 @@ def test_report_bytes_pinned(audit, name, n):
     blob = json.dumps(report.to_json_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == REPORT_SHA256[audit, name, n]
     assert report.verdict == RUNG_VERDICTS.get((audit, name), report.verdict)
+
+
+def _differing_players(a, b):
+    """The players whose types differ between two profiles."""
+    return [i for i, (p, q) in enumerate(zip(a.players, b.players)) if p != q]
+
+
+@pytest.mark.parametrize("audit,name,n", [key for key in REPORT_SHA256 if key[1] != "infinite_pay"])
+def test_pinned_chains_move_one_player_per_step(audit, name, n):
+    # the expanded chain against the rule a profile-per-hybrid chain was
+    # validated by: each next hybrid, and each probe, differs from its hybrid
+    # in exactly the moved player
+    chain = _pinned_report(audit, name, n).chain
+    inputs, probes = chain.inputs, chain.probes
+    assert len(inputs) == len(chain.moves) + 1 and inputs[0] == chain.start
+    assert len(probes) == (0 if audit == "general" else len(chain.moves))
+    for k, (i, t) in enumerate(chain.moves):
+        assert inputs[k].n == inputs[k + 1].n == n
+        assert _differing_players(inputs[k], inputs[k + 1]) == [i] and inputs[k + 1].players[i] == t
+        if probes:
+            assert _differing_players(inputs[k], probes[k]) == [i] and probes[k].players[i] == chain.probe
 
 
 def test_rung_pins_cover_every_verdict():

@@ -57,7 +57,7 @@ def test_profile_basics():
     x = InputProfile.from_arrays([1, 0], [5.0, 2.0])
     assert x.n == 2 and x.bits == (1, 0) and x.valuations == (5.0, 2.0)
     assert x.bit_sum() == 1
-    y = x.with_valuation(0, 7.0)
+    y = x.with_player(0, PlayerType(1, 7.0))
     assert y.players[0] == PlayerType(1, 7.0) and y.players[1] == x.players[1]
     assert x.players[0].valuation == 5.0  # original untouched
     with pytest.raises(ValueError):

@@ -462,7 +462,7 @@ def _built_expectation(mech, relation, x, i, declared, mass_tol=DEFAULT_MASS_TOL
         pays = mech.pay_vector(y)
         return pays[:i] + pays[i + 1 :]
 
-    declared_profile = x.with_valuation(i, declared)
+    declared_profile = x.with_player(i, PlayerType(x.players[i].bit, declared))
     dist = mech.output_dist(declared_profile, mass_tol)
     p_minus = pay_minus(declared_profile)
     v = x.players[i].valuation
@@ -633,7 +633,7 @@ def test_a_second_miss_with_the_same_law_keys_reads_no_log_pmf_table(monkeypatch
     loss_expectation(model, mech, x, 0, 0.5)
     assert calls
     calls.clear()
-    y = x.with_valuation(0, 0.75)  # counted as 0.5 is: the same law keys
+    y = x.with_player(0, PlayerType(1, 0.75))  # counted as 0.5 is: the same law keys
     got = loss_expectation(model, mech, y, 0, 0.75)
     assert calls == [] and len(losses._EXPECTATION_CACHE) == 2
     want = _built_expectation(mech, MON, y, 0, 0.75)

@@ -138,7 +138,7 @@ def test_budget_mechanism_matches_restated_rule(budget, eps, bits, vals):
         want = tuple(budget / n if ok or (zero_bits and b == 0) else 0.0 for b, ok in zip(bits, q))
         assert mech.law_key(x) == alg1(budget, eps, n).law_key(x)
         assert mech.pay_vector(x) == want
-        assert tuple(mech.expected_pay(x, i) for i in range(n)) == want
+        assert tuple(mech.retype(x, i, (x.players[i],))[0][0] for i in range(n)) == want
 
 
 @pytest.mark.parametrize(
@@ -177,7 +177,9 @@ def _every_mechanism(n):
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
-def test_expected_pay_is_pay_vector_entry(n):
+def test_retype_to_own_type_is_pay_vector_entry(n):
+    # retyping player i to the type they hold leaves x as it is: the pay is
+    # pay_vector(x)[i] and the key law_key(x)
     rng = random.Random(n)
     for _ in range(20):
         x = profile(
@@ -185,8 +187,10 @@ def test_expected_pay_is_pay_vector_entry(n):
             [rng.choice([0.0, -0.0, 1.0, 2.0, 3.5, -2.0, 1e12]) for _ in range(n)],
         )
         for mech in _every_mechanism(n):
-            pays = mech.pay_vector(x)
-            assert tuple(mech.expected_pay(x, i) for i in range(n)) == pays, mech.name
+            pays, key = mech.pay_vector(x), mech.law_key(x)
+            for i in range(n):
+                [(pay, retyped_key, _)] = mech.retype(x, i, (x.players[i],))
+                assert (pay, retyped_key) == (pays[i], key), (mech.name, i)
 
 
 def test_budget_params_validation():

@@ -131,7 +131,7 @@ def parent_check_truthful(mech, model, x, i, deviations=None, mass_tol=1e-12, pr
     devs = tuple(deviations) if deviations is not None else tuple(t.valuation for t in mech.deviation_types(x, i))
     if not devs:
         raise ValueError("deviations must be nonempty")
-    truth_pay = mech.expected_pay(x, i)
+    truth_pay = mech.pay_vector(x)[i]
     truth_dist = mech.output_dist(x, mass_tol)
     truth_loss = None
     by_verdict = {PASS: [], FAIL: [], INCONCLUSIVE: []}
@@ -139,8 +139,8 @@ def parent_check_truthful(mech, model, x, i, deviations=None, mass_tol=1e-12, pr
         if dev == truth and math.copysign(1.0, dev) == math.copysign(1.0, truth):
             dev_pay, dev_dist = truth_pay, truth_dist
         else:
-            dev_profile = x.with_valuation(i, dev)
-            dev_pay = mech.expected_pay(dev_profile, i)
+            dev_profile = x.with_player(i, PlayerType(x.players[i].bit, dev))
+            dev_pay = mech.pay_vector(dev_profile)[i]
             dev_dist = mech.output_dist(dev_profile, mass_tol)
         if dev_dist == truth_dist and model.respects_identical_output_dists:
             margin = truth_pay - dev_pay
