@@ -489,7 +489,8 @@ def audit_payment_accuracy_tradeoff(
     acc_spec = AccuracySpec(params.eta + params.gamma, params.gamma, params.beta)
     probe = PlayerType(1, 0.0)
     start = x = _zeros(n)
-    # a hybrid's accuracy check counts its players, and the next step's retype reads that count from the one-slot memo
+    # a hybrid's accuracy check counts its players, and the next step's
+    # retype reads that count from the one-slot memo
     keys = [mech.law_key(x, mass_tol)]
     accuracy = [check_accuracy(mech, x, acc_spec, mass_tol=mass_tol, profile_id="hybrid_0")]
     for i in range(h + g2):

@@ -144,8 +144,12 @@ def _relation(value, context: str) -> NeighborRelation:
         raise ConfigError(context, f"unknown relation {value!r}") from exc
 
 
-def _offset_threshold(offset: float):
-    """T(l) = l + ``offset``, as a config's ``threshold_offset`` sets it."""
+def _offset_threshold(cfg: dict, context: str):
+    """T(l) = l + ``threshold_offset`` (default 1). The loss at valuation v is
+    v, so T(l) exceeds l, as the audits need, only for an offset > 0."""
+    offset = _number(cfg, "threshold_offset", context, 1.0)
+    if not offset > 0:
+        raise ConfigError(f"{context}.threshold_offset", f"must be > 0, got {offset!r}")
     return lambda ell, bits=None, v_minus=None: ell + offset
 
 
@@ -163,15 +167,29 @@ def build_model(cfg: dict, mech: Mechanism) -> LossModel:
         if kind == "growing_sd_monotonic":
             return growing_sd_model()
         if kind == "increasing_with_threshold":
-            offset = _number(cfg, "threshold_offset", "loss_model", 1.0)
             return increasing_threshold_model(
                 _number(cfg, "delta", "loss_model"),
-                threshold_fn=_offset_threshold(offset),
+                threshold_fn=_offset_threshold(cfg, "loss_model"),
                 relation=_relation(cfg.get("relation", "general"), "loss_model.relation"),
             )
     except (ValueError, TypeError) as exc:
         raise ConfigError("loss_model", str(exc)) from exc
     raise ConfigError("loss_model.kind", f"unknown loss model {kind!r}")
+
+
+def _read_json(path: str):
+    """The JSON value in the file at ``path``. A file that cannot be read or
+    parsed raises ``ValueError`` naming the path, with the line and column
+    of malformed JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # undecodable bytes, or an integer literal above the int-string digit limit
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -194,13 +212,18 @@ def parse_config(raw: dict) -> RunConfig:
 
     profiles = []
     if "profiles_file" in raw:
+        source, path = "profiles_file", raw["profiles_file"]
+        # open() would take an int as a file descriptor: 0 is stdin
+        if not (isinstance(path, str) and path):
+            raise ConfigError(source, f"must be a non-empty file path, got {path!r}")
         try:
-            with open(raw["profiles_file"], encoding="utf-8") as fh:
-                entries = json.load(fh)
-        except OSError as exc:
-            raise ConfigError("profiles_file", str(exc)) from exc
+            entries = _read_json(path)
+        except ValueError as exc:
+            raise ConfigError(source, str(exc)) from exc
     else:
-        entries = raw.get("profiles", [])
+        source, entries = "profiles", raw.get("profiles", [])
+    if not isinstance(entries, list):
+        raise ConfigError(source, f"must be a list of profiles, got {type(entries).__name__}")
     for idx, entry in enumerate(entries):
         try:
             profiles.append(InputProfile.from_json_dict(entry))
@@ -208,7 +231,10 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError(f"profiles[{idx}]", str(exc)) from exc
 
     checks = []
-    for idx, entry in enumerate(raw.get("checks", [])):
+    entries = raw.get("checks", [])
+    if not isinstance(entries, list):
+        raise ConfigError("checks", f"must be a list of checks, got {type(entries).__name__}")
+    for idx, entry in enumerate(entries):
         if isinstance(entry, str):
             entry = {"check": entry}
         if not isinstance(entry, dict) or "check" not in entry:
@@ -317,8 +343,7 @@ def _run_check(entry, mech, model, profiles, cfg, ctx) -> tuple[list[CheckResult
         relation = NeighborRelation.GENERAL if name == "audit_general" else NeighborRelation.MONOTONIC
         cap = 1.0 / (6 * mech.player_count) if name == "audit_general" else 1.0 / (3 * mech.player_count)
         delta = _number(entry, "delta", ctx, cap)
-        offset = _number(entry, "threshold_offset", ctx, 1.0)
-        audit_model = increasing_threshold_model(delta, threshold_fn=_offset_threshold(offset), relation=relation)
+        audit_model = increasing_threshold_model(delta, threshold_fn=_offset_threshold(entry, ctx), relation=relation)
         fn = audit_general_impossibility if name == "audit_general" else audit_monotonic_impossibility
         audits.append(fn(mech, audit_model, delta=delta, mass_tol=tol))
     elif name == "audit_tradeoff":
@@ -441,16 +466,9 @@ def _print_audit(report: AuditReport) -> None:
 
 def cmd_run(args) -> int:
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
+        raw = _read_json(args.config)
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except json.JSONDecodeError as exc:
-        print(f"config error: {args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # such as an integer literal above the int-string digit limit
-        print(f"config error: {args.config}: {exc}", file=sys.stderr)
         return 3
     # the flags override the config's fields before parse_config checks them
     overrides = {k: v for k, v in (("seed", args.seed), ("mass_tol", args.mass_tol)) if v is not None}

@@ -623,3 +623,71 @@ def test_run_refuses_one_path_for_both_outputs(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, "out.json", cfg)]) == 3
     assert "config error: output.report: must differ from output.csv" in capsys.readouterr().err
     assert not Path(cfg["output"]["csv"]).exists()
+
+
+@pytest.mark.parametrize("field", ["profiles", "checks"])
+@pytest.mark.parametrize("value", [5, {"check": "ir"}, "ir"], ids=["int", "object", "string"])
+def test_run_refuses_profiles_and_checks_that_are_not_lists(tmp_path, capsys, field, value):
+    cfg = base_config(tmp_path, **{field: value})
+    assert main(["run", write_config(tmp_path, "notlist.json", cfg)]) == 3
+    assert f"config error: {field}: must be a list of {field}, got {type(value).__name__}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("path", [0, 1, "", None, ["p.json"]], ids=["stdin", "stdout", "empty", "null", "list"])
+def test_run_refuses_a_profiles_file_that_is_not_a_path(tmp_path, path):
+    # open(0) would read stdin and wait on a terminal; the subprocess's
+    # timeout turns such a wait into a failure
+    cfg = base_config(tmp_path, checks=["ir"])
+    del cfg["profiles"]
+    cfg["profiles_file"] = path
+    proc = run_cli(tmp_path, "pf.json", cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert f"config error: profiles_file: must be a non-empty file path, got {path!r}" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ('[{"bits": [1, 0, 1, 0], ', "line 1 column 25: Expecting property name"),
+        ("[\n  {}\n  {}\n]", "line 3 column 3: Expecting ',' delimiter"),
+        (b"\xff\xfe[]", "codec can't decode byte"),
+        ('{"bits": [1, 0, 1, 0], "valuations": [0, 0, 0, 0]}', "must be a list of profiles, got dict"),
+    ],
+    ids=["truncated", "missing_comma", "not_utf8", "object"],
+)
+def test_run_refuses_a_profiles_file_that_is_not_a_json_list(tmp_path, capsys, content, message):
+    pfile = tmp_path / "profiles.json"
+    if isinstance(content, bytes):
+        pfile.write_bytes(content)
+    else:
+        pfile.write_text(content, encoding="utf-8")
+    cfg = base_config(tmp_path, checks=["ir"])
+    del cfg["profiles"]
+    cfg["profiles_file"] = str(pfile)
+    assert main(["run", write_config(tmp_path, "pf.json", cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: profiles_file: ") and message in err, err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("offset", [0, 0.0, -0.0, -5.0, -1e-300])
+@pytest.mark.parametrize("where", ["loss_model", "audit_general", "audit_monotonic"])
+def test_run_refuses_threshold_offsets_at_or_below_zero(tmp_path, capsys, where, offset):
+    # the model's loss is v, so T(l) = l + offset exceeds l only for offset > 0;
+    # at 0 the general chain's second move would leave its player as they were,
+    # and below 0 an IR witness would claim a loss below the pay
+    def config(offset):
+        mech = {"name": "alg1", "budget": 4.0, "epsilon": LN2, "n": 2}
+        if where == "loss_model":
+            model = {**THRESHOLD_MODEL, "threshold_offset": offset}
+            return base_config(tmp_path, mechanism=mech, loss_model=model, profiles=[], checks=[])
+        return base_config(tmp_path, mechanism=mech, profiles=[], checks=[{"check": where, "threshold_offset": offset}])
+
+    field = "loss_model.threshold_offset" if where == "loss_model" else "checks[0].threshold_offset"
+    assert main(["run", write_config(tmp_path, "offset.json", config(offset))]) == 3
+    assert f"config error: {field}: must be > 0, got {offset!r}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    # a positive offset runs to a verdict
+    assert main(["run", write_config(tmp_path, "offset_ok.json", config(0.5))]) == 0
