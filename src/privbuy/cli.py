@@ -228,7 +228,7 @@ def parse_config(raw: dict) -> RunConfig:
         try:
             profiles.append(InputProfile.from_json_dict(entry))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"profiles[{idx}]", str(exc)) from exc
+            raise ConfigError(f"{source}[{idx}]", str(exc)) from exc
 
     checks = []
     entries = raw.get("checks", [])
@@ -376,17 +376,23 @@ def execute(cfg: RunConfig) -> tuple[int, list[CheckResult], list[AuditReport]]:
             except ValueError as exc:
                 raise ConfigError("mechanism.epsilon", str(exc)) from exc
         model = build_model(cfg.loss_model, mech)
+        source = "profiles_file" if "profiles_file" in cfg.raw else "profiles"
         for idx, x in enumerate(cfg.profiles):
             if x.n != mech.player_count:
-                raise ConfigError(f"profiles[{idx}]", f"has {x.n} players, mechanism expects {mech.player_count}")
-        rows: list[CheckResult] = []
-        audits: list[AuditReport] = []
-        for idx, entry in enumerate(cfg.checks):
-            r, a = _run_check(entry, mech, model, cfg.profiles, cfg, f"checks[{idx}]")
-            rows.extend(r)
-            audits.extend(a)
+                raise ConfigError(f"{source}[{idx}]", f"has {x.n} players, mechanism expects {mech.player_count}")
     except (ValueError, TypeError, IndexError) as exc:
         raise ConfigError("<run>", str(exc)) from exc
+    rows: list[CheckResult] = []
+    audits: list[AuditReport] = []
+    for idx, entry in enumerate(cfg.checks):
+        ctx = f"checks[{idx}]"
+        try:
+            r, a = _run_check(entry, mech, model, cfg.profiles, cfg, ctx)
+        except (ValueError, TypeError, IndexError) as exc:
+            # a value the library refuses is this check's fault
+            raise ConfigError(ctx, str(exc)) from exc
+        rows.extend(r)
+        audits.extend(a)
     return exit_code_for(rows, audits), rows, audits
 
 

@@ -1,7 +1,8 @@
 """Domain types: players, profiles, neighbor relations, mechanisms.
 
-All types are immutable values and safe to share. Player indices are
-0-based throughout the package.
+Profiles and player types are immutable values. A mechanism keeps caches
+on the instance; a race on them only costs a recomputation. Player indices
+are 0-based throughout the package.
 """
 
 from __future__ import annotations

@@ -144,11 +144,6 @@ class CountDistribution:
     def atoms(self) -> dict[int, float]:
         return dict(zip(self.support, self.probs))
 
-    @cached_property
-    def log_probs(self) -> tuple[float, ...]:
-        """ln of each atom, -inf for a zero atom."""
-        return tuple([math.log(p) if p > 0.0 else -math.inf for p in self.probs])
-
     def prob(self, k: int) -> float:
         return self.atoms.get(k, 0.0)
 
@@ -276,15 +271,6 @@ def dp_level(d1: CountDistribution, d2: CountDistribution) -> float:
     for d in (d1, d2):
         if d.truncation_mass > 1e-9:
             raise ValueError(f"dp_level needs truncation_mass <= 1e-9, got {d.truncation_mass}; lower mass_tol")
-    overlap = _range_overlap(d1.support, d2.support)
-    if overlap is not None and min(d1.probs) > 0.0 and min(d2.probs) > 0.0:
-        # Every geometric window and point mass: the common keys are one
-        # slice of each side, and every other atom is one-sided.
-        p1, p2 = d1.probs, d2.probs
-        i1, j1, i2, j2 = overlap
-        if max(chain(p1[:i1], p1[j1:], p2[:i2], p2[j2:]), default=0.0) > SUPPORT_ATOM_TOL:
-            return math.inf
-        return max(map(abs, map(sub, d1.log_probs[i1:j1], d2.log_probs[i2:j2])), default=0.0)
     a1, a2 = d1.atoms, d2.atoms
     keys = set(d1.support)
     keys.update(d2.support)

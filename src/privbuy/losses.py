@@ -117,19 +117,13 @@ def _worst_log_ratios(mech: Mechanism, support, truth_key, truth_ok: bool, rows)
     (-inf everywhere), and a ratio of two impossible outcomes is 0."""
     impossible = (-_INF,) * len(support)
     cur = mech.log_pmf_table(truth_key, support) if truth_ok else impossible
-    cur_finite = -_INF not in cur
     best = [-_INF] * len(support)
     for key, den_ok in rows:
         nb = mech.log_pmf_table(key, support) if den_ok else impossible
-        if cur_finite and -_INF not in nb:
-            # every ratio is finite, and max keeps the earlier of two equal
-            # ones, as the loop below does
-            best = list(map(max, best, map(sub, cur, nb)))
-            continue
-        for j, (a, b) in enumerate(zip(cur, nb)):
-            r = 0.0 if (a == -_INF and b == -_INF) else a - b
-            if r > best[j]:
-                best[j] = r
+        # two impossible sides give -inf - -inf, the only NaN here (the one
+        # value unequal to itself), read as 0; max keeps the earlier of two
+        # equal ratios
+        best = list(map(max, best, [r if r == r else 0.0 for r in map(sub, cur, nb)]))
     return best
 
 
@@ -275,23 +269,24 @@ def increasing_threshold_model(
     )
 
 
-def growing_sd_model(relation: NeighborRelation = NeighborRelation.MONOTONIC) -> LossModel:
+def growing_sd_model() -> LossModel:
     """Minimal model growing with statistical distance: loss exactly v_i
-    times the largest admissible neighbor distance. Outcome-constant, so the
-    expectation is the certified product interval."""
+    times the largest monotonic neighbor distance, as the tradeoff audit
+    requires. Outcome-constant, so the expectation is the certified product
+    interval."""
 
     def expectation(mech, x, i, declared, mass_tol):
         v = x.players[i].valuation
         if v == 0.0:
             return Interval(0.0, 0.0)
-        return max_neighbor_distance(mech, x, i, relation, mass_tol).scale(v)
+        return max_neighbor_distance(mech, x, i, NeighborRelation.MONOTONIC, mass_tol).scale(v)
 
     return LossModel(
         respects_indifference=True,
         respects_identical_output_dists=True,
         expectation=expectation,
         growing_with_sd=True,
-        relation=relation,
+        relation=NeighborRelation.MONOTONIC,
     )
 
 

@@ -185,8 +185,6 @@ class ShiftedGeometricMechanism(CountedMechanism):
         super().__init__()
         self.epsilon = epsilon
         self.geom = GeomParams(epsilon)
-        # ln Pr[key + d] for offsets d in [-r, r], grown to the widest asked
-        self._log_row: tuple = ()
 
     def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         return shifted_geom_dist(self.geom, key, mass_tol)
@@ -202,16 +200,7 @@ class ShiftedGeometricMechanism(CountedMechanism):
     def log_pmf_table(self, key: int, support) -> tuple[float, ...]:
         # the closed form holds beyond the truncated window
         ln, eps = self.geom.log_norm, self.epsilon
-        # a strictly increasing support that spans len - 1 is a range
-        if not support or support[-1] - support[0] != len(support) - 1:
-            return tuple(ln - eps * abs(s - key) for s in support)
-        lo, hi = support[0] - key, support[-1] - key
-        row = self._log_row
-        r = (len(row) - 1) // 2
-        if -lo > r or hi > r:
-            r = max(-lo, hi)
-            row = self._log_row = tuple(ln - eps * abs(d) for d in range(-r, r + 1))
-        return row[r + lo : r + hi + 1]
+        return tuple(ln - eps * abs(s - key) for s in support)
 
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
         c = self._count(x)

@@ -183,6 +183,45 @@ def test_run_profiles_file(tmp_path):
     assert main(["run", write_config(tmp_path, "pf2.json", cfg)]) == 3
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"bits": [1, 0, 1], "valuations": [0.0, 1.0]}, "profiles_file[1]: "),
+        ({"bits": [1, 0], "valuations": [0.0, 1.0]}, "profiles_file[1]: has 2 players, mechanism expects 4"),
+    ],
+    ids=["bad_entry", "player_count"],
+)
+def test_run_names_a_bad_profiles_file_entry_as_that_field(tmp_path, capsys, entry, message):
+    # a bad entry is refused when the config is read, a wrong player count
+    # once the mechanism is built
+    pfile = tmp_path / "profiles.json"
+    pfile.write_text(json.dumps([{"bits": [1, 0, 1, 0], "valuations": [0.0, 1.0, 2.0, 0.0]}, entry]), encoding="utf-8")
+    cfg = base_config(tmp_path, checks=["ir"])
+    del cfg["profiles"]
+    cfg["profiles_file"] = str(pfile)
+    assert main(["run", write_config(tmp_path, "pf.json", cfg)]) == 3
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"check": "audit_general", "delta": 0.5}, "delta must be in (0, 1/(6n)], got 0.5"),
+        ({"check": "audit_monotonic", "delta": 2}, "delta must be in (0, 1], got 2"),
+        ({"check": "distinguishability", "delta": -1}, "delta must be > 0, got -1"),
+        ({"check": "accuracy", "alpha": 0.5, "alpha_prime": 0.5, "beta": 0.5, "method": "exactt"},
+         "unknown accuracy method 'exactt'"),
+    ],
+    ids=["audit_general", "audit_monotonic", "distinguishability", "accuracy"],
+)
+def test_run_names_the_check_whose_field_the_library_refuses(tmp_path, capsys, entry, message):
+    cfg = base_config(tmp_path, checks=["ir", entry])
+    assert main(["run", write_config(tmp_path, "check.json", cfg)]) == 3
+    assert f"config error: checks[1]: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_run_subsample_and_exact_sum_configs(tmp_path):
     cfg = base_config(
         tmp_path,
@@ -206,9 +245,28 @@ def test_demo_unknown_name(capsys):
 
 
 def test_dist_subcommand(capsys):
-    assert main(["dist", str(LN2), "0", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "0.333333333333" in out and "dp level" in out
+    cases = {
+        ("0.5", "0", "3"): (
+            "statistical distance between shift 0 and shift 3 at eps=0.5: [0.542020018171, 0.542020018172]\n"
+            "dp level: 1.5\n"
+        ),
+        (str(LN2), "0", "1"): (
+            "statistical distance between shift 0 and shift 1 at eps=0.693147: [0.333333333333, 0.333333333334]\n"
+            "dp level: 0.69314718056\n"
+        ),
+        # disjoint windows: every atom is one-sided
+        ("0.5", "0", "200"): (
+            "statistical distance between shift 0 and shift 200 at eps=0.5: [0.999999999999, 1]\n"
+            "dp level: inf\n"
+        ),
+        ("0.05", "-7", "9"): (
+            "statistical distance between shift -7 and shift 9 at eps=0.05: [0.329679953964, 0.329679953965]\n"
+            "dp level: 0.8\n"
+        ),
+    }
+    for args, want in cases.items():
+        assert main(["dist", *args]) == 0
+        assert capsys.readouterr().out == want, args
 
 
 def test_version_subcommand(capsys):

@@ -406,7 +406,7 @@ def test_dp_level_one_sided_atoms_at_the_threshold():
         d = CountDistribution((0, 1), (tiny, 1.0 - tiny), 0.0)
         assert dp_level(d, point) == dp_level(point, d) == oracle_dp_level(d, point)
         assert dp_level(d, point) == pytest.approx(want, rel=1e-6)
-    # a zero atom inside a range leaves the range kernel to the dict loop
+    # a zero atom inside a shared range is one-sided there
     gap = CountDistribution((0, 1, 2), (0.5, 0.0, 0.5), 0.0)
     flat = CountDistribution((0, 1, 2), (0.25, 0.5, 0.25), 0.0)
     assert dp_level(gap, flat) == oracle_dp_level(gap, flat) == math.inf
@@ -418,11 +418,6 @@ def test_geometric_dp_level_equals_dict_loop(eps, s1, s2, tol):
     g = GeomParams(eps)
     d1, d2 = shifted_geom_dist(g, s1, tol), shifted_geom_dist(g, s2, 1e-12)
     assert dp_level(d1, d2) == oracle_dp_level(d1, d2)
-
-
-def test_log_probs_are_the_logs_of_the_atoms():
-    d = CountDistribution((0, 1, 2), (0.25, 0.0, 0.75), 0.0)
-    assert d.log_probs == (math.log(0.25), -math.inf, math.log(0.75))
 
 
 # --- sampling --------------------------------------------------------------

@@ -534,9 +534,9 @@ def test_sliced_geometric_log_pmf_table_is_the_closed_form(factory):
         (2, window),  # the key right of the support
         (-3, window),  # the key left of the support
         (1, (1,)),
-        (40, tuple(range(-5, 3))),  # beyond the row so far: it grows
-        (0, window),  # read again from the grown row
-        (-60, tuple(range(-70, -65))),  # grows again, on the left
+        (40, tuple(range(-5, 3))),  # the key far right of the support
+        (0, window),  # the same table asked again
+        (-60, tuple(range(-70, -65))),  # the key far left of the support
         (1, (-2, 0, 3, 4)),  # not contiguous
         (1, ()),
     ]
