@@ -190,15 +190,21 @@ def _consecutive_distances(mech: Mechanism, keys: list, mass_tol):
     return steps, mech.law_distance(keys[0], keys[-1], mass_tol)
 
 
-def _validate(
-    mech: Mechanism, model: LossModel, relation: NeighborRelation, delta: Optional[float], per: int
-) -> tuple[int, float]:
-    """n and delta of an audit driven by an increasing model over
-    ``relation``; delta defaults to, and may not exceed, 1/(per*n)."""
+def audit_delta(relation: NeighborRelation, n: int, delta: Optional[float] = None) -> float:
+    """delta of the audit over ``relation`` at n players: when None, its cap
+    1/(6n) (general) or 1/(3n) (monotonic), which keeps the chain's
+    end-to-end distance at most 1/3; refused outside (0, cap]."""
+    per = 6 if relation is NeighborRelation.GENERAL else 3
+    cap = 1.0 / (per * n)
+    if not (delta is None or 0.0 < delta <= cap):
+        raise ValueError(f"delta must be in (0, 1/({per}n)] = (0, {cap!r}], got {delta}")
+    return cap if delta is None else delta
+
+
+def _validate(mech: Mechanism, model: LossModel, relation: NeighborRelation, delta: Optional[float]) -> tuple[int, float]:
+    """n and delta (see ``audit_delta``) of an audit driven by an increasing model over ``relation``."""
     n = mech.player_count
-    delta = 1.0 / (per * n) if delta is None else delta
-    if not 0.0 < delta <= 1.0 / (per * n):
-        raise ValueError(f"delta must be in (0, 1/({per}n)], got {delta}")
+    delta = audit_delta(relation, n, delta)
     if not model.respects_indifference:
         raise ValueError("audit needs a model that respects indifference")
     if model.threshold_fn is None:
@@ -316,7 +322,7 @@ def audit_general_impossibility(
     1/3 and (1/2, 1/3)-accuracy must break on an endpoint. Otherwise the
     report names the first broken premise.
     """
-    n, delta = _validate(mech, model, NeighborRelation.GENERAL, delta, 6)
+    n, delta = _validate(mech, model, NeighborRelation.GENERAL, delta)
     audit = "general_impossibility"
     pay_cap = mech.max_zero_valuation_pay()
     details = [f"payment cap over all-indifferent inputs: P = {pay_cap:g}"]
@@ -387,7 +393,7 @@ def audit_monotonic_impossibility(
     forces the all-zeros and all-ones-at-L laws within n*delta <= 1/3, so a
     surviving mechanism must give up (1/2, 1/3)-accuracy on an endpoint.
     """
-    n, delta = _validate(mech, model, NeighborRelation.MONOTONIC, delta, 3)
+    n, delta = _validate(mech, model, NeighborRelation.MONOTONIC, delta)
     audit = "monotonic_impossibility"
     details: list[str] = []
     moves: list[tuple[int, PlayerType]] = []

@@ -29,6 +29,7 @@ from .audits import (
     THEOREM_CONTRADICTED,
     AuditReport,
     TradeoffParams,
+    audit_delta,
     audit_general_impossibility,
     audit_monotonic_impossibility,
     audit_payment_accuracy_tradeoff,
@@ -341,8 +342,10 @@ def _run_check(entry, mech, model, profiles, cfg, ctx) -> tuple[list[CheckResult
                 rows.append(check_distinguishable(mech, x, DistinguishabilityQuery(i, delta, relation), tol, pid))
     elif name in ("audit_general", "audit_monotonic"):
         relation = NeighborRelation.GENERAL if name == "audit_general" else NeighborRelation.MONOTONIC
-        cap = 1.0 / (6 * mech.player_count) if name == "audit_general" else 1.0 / (3 * mech.player_count)
-        delta = _number(entry, "delta", ctx, cap)
+        try:
+            delta = audit_delta(relation, mech.player_count, _number(entry, "delta", ctx, None))
+        except ValueError as exc:
+            raise ConfigError(f"{ctx}.delta", str(exc)) from exc
         audit_model = increasing_threshold_model(delta, threshold_fn=_offset_threshold(entry, ctx), relation=relation)
         fn = audit_general_impossibility if name == "audit_general" else audit_monotonic_impossibility
         audits.append(fn(mech, audit_model, delta=delta, mass_tol=tol))
@@ -534,9 +537,8 @@ def demo_thm_imp() -> int:
     loss model."""
     code = 0
     for mech in (exact_sum(2), alg1(4.0, math.log(2.0), 2)):
-        delta = 1.0 / (6 * mech.player_count)
-        model = increasing_threshold_model(delta, relation=NeighborRelation.GENERAL)
-        report = audit_general_impossibility(mech, model, delta=delta)
+        delta = audit_delta(NeighborRelation.GENERAL, mech.player_count)
+        report = audit_general_impossibility(mech, increasing_threshold_model(delta, relation=NeighborRelation.GENERAL))
         _print_audit(report)
         code = max(code, exit_code_for([], [report]))
     return code
@@ -547,9 +549,8 @@ def demo_thm_monimp() -> int:
     unchanged, and accuracy collapses on the all-ones high-valuation
     endpoint instead of IR or truthfulness breaking."""
     mech = alg1(4.0, math.log(2.0), 2)
-    delta = 1.0 / (3 * mech.player_count)
-    model = increasing_threshold_model(delta, relation=NeighborRelation.MONOTONIC)
-    report = audit_monotonic_impossibility(mech, model, delta=delta)
+    delta = audit_delta(NeighborRelation.MONOTONIC, mech.player_count)
+    report = audit_monotonic_impossibility(mech, increasing_threshold_model(delta, relation=NeighborRelation.MONOTONIC))
     _print_audit(report)
     return exit_code_for([], [report])
 

@@ -171,19 +171,16 @@ class Mechanism(ABC):
 
     Bundled mechanisms have deterministic payments and a count law that is
     exactly representable (a shifted geometric, a scaled hypergeometric, or a
-    point mass), so every verifier below works from closed forms.
-    ``sample_counts`` exists for Monte Carlo cross-checks only.
+    point mass), so every verifier below works from closed forms. A custom
+    mechanism sets ``name`` and ``player_count`` and implements
+    ``output_dist`` and ``pay_vector``; every other hook has a default. The
+    sampler, for Monte Carlo cross-checks only, is optional.
     """
 
     name: str
     player_count: int
     # C of "every player's neighbor distance stays below C/n"; none by default
     distinguishability_budget: float = math.inf
-
-    @property
-    @abstractmethod
-    def cache_token(self) -> tuple:
-        """Hashable identity pinning every parameter the laws depend on."""
 
     def require_profile(self, x: InputProfile) -> None:
         if x.n != self.player_count:
@@ -223,11 +220,11 @@ class Mechanism(ABC):
         profiles = (InputProfile.from_arrays([(mask >> j) & 1 for j in range(n)], zeros) for mask in range(2**n))
         return max(max(self.pay_vector(x)) for x in profiles)
 
-    @abstractmethod
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
         """Counts of ``trials`` independent draws under declarations ``x``
         (already checked), as an iterator that takes from ``rng`` exactly
-        what ``trials`` successive one-draw calls would, in the same order."""
+        what ``trials`` successive one-draw calls would; none by default."""
+        raise ValueError(f"mechanism {self.name!r} has no sampler; check its accuracy with method 'exact'")
 
     def sample_counts(self, x: InputProfile, rng, trials: int) -> Iterator[int]:
         """Published counts of ``trials`` independent draws, drawn lazily;

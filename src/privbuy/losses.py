@@ -49,11 +49,13 @@ class LossModel:
     ``expectation(mech, x, i, declared, mass_tol)`` returns the certified
     expected-loss ``Interval``. ``expectation_key`` takes the same arguments
     and returns a hashable memo key covering everything the expectation
-    reads, or None; without it nothing is memoized. ``threshold_fn(l, bits,
-    v_minus)`` is set iff the model is increasing for ``delta``-
-    distinguishability, and ``growing_with_sd`` marks a model that grows
-    with statistical distance. ``relation`` and ``delta`` pin the neighbour
-    relation and the delta the model was built for, when it has them.
+    reads, the mechanism object itself included (two mechanisms may share
+    parameters, never an entry), or None; without it nothing is memoized.
+    ``threshold_fn(l, bits, v_minus)`` is set iff the model is increasing
+    for ``delta``-distinguishability, and ``growing_with_sd`` marks a model
+    that grows with statistical distance. ``relation`` and ``delta`` pin the
+    neighbour relation and the delta the model was built for, when it has
+    them.
     """
 
     respects_indifference: bool
@@ -152,6 +154,9 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
     profile; the enclosure widens by truncation_mass times the largest |loss|
     seen on the window. Infinite per-outcome losses propagate to infinite
     endpoints.
+
+    The model serves only the object ``mech``, and its memo key holds
+    ``mech`` itself, which keeps it alive until ``clear_expectation_cache()``.
     """
     # slot -> (declared law, worst log-ratio row, largest |entry| of the row)
     table: dict = {}
@@ -176,7 +181,7 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
         return entry
 
     def expectation(mech2, x, i, declared, mass_tol):
-        if mech2.cache_token != mech.cache_token:
+        if mech2 is not mech:
             raise ValueError("loss model is bound to a different mechanism")
         truth = x.players[i]
         lied = PlayerType(truth.bit, declared)
@@ -210,8 +215,11 @@ def tight_dp_loss(mech: Mechanism, relation: NeighborRelation) -> LossModel:
 
     def expectation_key(mech2, x, i, declared, mass_tol):
         # player i's type and others_key fix every law, candidate and
-        # payment equality the expectation reads (see Mechanism.others_key)
-        return (mech2.cache_token, relation, x.players[i], declared, mech2.others_key(x, i), mass_tol)
+        # payment equality the expectation reads (see Mechanism.others_key);
+        # a memo hit skips the expectation, so the binding is checked here too
+        if mech2 is not mech:
+            raise ValueError("loss model is bound to a different mechanism")
+        return (mech, relation, x.players[i], declared, mech.others_key(x, i), mass_tol)
 
     return LossModel(
         respects_indifference=True,
@@ -307,18 +315,14 @@ def loss_expectation(
 ) -> Interval:
     """Certified enclosure of player i's expected loss when they declare
     ``declared`` while their true type stays ``x.players[i]``: the model's
-    ``expectation``, memoized under its ``expectation_key`` when it has one.
-    """
+    ``expectation``, memoized under its ``expectation_key`` when it has one."""
     mech.require_profile(x)
     if not 0 <= i < x.n:
         raise IndexError(f"player index {i} out of range for n={x.n}")
-    key = None
-    if model.expectation_key is not None:
-        key = model.expectation_key(mech, x, i, declared, mass_tol)
-        hit = _EXPECTATION_CACHE.get(key)
-        if hit is not None:
-            return hit
-    result = model.expectation(mech, x, i, declared, mass_tol)
-    if key is not None:
-        _EXPECTATION_CACHE[key] = result
-    return result
+    if model.expectation_key is None:
+        return model.expectation(mech, x, i, declared, mass_tol)
+    key = model.expectation_key(mech, x, i, declared, mass_tol)
+    hit = _EXPECTATION_CACHE.get(key)
+    if hit is None:
+        hit = _EXPECTATION_CACHE[key] = model.expectation(mech, x, i, declared, mass_tol)
+    return hit

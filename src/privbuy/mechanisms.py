@@ -86,10 +86,9 @@ class CountedMechanism(Mechanism):
 
     Every law is fixed by the number of counted 1-bits, so that number is
     the law key, and the others' number is player i's ``others_key``. A
-    subclass gives the rule, ``cache_token``, the law of a count
-    (``key_law``) and its sampler; every key and every payment follows
-    here. A subclass that overrides ``counts`` overrides
-    ``_counted`` to match.
+    subclass gives the rule and the law of a count (``key_law``), and a
+    sampler if it has one; every key and every payment follows here. A
+    subclass that overrides ``counts`` overrides ``_counted`` to match.
 
     Two things are kept on the instance. The last counted profile's
     ``players`` tuple and its count sit in one slot, held by a strong
@@ -229,10 +228,6 @@ class BudgetMechanism(ShiftedGeometricMechanism):
         self._landmarks = tuple(dict.fromkeys((0.0, theta, 2.0 * theta)))
         self._landmark_types = tuple(PlayerType(b, w) for w in self._landmarks for b in (0, 1))
 
-    @property
-    def cache_token(self) -> tuple:
-        return (self.name, self.params.budget, self.params.epsilon, self.params.n)
-
     def counts(self, valuation: float) -> bool:
         return self._two_eps * valuation <= self._share
 
@@ -300,11 +295,6 @@ class SubsampleMechanism(CountedMechanism):
         self.player_count = params.n
 
     @property
-    def cache_token(self) -> tuple:
-        p = self.params
-        return (self.name, p.flat_pay, p.sample_size, p.n, p.distinguishability_budget)
-
-    @property
     def distinguishability_budget(self) -> float:
         return self.params.distinguishability_budget
 
@@ -335,10 +325,6 @@ class PayDeclaredMechanism(ShiftedGeometricMechanism):
         self.name = "pay_declared"
         self.player_count = n
 
-    @property
-    def cache_token(self) -> tuple:
-        return (self.name, self.epsilon, self.player_count)
-
     def pay(self, bit: int, valuation: float) -> float:
         return valuation * self.epsilon
 
@@ -364,10 +350,6 @@ class ExactSumMechanism(CountedMechanism):
         self.flat_pay = flat_pay
         self.name = "exact_sum"
         self.player_count = n
-
-    @property
-    def cache_token(self) -> tuple:
-        return (self.name, self.flat_pay, self.player_count)
 
     def pay(self, bit: int, valuation: float) -> float:
         return self.flat_pay

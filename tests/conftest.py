@@ -1,6 +1,4 @@
 import math
-import random
-from itertools import repeat
 
 from privbuy.core import InputProfile, Mechanism, PlayerType, admissible_candidates
 from privbuy.distributions import CountDistribution
@@ -14,10 +12,6 @@ class ConstantMechanism(Mechanism):
         self.name = "constant"
         self.player_count = n
 
-    @property
-    def cache_token(self):
-        return ("constant", self.player_count)
-
     def output_dist(self, x, mass_tol=1e-12):
         self.require_profile(x)
         return CountDistribution((0,), (1.0,), 0.0)
@@ -26,12 +20,27 @@ class ConstantMechanism(Mechanism):
         self.require_profile(x)
         return (0.0,) * self.player_count
 
-    def _sample_counts(self, x, rng: random.Random, trials: int):
-        return repeat(0, trials)
-
     def candidate_types(self, x, i):
         p = x.players[i]
         return (PlayerType(1 - p.bit, p.valuation), PlayerType(p.bit, p.valuation + 1.0))
+
+
+class PointMass(ConstantMechanism):
+    """Publishes the bit sum (or 0 with ``constant``) but stores only
+    1 - slack of its mass there; with ``alone``, no player has a candidate
+    neighbour, so nothing is ever distinguishable."""
+
+    def __init__(self, n, slack=0.0, constant=False, alone=True):
+        super().__init__(n)
+        self.slack, self.constant, self.alone = slack, constant, alone
+
+    def output_dist(self, x, mass_tol=1e-12):
+        self.require_profile(x)
+        at = 0 if self.constant else x.bit_sum()
+        return CountDistribution((at,), (1.0 - self.slack,), self.slack)
+
+    def candidate_types(self, x, i):
+        return () if self.alone else super().candidate_types(x, i)
 
 
 class SwapPayMechanism(Mechanism):
@@ -41,7 +50,6 @@ class SwapPayMechanism(Mechanism):
 
     name = "swap_pay"
     player_count = 2
-    cache_token = ("swap_pay",)
 
     def output_dist(self, x, mass_tol=1e-12):
         self.require_profile(x)
@@ -50,9 +58,6 @@ class SwapPayMechanism(Mechanism):
     def pay_vector(self, x):
         self.require_profile(x)
         return (x.players[1].valuation, x.players[0].valuation)
-
-    def _sample_counts(self, x, rng: random.Random, trials: int):
-        return repeat(x.bit_sum(), trials)
 
 
 def bit_vectors(n):

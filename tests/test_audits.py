@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -22,7 +23,7 @@ from privbuy.distributions import CountDistribution, Interval
 from privbuy.losses import growing_sd_model, increasing_threshold_model, zero_loss
 from privbuy.mechanisms import alg1, exact_sum, max_zero_valuation_pay, pay_declared, subsample
 
-from conftest import ConstantMechanism, profile
+from conftest import ConstantMechanism, PointMass, profile
 
 GEN, MON = NeighborRelation.GENERAL, NeighborRelation.MONOTONIC
 LN2 = math.log(2.0)
@@ -34,24 +35,6 @@ class InfinitePay(ConstantMechanism):
     def pay_vector(self, x):
         self.require_profile(x)
         return (math.inf,) * self.player_count
-
-
-class PointMass(ConstantMechanism):
-    """Publishes the bit sum (or 0 with ``constant``) but stores only
-    1 - slack of its mass there; with ``alone``, no player has a candidate
-    neighbour, so nothing is ever distinguishable."""
-
-    def __init__(self, n, slack=0.0, constant=False, alone=True):
-        super().__init__(n)
-        self.slack, self.constant, self.alone = slack, constant, alone
-
-    def output_dist(self, x, mass_tol=1e-12):
-        self.require_profile(x)
-        at = 0 if self.constant else x.bit_sum()
-        return CountDistribution((at,), (1.0 - self.slack,), self.slack)
-
-    def candidate_types(self, x, i):
-        return () if self.alone else super().candidate_types(x, i)
 
 
 class TwoFacedLaw(PointMass):
@@ -261,6 +244,27 @@ def test_tradeoff_requires_growing_model():
     mech = alg1(8.0, LN2, 8)
     with pytest.raises(ValueError):
         audit_payment_accuracy_tradeoff(mech, zero_loss(), criterion_params())
+
+
+def test_audits_refuse_a_model_that_does_not_respect_indifference():
+    def careless(model):
+        return dataclasses.replace(model, respects_indifference=False)
+
+    mech = alg1(4.0, LN2, 2)
+    with pytest.raises(ValueError, match="audit needs a model that respects indifference"):
+        audit_general_impossibility(mech, careless(general_model(1.0 / 12.0)))
+    with pytest.raises(ValueError, match="audit needs a model that respects indifference"):
+        audit_monotonic_impossibility(mech, careless(monotonic_model(1.0 / 6.0)))
+    with pytest.raises(ValueError, match="audit needs a model that respects indifference"):
+        audit_payment_accuracy_tradeoff(alg1(8.0, LN2, 8), careless(growing_sd_model()), criterion_params())
+
+
+def test_tradeoff_refuses_a_chain_with_no_steps():
+    # eta*n and 2*gamma*n both round to the integer 0
+    params = TradeoffParams(tau=8.0, gamma=1e-12, eta=1e-12, beta=0.25, max_pay=0.0)
+    assert params.counts_for(2) == (0, 0)
+    with pytest.raises(ValueError, match="chain needs at least one step"):
+        audit_payment_accuracy_tradeoff(exact_sum(2), growing_sd_model(), params)
 
 
 def test_tradeoff_deterministic():

@@ -207,18 +207,53 @@ def test_run_names_a_bad_profiles_file_entry_as_that_field(tmp_path, capsys, ent
 @pytest.mark.parametrize(
     "entry, message",
     [
-        ({"check": "audit_general", "delta": 0.5}, "delta must be in (0, 1/(6n)], got 0.5"),
-        ({"check": "audit_monotonic", "delta": 2}, "delta must be in (0, 1], got 2"),
-        ({"check": "distinguishability", "delta": -1}, "delta must be > 0, got -1"),
+        ({"check": "audit_general", "delta": 0.5}, ".delta: delta must be in (0, 1/(6n)] = (0, 0.041666666666666664], got 0.5"),
+        ({"check": "audit_monotonic", "delta": 2}, ".delta: delta must be in (0, 1/(3n)] = (0, 0.08333333333333333], got 2"),
+        ({"check": "distinguishability", "delta": -1}, ": delta must be > 0, got -1"),
         ({"check": "accuracy", "alpha": 0.5, "alpha_prime": 0.5, "beta": 0.5, "method": "exactt"},
-         "unknown accuracy method 'exactt'"),
+         ": unknown accuracy method 'exactt'"),
     ],
     ids=["audit_general", "audit_monotonic", "distinguishability", "accuracy"],
 )
 def test_run_names_the_check_whose_field_the_library_refuses(tmp_path, capsys, entry, message):
     cfg = base_config(tmp_path, checks=["ir", entry])
     assert main(["run", write_config(tmp_path, "check.json", cfg)]) == 3
-    assert f"config error: checks[1]: {message}" in capsys.readouterr().err
+    assert f"config error: checks[1]{message}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("delta", [2, 0, -1])
+@pytest.mark.parametrize("check, cap", [("audit_general", "1/(6n)] = (0, 0.08333333333333333]"),
+                                        ("audit_monotonic", "1/(3n)] = (0, 0.16666666666666666]")],
+                         ids=["audit_general", "audit_monotonic"])
+def test_run_refuses_an_audit_delta_outside_the_audit_cap(tmp_path, capsys, check, cap, delta):
+    # the audit's own range, not the wider (0, 1] of the model it builds
+    cfg = base_config(
+        tmp_path, mechanism={"name": "exact_sum", "n": 2}, profiles=[], checks=[{"check": check, "delta": delta}]
+    )
+    assert main(["run", write_config(tmp_path, "delta.json", cfg)]) == 3
+    assert capsys.readouterr().err == f"config error: checks[0].delta: delta must be in (0, {cap}, got {delta}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_readme_example(tmp_path, monkeypatch, capsys):
+    # the ```json config under "## CLI" in README.md, as it stands there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    cfg = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    monkeypatch.chdir(tmp_path)  # the config's relative output paths stay unused
+    assert main(["run", write_config(tmp_path, "example.json", cfg), "--out", str(tmp_path / "readme")]) == 1
+    assert "fail: 1, not_distinguishable: 4, pass: 7; audits: 1; exit code 1" in capsys.readouterr().out
+    report = json.loads((tmp_path / "readme.json").read_text(encoding="utf-8"))
+    verdicts = [(r["check"], r["player"], r["verdict"]) for r in report["rows"]]
+    assert verdicts == (
+        [("ir", i, "pass") for i in range(4)]
+        + [("truthful", i, "pass") for i in (0, 2, 3)]
+        + [("accuracy", None, "fail")]
+        + [("distinguishability", i, "not_distinguishable") for i in range(4)]
+    )
+    assert report["rows"][7]["margin"] == -0.0978794411705815
+    assert [a["verdict"] for a in report["audits"]] == ["accuracy_sacrificed"]
     assert not (tmp_path / "report.json").exists()
 
 

@@ -38,7 +38,7 @@ from privbuy.mechanisms import (
 )
 from privbuy.verifiers import check_ir, check_truthful
 
-from conftest import ConstantMechanism, SwapPayMechanism, neighbor_profiles, profile
+from conftest import ConstantMechanism, PointMass, SwapPayMechanism, neighbor_profiles, profile
 
 GEN, MON = NeighborRelation.GENERAL, NeighborRelation.MONOTONIC
 LN2 = math.log(2.0)
@@ -172,11 +172,76 @@ def test_tight_general_infinite_against_point_mass():
     assert loss_expectation(model, mech, y, 0, -1.0).hi == -math.inf
 
 
+def test_tight_loss_refuses_a_player_without_admissible_candidates():
+    mech = PointMass(2)  # no candidate types at all
+    with pytest.raises(ValueError, match="no admissible general candidates for player 0"):
+        loss_expectation(tight_dp_loss(mech, GEN), mech, profile([1, 0], [1.0, 0.0]), 0, 1.0)
+
+
+class SplitLaw(ConstantMechanism):
+    """Player 0's type sets the law: (1, 1) publishes 0, (1, 2) a fair coin
+    on {0, 1}, every other type 1. So the truth (1, 1) has log-ratio +inf at
+    0 and -inf at 1 against its neighbours, both on the coin's support."""
+
+    def output_dist(self, x, mass_tol=1e-12):
+        self.require_profile(x)
+        p = x.players[0]
+        if p == PlayerType(1, 1.0):
+            return CountDistribution((0,), (1.0,), 0.0)
+        if p == PlayerType(1, 2.0):
+            return CountDistribution((0, 1), (0.5, 0.5), 0.0)
+        return CountDistribution((1,), (1.0,), 0.0)
+
+
+def test_tight_loss_refuses_a_window_with_both_infinite_losses():
+    mech = SplitLaw(2)
+    model = tight_dp_loss(mech, GEN)
+    x = profile([1, 0], [1.0, 0.0])
+    assert loss_expectation(model, mech, x, 0, 1.0) == Interval(math.inf, math.inf)  # the truth's own law
+    with pytest.raises(ValueError, match="per-outcome loss takes both"):
+        loss_expectation(model, mech, x, 0, 2.0)
+
+
 def test_tight_model_bound_to_wrong_mechanism():
     model = tight_dp_loss(alg1(8.0, 0.5, 2), MON)
     other = alg1(9.0, 0.5, 2)
     with pytest.raises(ValueError):
         loss_expectation(model, other, profile([1, 0], [0.5, 0.0]), 0, 0.5)
+
+
+def test_tight_memo_keeps_apart_two_mechanisms_with_equal_parameters():
+    # one class and one n, two laws: the point mass at the bit sum and at 0
+    x = profile([1, 0], [1.0, 0.0])
+
+    def pair():
+        return PointMass(2, alone=False), PointMass(2, constant=True, alone=False)
+
+    def loss(model_mech, mech):
+        return loss_expectation(tight_dp_loss(model_mech, GEN), mech, x, 0, 1.0)
+
+    cold = []
+    for k in (0, 1):
+        clear_expectation_cache()
+        mech = pair()[k]
+        cold.append(loss(mech, mech))
+    assert cold == [Interval(math.inf, math.inf), Interval(0.0, 0.0)]
+    for order in ((0, 1), (1, 0)):
+        clear_expectation_cache()
+        mechs = pair()
+        for k in order:
+            assert loss(mechs[k], mechs[k]) == cold[k], order
+    # a model refuses the other mechanism, also once that one's entry is in the memo
+    for fill in (False, True):
+        clear_expectation_cache()
+        mechs = pair()
+        for k in (0, 1):
+            if fill:
+                loss(mechs[1 - k], mechs[1 - k])
+            with pytest.raises(ValueError, match="bound to a different mechanism"):
+                loss(mechs[k], mechs[1 - k])
+            with pytest.raises(ValueError, match="bound to a different mechanism"):
+                tight_dp_loss(mechs[k], GEN).expectation(mechs[1 - k], x, 0, 1.0, DEFAULT_MASS_TOL)
+    clear_expectation_cache()
 
 
 def test_expectation_cache_consistency():
@@ -503,14 +568,10 @@ class QuietSwapPayMechanism(SwapPayMechanism):
     differ from a declaration only in the pays the others see."""
 
     name = "quiet_swap_pay"
-    cache_token = ("quiet_swap_pay",)
 
     def output_dist(self, x, mass_tol=1e-12):
         self.require_profile(x)
         return CountDistribution((0,), (1.0,), 0.0)
-
-    def _sample_counts(self, x, rng, trials):
-        return itertools.repeat(0, trials)
 
 
 KEYED_MECHANISMS = {

@@ -410,7 +410,7 @@ def _bundled_mechanisms(n):
 def test_max_zero_valuation_pay_closed_forms_match_scan(n):
     # the base-class 2^n scan is the oracle for every closed form
     for mech in _bundled_mechanisms(n):
-        assert mech.max_zero_valuation_pay() == Mechanism.max_zero_valuation_pay(mech), mech.cache_token
+        assert mech.max_zero_valuation_pay() == Mechanism.max_zero_valuation_pay(mech), mech.name
 
 
 # --- sampling agrees with the exact laws ------------------------------------
@@ -445,7 +445,7 @@ def one_draw_oracle(mech, x, rng):
         n, k = mech.params.n, mech.params.sample_size
         m = sum(x.players[j].bit for j in rng.sample(range(n), k))
         return round(Fraction(n * m, k))  # Fraction rounds half to even
-    return mech.output_dist(x).support[0]  # exact_sum and the constant
+    return mech.output_dist(x).support[0]  # exact_sum
 
 
 SAMPLED = [
@@ -454,7 +454,7 @@ SAMPLED = [
     subsample(1.0, 3, 6),
     pay_declared(0.5, 6),
     exact_sum(6, 0.5),
-    ConstantMechanism(6),
+    ConstantMechanism(6),  # no sampler
 ]
 
 
@@ -464,6 +464,12 @@ SAMPLED = [
 def test_sample_counts_draw_the_one_draw_stream(mech, seed, trials):
     x = profile([1, 1, 0, 1, 0, 1], [0.0, 3.0, 0.5, 0.1, 2.0, 0.2])
     rng_a, rng_b, rng_c = random.Random(seed), random.Random(seed), random.Random(seed)
+    if isinstance(mech, ConstantMechanism):
+        # a mechanism without a sampler refuses before it draws anything
+        with pytest.raises(ValueError, match="'constant' has no sampler; check its accuracy with method 'exact'"):
+            mech.sample_counts(x, rng_a, trials)
+        assert rng_a.getstate() == rng_c.getstate()
+        return
     batch = list(mech.sample_counts(x, rng_a, trials))
     assert batch == [c for _ in range(trials) for c in mech.sample_counts(x, rng_b, 1)]
     assert batch == [one_draw_oracle(mech, x, rng_c) for _ in range(trials)]

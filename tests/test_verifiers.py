@@ -1,13 +1,27 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 
 import pytest
 
-from privbuy.core import InputProfile, NeighborRelation, PlayerType
-from privbuy.distributions import MAX_SAMPLE_TRIALS, Interval
-from privbuy.losses import loss_expectation, tight_dp_loss, zero_loss
+from privbuy.audits import (
+    TradeoffParams,
+    audit_general_impossibility,
+    audit_monotonic_impossibility,
+    audit_payment_accuracy_tradeoff,
+)
+from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType
+from privbuy.distributions import MAX_SAMPLE_TRIALS, CountDistribution, Interval
+from privbuy.losses import (
+    LossModel,
+    growing_sd_model,
+    increasing_threshold_model,
+    loss_expectation,
+    tight_dp_loss,
+    zero_loss,
+)
 from privbuy.mechanisms import ShiftedGeometricMechanism
 from privbuy.mechanisms import alg1, alg1_prime, exact_sum, pay_declared, subsample
 from privbuy.verifiers import (
@@ -60,7 +74,31 @@ def test_ir_exact_sum_fails_tight_general():
     assert results[1].verdict == PASS  # indifferent player loses nothing
 
 
+def straddling_model(lo, hi, identical_laws_cancel=True):
+    """Every expected loss is the enclosure [lo, hi]."""
+    return LossModel(
+        respects_indifference=True,
+        respects_identical_output_dists=identical_laws_cancel,
+        expectation=lambda mech, x, i, declared, mass_tol: Interval(lo, hi),
+    )
+
+
+def test_ir_inconclusive_when_the_loss_straddles_the_pay():
+    x = profile([1, 0], [1.0, 0.0])
+    rows = check_ir(exact_sum(2, 1.0), straddling_model(0.5, 2.0), x, profile_id="p0")
+    # the pay of 1 lies inside [0.5, 2]; the margin is measured to the upper end
+    assert rows == [CheckResult("ir", "exact_sum", "p0", i, INCONCLUSIVE, -1.0, "pay=1 loss=[0.5, 2]") for i in (0, 1)]
+
+
 # --- truthfulness ------------------------------------------------------------
+
+def test_truthful_inconclusive_when_a_deviation_straddles():
+    # equal pays and laws, but a model that does not cancel identical laws
+    # compares the enclosures: [0, 1] against [0, 1] neither passes nor fails
+    x = profile([1, 0], [1.0, 0.0])
+    r = check_truthful(exact_sum(2), straddling_model(0.0, 1.0, False), x, 0, deviations=[3.0, 2.0], profile_id="p0")
+    assert r == CheckResult("truthful", "exact_sum", "p0", 0, INCONCLUSIVE, -1.0, "deviation v'=2 straddles; refine mass_tol")
+
 
 def test_truthful_deviation_equal_to_truth_passes():
     mech = alg1(8.0, 0.5, 2)
@@ -496,3 +534,55 @@ def test_dp_check_budget_mechanism():
     # NaN passes no comparison, so it would fail every row with margin nan
     with pytest.raises(ValueError, match="bound must not be NaN"):
         check_dp(mech, x, math.nan)
+
+
+# --- a custom mechanism that implements only the two required hooks ----------
+
+class BitSum(Mechanism):
+    """Publishes the exact bit sum and pays everyone 1: ``exact_sum(n, 1.0)``
+    through nothing but ``output_dist`` and ``pay_vector``."""
+
+    name = "bit_sum"
+
+    def __init__(self, n):
+        self.player_count = n
+
+    def output_dist(self, x, mass_tol=1e-12):
+        self.require_profile(x)
+        return CountDistribution((x.bit_sum(),), (1.0,), 0.0)
+
+    def pay_vector(self, x):
+        self.require_profile(x)
+        return (1.0,) * x.n
+
+
+def test_two_hook_mechanism_runs_every_check_as_its_bundled_twin():
+    n = 3
+    mech, twin = BitSum(n), exact_sum(n, 1.0)
+    x = profile([1, 0, 1], [0.5, 2.0, 0.0])
+    spec = AccuracySpec(0.5, 0.5, 1.0 / 3.0)
+
+    def rows(m):
+        model = tight_dp_loss(m, GEN)
+        out = check_ir(m, model, x) + [check_truthful(m, model, x, i) for i in range(n)]
+        out += [check_accuracy(m, x, spec), check_accuracy(m, x, AccuracySpec(0.0, 0.0, 0.5))]
+        out += [check_distinguishable(m, x, DistinguishabilityQuery(i, 0.3, rel)) for i in range(n) for rel in (GEN, MON)]
+        return out + check_dp(m, x, 1.0, GEN) + check_dp(m, x, 1.0, MON)
+
+    def reports(m):
+        params = TradeoffParams(tau=8.0, gamma=1.0 / n, eta=1.0 / n, beta=0.25, max_pay=1.0)
+        return [
+            audit_general_impossibility(m, increasing_threshold_model(1.0 / (6 * n), relation=GEN)),
+            audit_monotonic_impossibility(m, increasing_threshold_model(1.0 / (3 * n), relation=MON)),
+            audit_payment_accuracy_tradeoff(m, growing_sd_model(), params),
+        ]
+
+    got = rows(mech)
+    assert [dataclasses.replace(r, mechanism="exact_sum") for r in got] == rows(twin)
+    assert {r.verdict for r in got} == {PASS, FAIL, "distinguishable"}
+    got, want = ([json.dumps(r.to_json_dict(), sort_keys=True) for r in reports(m)] for m in (mech, twin))
+    assert [r.replace('"bit_sum"', '"exact_sum"') for r in got] == want
+    assert [json.loads(r)["verdict"] for r in got] == ["ir_violated"] * 3
+    # Monte Carlo needs a sampler, which this mechanism does not have
+    with pytest.raises(ValueError, match="'bit_sum' has no sampler; check its accuracy with method 'exact'"):
+        check_accuracy(mech, x, spec, method="monte_carlo", trials=10)
