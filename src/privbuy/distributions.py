@@ -12,6 +12,7 @@ integer k with probability ((1-a)/(1+a)) * a^|k| where a = exp(-eps).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -215,12 +216,12 @@ def statistical_distance(d1: CountDistribution, d2: CountDistribution) -> Interv
     half the combined truncation mass. Use hi to certify "close" and lo to
     certify "far".
     """
-    overlap = _range_overlap(d1.support, d2.support)
+    overlap = _shared_slices(d1.support, d2.support)
     if overlap is not None:
-        # Both supports are integer ranges (every geometric window and point
-        # mass): line the probability tuples up on their overlap instead of
-        # looking each key up in two dicts. Atoms outside the overlap meet a
-        # zero on the other side.
+        # Both supports hold the same keys where they overlap (geometric
+        # windows, point masses, neighbouring subsample laws): line the
+        # probability tuples up there instead of looking each key up in two
+        # dicts. Atoms outside the overlap meet a zero on the other side.
         p1, p2 = d1.probs, d2.probs
         i1, j1, i2, j2 = overlap
         terms = chain(
@@ -238,19 +239,17 @@ def statistical_distance(d1: CountDistribution, d2: CountDistribution) -> Interv
     return Interval(lo, hi)
 
 
-def _is_range(support: tuple[int, ...]) -> bool:
-    return bool(support) and support[-1] - support[0] == len(support) - 1
-
-
-def _range_overlap(s1: tuple[int, ...], s2: tuple[int, ...]):
-    """Slice bounds (i1, j1, i2, j2) such that ``s1[i1:j1]`` and
-    ``s2[i2:j2]`` are the common keys of two integer-range supports (empty
-    when they are disjoint); None when either support is not a range."""
-    if not (_is_range(s1) and _is_range(s2)):
+def _shared_slices(s1: tuple[int, ...], s2: tuple[int, ...]):
+    """Slice bounds (i1, j1, i2, j2) of the window [max first, min last] in
+    two strictly increasing supports, when ``s1[i1:j1]`` and ``s2[i2:j2]``
+    hold the same keys and so every key the supports share; None when the
+    windows differ or a support is empty."""
+    if not (s1 and s2):
         return None
-    start = max(s1[0], s2[0])
-    stop = max(start, min(s1[-1], s2[-1]) + 1)
-    return start - s1[0], stop - s1[0], start - s2[0], stop - s2[0]
+    lo, hi = max(s1[0], s2[0]), min(s1[-1], s2[-1])
+    i1, j1 = bisect_left(s1, lo), bisect_right(s1, hi)
+    i2, j2 = bisect_left(s2, lo), bisect_right(s2, hi)
+    return (i1, j1, i2, j2) if s1[i1:j1] == s2[i2:j2] else None
 
 
 def dp_level(d1: CountDistribution, d2: CountDistribution) -> float:

@@ -266,21 +266,33 @@ def _rescaled_count(n: int, m: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _subsample_law(n: int, k: int, ones: int) -> CountDistribution:
-    """Exact law of round_half_even(n*m/k) with m hypergeometric(n, ones, k)."""
-    total = math.comb(n, k)
+    """Exact law of round_half_even(n*m/k) with m hypergeometric(n, ones, k).
+
+    The integer weight w = comb(ones, m) * comb(zeros, k - m) steps from m
+    to m + 1 as w * ((ones - m) * (k - m)) // ((m + 1) * (zeros - k + m + 1)),
+    an exact division, and w / comb(n, k) is the one rounding. Since k <= n
+    the rescaled counts strictly increase with m, so each m is one atom. For
+    even n a majority of ones reflects the law of n - ones: the weights are
+    the same and round_half_even(n - y) = n - round_half_even(y).
+    """
     zeros = n - ones
-    lo = max(0, k - zeros)
-    # comb(ones, m) and comb(zeros, k - m), stepped exactly from m to m + 1
-    c_ones, c_zeros = math.comb(ones, lo), math.comb(zeros, k - lo)
-    atoms: dict[int, float] = {}
-    for m in range(lo, min(k, ones) + 1):
+    if ones > zeros and n % 2 == 0:
+        d = _subsample_law(n, k, zeros)
+        return CountDistribution(tuple([n - c for c in reversed(d.support)]), d.probs[::-1], 0.0)
+    total = math.comb(n, k)
+    lo, hi = max(0, k - zeros), min(k, ones)
+    w = math.comb(ones, lo) * math.comb(zeros, k - lo)
+    support, probs = [], []
+    nm = n * lo
+    for m in range(lo, hi + 1):
+        # _rescaled_count(n, m, k) from the running n * m, inline
+        q, r = divmod(nm, k)
+        support.append(q + 1 if 2 * r > k or (2 * r == k and q % 2) else q)
         # int true division is correctly rounded, as float(Fraction(...)) is
-        weight = c_ones * c_zeros / total
-        count = _rescaled_count(n, m, k)
-        atoms[count] = atoms.get(count, 0.0) + weight
-        c_ones = c_ones * (ones - m) // (m + 1)
-        c_zeros = c_zeros * (k - m) // (zeros - k + m + 1)
-    return CountDistribution.from_atoms(atoms, 0.0)
+        probs.append(w / total)
+        w = w * ((ones - m) * (k - m)) // ((m + 1) * (zeros - k + m + 1))
+        nm += n
+    return CountDistribution(tuple(support), tuple(probs), 0.0)
 
 
 class SubsampleMechanism(CountedMechanism):

@@ -6,6 +6,7 @@ closed forms and truncated constructions are checked against an independent
 route.
 """
 
+import itertools
 import math
 import random
 
@@ -262,6 +263,11 @@ def count_laws(draw):
         support = range(start, start + draw(st.integers(1, 50)))
     else:
         support = sorted(draw(st.sets(st.integers(-80, 80), min_size=1, max_size=40)))
+    return _law_on(draw, support)
+
+
+def _law_on(draw, support):
+    """A law on ``support`` with zero, tiny and ordinary atoms and some truncation."""
     weights = draw(
         st.lists(
             st.one_of(st.just(0.0), st.floats(1e-300, 1e-12), st.floats(1e-6, 1.0)),
@@ -278,6 +284,41 @@ def count_laws(draw):
 @given(count_laws(), count_laws())
 @settings(deadline=None, max_examples=300)
 def test_distance_equals_dict_formula(d1, d2):
+    got = statistical_distance(d1, d2)
+    assert (got.lo, got.hi) == oracle_distance(d1, d2)
+
+
+@st.composite
+def sliced_law_pairs(draw):
+    """Two laws whose supports are slices of one gapped, strictly increasing
+    sequence (overlapping, touching or disjoint ones), as neighbouring
+    subsample laws are; or, with ``moved``, a pair whose second support
+    drops or shifts one key strictly inside the window both cover."""
+    gaps = draw(st.lists(st.integers(1, 4), min_size=2, max_size=40))
+    keys = list(itertools.accumulate(gaps, initial=draw(st.integers(-80, 80))))
+    moved = draw(st.booleans())
+    if moved:
+        j = draw(st.integers(1, len(keys) - 2))
+        a1, a2 = draw(st.integers(0, j - 1)), draw(st.integers(0, j - 1))
+        b1, b2 = draw(st.integers(j + 2, len(keys))), draw(st.integers(j + 2, len(keys)))
+    else:
+        a1, a2 = draw(st.integers(0, len(keys) - 1)), draw(st.integers(0, len(keys) - 1))
+        b1, b2 = draw(st.integers(a1 + 1, len(keys))), draw(st.integers(a2 + 1, len(keys)))
+    s2 = keys[a2:b2]
+    if moved:
+        if keys[j + 1] - keys[j] > 1 and draw(st.booleans()):
+            s2[j - a2] += 1
+        else:
+            del s2[j - a2]
+    return _law_on(draw, keys[a1:b1]), _law_on(draw, s2), moved
+
+
+@given(sliced_law_pairs())
+@settings(deadline=None, max_examples=300)
+def test_sliced_distance_equals_dict_formula(pair):
+    d1, d2, moved = pair
+    # a moved key leaves the shared window unaligned: the dict path
+    assert (distributions._shared_slices(d1.support, d2.support) is None) == moved
     got = statistical_distance(d1, d2)
     assert (got.lo, got.hi) == oracle_distance(d1, d2)
 

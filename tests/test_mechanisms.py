@@ -341,6 +341,20 @@ def test_subsample_law_equals_fraction_oracle():
                 assert (d.support, d.probs) == _fraction_subsample_law(n, k, ones), (n, k, ones)
 
 
+@pytest.mark.parametrize("n, k", [(64, 32), (256, 128), (256, 100), (255, 128)])
+def test_subsample_law_equals_fraction_oracle_at_large_n(n, k):
+    # (256, 100) rescales by 2.56 per sampled one; 255 is odd, so no law
+    # there is a reflection
+    law = _subsample_law.__wrapped__
+    oracle = [_fraction_subsample_law(n, k, ones) for ones in range(n + 1)]
+    for ones in range(n + 1):
+        d = law(n, k, ones)
+        assert (d.support, d.probs) == oracle[ones], (n, k, ones)
+        if n % 2 == 0:
+            support, probs = oracle[n - ones]
+            assert d.support == tuple(n - c for c in reversed(support)) and d.probs == probs[::-1]
+
+
 def test_subsample_ignores_declarations():
     mech = subsample(1.0, 2, 5)
     bits = [1, 0, 1, 0, 0]
