@@ -317,14 +317,20 @@ def audit_general_impossibility(
     """Chain from all-zeros to all-ones through 2n+1 inputs: flip player i's
     bit to 1 with valuation L, then drop the valuation back to 0.
 
-    For a mechanism satisfying the premises, every probe input must be
-    non-distinguishable, so the end-to-end distance stays below 2n*delta <=
-    1/3 and (1/2, 1/3)-accuracy must break on an endpoint. Otherwise the
-    report names the first broken premise.
+    P is the most player i is paid at hybrid 2i+2, where players 0..i hold
+    (1, 0), over i. For a mechanism satisfying the premises, every probe
+    input must be non-distinguishable, so the end-to-end distance stays
+    below 2n*delta <= 1/3 and (1/2, 1/3)-accuracy must break on an endpoint.
+    Otherwise the report names the first broken premise.
     """
     n, delta = _validate(mech, model, NeighborRelation.GENERAL, delta)
     audit = "general_impossibility"
-    pay_cap = mech.max_zero_valuation_pay()
+    # hybrid 2i+2's pays and law keys do not depend on L, so they come first
+    low, start = PlayerType(1, 0.0), _zeros(n)
+    afters = [mech.retype(InputProfile((low,) * i + start.players[i:]), i, (low,), mass_tol)[0] for i in range(n)]
+    pays = [pay for pay, _, _ in afters]
+    # a pay that is not finite, NaN included, leaves the cap unbounded
+    pay_cap = next((pay for pay in pays if not math.isfinite(pay)), max(pays))
     details = [f"payment cap over all-indifferent inputs: P = {pay_cap:g}"]
     if not math.isfinite(pay_cap):
         unbounded = "mechanism pays unboundedly even when all players are indifferent"
@@ -337,16 +343,17 @@ def audit_general_impossibility(
     threshold = max(model.threshold_fn(pay_cap, (1,) * (i + 1) + (0,) * (n - 1 - i), zeros) for i in range(n))
     details.append(f"threshold valuation: L = {threshold:g}")
 
-    # step i moves player i to (1, L), the probe, and then to (1, 0)
-    high, low = PlayerType(1, threshold), PlayerType(1, 0.0)
-    start = x = _zeros(n)
-    keys = [mech.law_key(x, mass_tol)]
+    # step i moves player i to (1, L), the probe, and then to (1, 0); retype
+    # on the probe counts its players once for the IR step to read again
+    high = PlayerType(1, threshold)
+    keys = [mech.law_key(start, mass_tol)]
     found: dict = {TRUTHFULNESS_VIOLATED: [], IR_VIOLATED: [], INCONCLUSIVE: []}
     max_seen = 0.0
-    for i in range(n):
-        (pay_probe, probe_key, _), (pay_after, after_key, _) = mech.retype(x, i, (high, low), mass_tol)
+    for i, (pay_after, after_key, _) in enumerate(afters):
+        probe = InputProfile((low,) * i + (high,) + start.players[i + 1 :])
+        [(pay_probe, probe_key, _)] = mech.retype(probe, i, (high,), mass_tol)
         keys += (probe_key, after_key)
-        ok = pay_probe <= pay_after <= pay_cap
+        ok = pay_probe <= pay_after
         details.append(
             f"step {i}: truthful-for-indifferent claim pay {pay_probe:g} <= {pay_after:g} <= P: "
             + ("ok" if ok else "VIOLATED")
@@ -355,19 +362,17 @@ def audit_general_impossibility(
             found[TRUTHFULNESS_VIOLATED].append(
                 (i, f"indifferent player {i} gains by declaring L at chain input {2 * i + 1}")
             )
-        probe = x.with_player(i, high)
         query = DistinguishabilityQuery(i, delta, NeighborRelation.GENERAL)
         hi = _ir_step(mech, model, probe, query, threshold, mass_tol, found, details, "probe hybrid",
                       f"P = {pay_cap:g} >= pay {pay_probe:g}", f"chain input {2 * i + 1}")
         max_seen = max(max_seen, hi)
-        x = probe.with_player(i, low)
 
     steps, end = _consecutive_distances(mech, keys, mass_tol)
     moves = tuple((i, t) for i in range(n) for t in (high, low))
     chain = HybridChain(start, moves, (pay_cap,) * n, (threshold,) * n, steps, end)
     accuracy = (
         check_accuracy(mech, start, _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_zeros"),
-        check_accuracy(mech, x, _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_ones"),
+        check_accuracy(mech, InputProfile((low,) * n), _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_ones"),
     )
     params = (("delta", delta), ("n", float(n)), ("P", pay_cap), ("L", threshold))
     details.extend(_escape_note(mech, max_seen))

@@ -17,10 +17,6 @@ from functools import cached_property
 
 from .distributions import DEFAULT_MASS_TOL, CountDistribution, Interval, statistical_distance
 
-# Largest n the default ``max_zero_valuation_pay`` scans over all 2^n bit
-# vectors; each +2 costs 4x, and n = 24 takes about 6 s on a 2-core x86-64 VM.
-MAX_SCAN_PLAYERS = 24
-
 
 def is_int(value) -> bool:
     """An int that is not a bool: bool subclasses int, so a JSON ``true``
@@ -174,7 +170,9 @@ class Mechanism(ABC):
     point mass), so every verifier below works from closed forms. A custom
     mechanism sets ``name`` and ``player_count`` and implements
     ``output_dist`` and ``pay_vector``; every other hook has a default. The
-    sampler, for Monte Carlo cross-checks only, is optional.
+    sampler, for Monte Carlo cross-checks only, is optional, and so is
+    ``max_zero_valuation_pay``: only the tradeoff audit needs a payment
+    cap, and a custom mechanism gives it there as ``max_pay``.
     """
 
     name: str
@@ -210,15 +208,9 @@ class Mechanism(ABC):
 
     def max_zero_valuation_pay(self) -> float:
         """Max payment to any player declaring valuation 0, over all bit
-        vectors. Exact 2^n scan, refused above ``MAX_SCAN_PLAYERS``;
-        mechanisms with a closed form override it, and tests use this scan
-        as their oracle."""
-        n = self.player_count
-        if n > MAX_SCAN_PLAYERS:
-            raise ValueError(f"the zero-valuation pay scan refuses n = {n}, above the cap of {MAX_SCAN_PLAYERS}")
-        zeros = [0.0] * n
-        profiles = (InputProfile.from_arrays([(mask >> j) & 1 for j in range(n)], zeros) for mask in range(2**n))
-        return max(max(self.pay_vector(x)) for x in profiles)
+        vectors: the default ``max_pay`` of the CLI's tradeoff audit.
+        Mechanisms with a closed form override it; the default refuses."""
+        raise ValueError(f"mechanism {self.name!r} has no closed-form zero-valuation pay cap; give the tradeoff audit's max_pay")
 
     def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
         """Counts of ``trials`` independent draws under declarations ``x``

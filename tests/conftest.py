@@ -69,6 +69,13 @@ def profile(bits, valuations) -> InputProfile:
     return InputProfile.from_arrays(bits, valuations)
 
 
+def max_zero_valuation_pay_scan(mech):
+    """The most ``mech`` pays any player declaring valuation 0, over all 2^n
+    bit vectors: the oracle for the closed forms and the general audit's P."""
+    zeros = [0.0] * mech.player_count
+    return max(max(mech.pay_vector(profile(bits, zeros))) for bits in bit_vectors(mech.player_count))
+
+
 def neighbor_profiles(mech, x, i, relation, candidates=None):
     """Player i's admissible neighbor profiles, built one by one from
     ``candidates`` (the mechanism's ``candidate_types`` by default): the

@@ -37,6 +37,18 @@ class InfinitePay(ConstantMechanism):
         return (math.inf,) * self.player_count
 
 
+class NanPay(ConstantMechanism):
+    """Pays NaN to player ``who`` and nothing to the others."""
+
+    def __init__(self, n, who):
+        super().__init__(n)
+        self.who = who
+
+    def pay_vector(self, x):
+        self.require_profile(x)
+        return tuple([math.nan if j == self.who else 0.0 for j in range(x.n)])
+
+
 class TwoFacedLaw(PointMass):
     """A law with two faces: its ``law_key``, which the distance pass reads,
     is the point mass at 0, and its ``output_dist``, which the accuracy
@@ -185,6 +197,19 @@ def test_monotonic_audit_flags_infinite_payments():
     report = audit_monotonic_impossibility(InfinitePay(2), monotonic_model(1.0 / 6.0))
     assert report.verdict == "payments_violated"
     assert report.chain is None and report.failing_step == 0
+
+
+@pytest.mark.parametrize("who", [0, 1])
+def test_audits_flag_a_nan_pay_as_a_payment_violation(who):
+    # NaN compares false both ways, so no cap can bound it: both audits stop
+    # at the payment premise, wherever the NaN sits in the chain
+    n = 3
+    gen = audit_general_impossibility(NanPay(n, who), general_model(1.0 / (6 * n)))
+    assert gen.verdict == "payments_violated" and gen.chain is None
+    assert gen.details == ("payment cap over all-indifferent inputs: P = nan",)
+    mon = audit_monotonic_impossibility(NanPay(n, who), monotonic_model(1.0 / (3 * n)))
+    assert mon.verdict == "payments_violated" and mon.chain is None
+    assert mon.failing_step == who
 
 
 # --- payment/accuracy tradeoff --------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privbuy.audits import audit_general_impossibility
 from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType
 from privbuy.distributions import GeomParams, dp_level, shifted_geom_dist, statistical_distance, window_radius
 from privbuy.mechanisms import (
@@ -26,10 +27,18 @@ from privbuy.mechanisms import (
     subsample,
 )
 
-from privbuy.losses import neighbor_distances, zero_loss
+from privbuy.losses import increasing_threshold_model, neighbor_distances, zero_loss
 from privbuy.verifiers import check_truthful
 
-from conftest import ConstantMechanism, SwapPayMechanism, bit_vectors, neighbor_profiles, oracle_sample_geom, profile
+from conftest import (
+    ConstantMechanism,
+    SwapPayMechanism,
+    bit_vectors,
+    max_zero_valuation_pay_scan,
+    neighbor_profiles,
+    oracle_sample_geom,
+    profile,
+)
 
 LN2 = math.log(2.0)
 
@@ -402,8 +411,8 @@ def test_max_zero_valuation_pay():
     assert max_zero_valuation_pay(alg1(8.0, 0.5, 4)) == 2.0
     assert max_zero_valuation_pay(exact_sum(3, 0.25)) == 0.25
     assert max_zero_valuation_pay(pay_declared(0.5, 2)) == 0.0
-    # the default 2^n scan refuses n above the cap instead of running for hours
-    with pytest.raises(ValueError, match="cap of 24"):
+    # a custom mechanism has no default cap: the tradeoff audit needs its max_pay
+    with pytest.raises(ValueError, match="'constant' has no closed-form .* give the tradeoff audit's max_pay"):
         ConstantMechanism(25).max_zero_valuation_pay()
 
 
@@ -422,9 +431,18 @@ def _bundled_mechanisms(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_max_zero_valuation_pay_closed_forms_match_scan(n):
-    # the base-class 2^n scan is the oracle for every closed form
+    # the 2^n scan is the oracle for every closed form
     for mech in _bundled_mechanisms(n):
-        assert mech.max_zero_valuation_pay() == Mechanism.max_zero_valuation_pay(mech), mech.name
+        assert mech.max_zero_valuation_pay() == max_zero_valuation_pay_scan(mech), mech.name
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_general_audit_pay_cap_matches_closed_form_and_scan(n):
+    # the general audit reads P from its chain's all-indifferent hybrids
+    model = increasing_threshold_model(1.0 / (6 * n), relation=NeighborRelation.GENERAL)
+    for mech in _bundled_mechanisms(n):
+        cap = dict(audit_general_impossibility(mech, model).params)["P"]
+        assert cap == mech.max_zero_valuation_pay() == max_zero_valuation_pay_scan(mech), mech.name
 
 
 # --- sampling agrees with the exact laws ------------------------------------

@@ -586,3 +586,16 @@ def test_two_hook_mechanism_runs_every_check_as_its_bundled_twin():
     # Monte Carlo needs a sampler, which this mechanism does not have
     with pytest.raises(ValueError, match="'bit_sum' has no sampler; check its accuracy with method 'exact'"):
         check_accuracy(mech, x, spec, method="monte_carlo", trials=10)
+
+
+def test_two_hook_mechanism_runs_the_general_audit_at_large_n():
+    # the payment cap comes from the chain, so no 2^n scan bounds n
+    n = 256
+    model = increasing_threshold_model(1.0 / (6 * n), relation=GEN)
+    got, want = (
+        json.dumps(audit_general_impossibility(m, model).to_json_dict(), sort_keys=True)
+        for m in (BitSum(n), exact_sum(n, 1.0))
+    )
+    assert got.replace('"bit_sum"', '"exact_sum"') == want
+    report = json.loads(got)
+    assert report["params"]["P"] == 1.0 and report["verdict"] == "ir_violated"
