@@ -55,9 +55,9 @@ class HybridChain:
     ``step_distances`` are certified enclosures between consecutive hybrids'
     count laws and ``end_to_end`` between the first and last. ``probe`` is
     the type the adaptive chains give each step's player to measure their
-    pay (None when the probes are hybrids themselves). ``inputs`` (the
-    hybrids) and ``probes`` (hybrid k with move k's player at ``probe``)
-    are expanded from these on demand.
+    pay (None when the probes are hybrids themselves). Reports write this
+    form; ``inputs`` (the hybrids) and ``probes`` (hybrid k with move k's
+    player at ``probe``) expand it into whole profiles, at O(n^2).
     """
 
     start: InputProfile
@@ -99,12 +99,13 @@ class HybridChain:
 
     def to_json_dict(self) -> dict:
         return {
-            "inputs": [x.to_json_dict() for x in self.inputs],
+            "start": self.start.to_json_dict(),
+            "moves": [[i, t.bit, t.valuation] for i, t in self.moves],
+            "probe": None if self.probe is None else [self.probe.bit, self.probe.valuation],
             "payments": list(self.payments),
             "thresholds": list(self.thresholds),
             "step_distances": [[d.lo, d.hi] for d in self.step_distances],
             "end_to_end": [self.end_to_end.lo, self.end_to_end.hi],
-            "probes": [x.to_json_dict() for x in self.probes],
         }
 
 

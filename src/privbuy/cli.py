@@ -463,10 +463,10 @@ def _print_audit(report: AuditReport) -> None:
     print("params: " + ", ".join(f"{k}={v:g}" for k, v in report.params))
     for line in report.details:
         print("  " + line)
-    if report.chain is not None:
-        print(f"  chain of {len(report.chain.inputs)} inputs; end-to-end distance {report.chain.end_to_end}")
-        for idx, d in enumerate(report.chain.step_distances):
-            print(f"    step {idx}: {report.chain.inputs[idx]} -> {report.chain.inputs[idx + 1]}: {d}")
+    if (chain := report.chain) is not None:
+        print(f"  chain of {len(chain.moves) + 1} inputs from {chain.start}; end-to-end distance {chain.end_to_end}")
+        for k, ((i, t), d) in enumerate(zip(chain.moves, chain.step_distances)):
+            print(f"    step {k}: player {i} -> {t}: {d}")
     for r in report.accuracy:
         print(f"  accuracy[{r.profile}]: {r.verdict} ({r.witness})")
     if report.witness:

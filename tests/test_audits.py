@@ -554,6 +554,35 @@ def test_pinned_chains_move_one_player_per_step(audit, name, n):
             assert _differing_players(inputs[k], probes[k]) == [i] and probes[k].players[i] == chain.probe
 
 
+
+def _expand_report_chain(d):
+    """The hybrids and probes a report's chain stands for, rebuilt from its
+    JSON alone as the JSON of whole profiles: each move applied to the
+    start, each probe its step's hybrid with the moved player at the probe."""
+    bits, valuations = list(d["start"]["bits"]), list(d["start"]["valuations"])
+    inputs, probes = [{"bits": bits[:], "valuations": valuations[:]}], []
+    for i, bit, valuation in d["moves"]:
+        if d["probe"] is not None:
+            probes.append({"bits": bits[:], "valuations": valuations[:]})
+            probes[-1]["bits"][i], probes[-1]["valuations"][i] = d["probe"]
+        bits[i], valuations[i] = bit, valuation
+        inputs.append({"bits": bits[:], "valuations": valuations[:]})
+    return inputs, probes
+
+
+@pytest.mark.parametrize("audit,name,n", list(REPORT_SHA256))
+def test_pinned_report_chains_expand_to_the_library_chain(audit, name, n):
+    # a report writes its chain as stored; its start, moves and probe must
+    # expand, byte for byte, to the whole hybrids and probes of the library
+    report = _pinned_report(audit, name, n)
+    d = json.loads(json.dumps(report.to_json_dict(), sort_keys=True))["chain"]
+    if report.chain is None:
+        assert d is None
+        return
+    assert set(d) == {"start", "moves", "probe", "payments", "thresholds", "step_distances", "end_to_end"}
+    want = ([x.to_json_dict() for x in report.chain.inputs], [x.to_json_dict() for x in report.chain.probes])
+    assert json.dumps(_expand_report_chain(d)) == json.dumps(want)
+
 def test_rung_pins_cover_every_verdict():
     ladder = {
         "general": {"payments_violated", "truthfulness_violated", "ir_violated", "inconclusive",

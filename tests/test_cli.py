@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -529,6 +530,28 @@ def test_run_runs_a_general_audit_at_n_40(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert [a["verdict"] for a in report["audits"]] == ["ir_violated"]
 
+
+
+def test_run_report_and_stdout_grow_linearly_in_n(tmp_path, capsys):
+    # a chain is written as its start and one move per step, so each doubling
+    # of n about doubles the report and stdout (whole hybrids would give x4)
+    sizes = []
+    for n in (128, 256, 512):
+        cfg = {
+            "mechanism": {"name": "alg1", "budget": n / 2, "epsilon": LN2, "n": n},
+            "loss_model": {"kind": "dp_bounded_monotonic"},
+            "profiles": [],
+            "checks": ["audit_monotonic"],
+            "output": {"csv": str(tmp_path / "report.csv"), "report": str(tmp_path / "report.json")},
+        }
+        out = str(tmp_path / f"n{n}")
+        assert main(["run", write_config(tmp_path, f"n{n}.json", cfg), "--out", out]) == 0
+        stdout = capsys.readouterr().out
+        steps = re.findall(r"^    step (\d+): player (\d+) -> \(1, ", stdout, re.M)
+        assert steps == [(str(k), str(k)) for k in range(n)]
+        sizes.append((os.path.getsize(out + ".json"), len(stdout.encode())))
+    for (report0, stdout0), (report1, stdout1) in zip(sizes, sizes[1:]):
+        assert report1 <= 2.3 * report0 and stdout1 <= 2.3 * stdout0, sizes
 
 @pytest.mark.parametrize("trials", [10**6 + 1, 10**400], ids=["cap_plus_one", "huge"])
 def test_run_refuses_monte_carlo_trials_above_the_cap(tmp_path, trials):
