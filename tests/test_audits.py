@@ -432,41 +432,41 @@ def test_emitted_chains_satisfy_invariants():
 # leave every report byte for byte as it was; update a digest only with a
 # change that means to alter that report.
 REPORT_SHA256 = {
-    ("general", "alg1", 6): "d647822e3d3f4c17f8d69c81dfb6a1265f2398da8897ac4e94583384daaa601b",
-    ("monotonic", "alg1", 6): "a7d3e95c1c9c231bbf044611260fc2737c09146b60b362428c310964f77ada96",
-    ("tradeoff", "alg1", 6): "782a39e6a6bda8901ecbc4296d56444c14a5439bf26887e849acc6b7b52f3311",
-    ("general", "exact_sum", 6): "e9b524fd798f1d84538b4753cae25eeca584261a993eb3f1e293c8db045ab77c",
-    ("monotonic", "exact_sum", 6): "b2f19886e498c1dfb7e88daf572b3c8f012cafa6e0ef1207c565f0942c679e52",
-    ("tradeoff", "exact_sum", 6): "a1f313398fa01d3a86b22255cf1a8f72443c0927b0da38badd4d9f822f37a993",
-    ("general", "subsample", 6): "c47fdc4f8f286dcd77f8c8dc76defdfdb81e9c8ecbec7531472b241b0fa197db",
-    ("monotonic", "subsample", 6): "e0075a5956014ed41fc469e868dd2107e258e1edcab23481ca4a66185fe5fdcc",
-    ("tradeoff", "subsample", 6): "97134038959b692157ca61f485282d3e3fad825b78700e38cde890e3dcde6d77",
-    ("general", "alg1", 8): "11f280895804d4d0d5e82e07fe989365adb1c040aec4fd282a7675c9162d9e4c",
-    ("monotonic", "alg1", 8): "8c8494227b8ac8dc916ff108f973e7c1020938f6d89f1e139be7231f415f42a5",
-    ("tradeoff", "alg1", 8): "f581c69ddf9fc11f4483178b518cfef5fc05ad70265c4d3a46af9256888b75bd",
-    ("general", "exact_sum", 8): "9b0e873122fee7ed6dc7398999b45b9c1b34a096d84adb42f9101491a97c188c",
-    ("monotonic", "exact_sum", 8): "40c03098ed7f4b7e6b734dd3f943edc95220e6c4c16e43073b25898533893521",
-    ("tradeoff", "exact_sum", 8): "064e89dee88f5320b81bb07fe3fc7cf385acc35f7a390c35a7330024b7077878",
-    ("general", "subsample", 8): "2b5b1740c598f1e2daad05534890e1d47b57da253004d73d91c903e56ad4c392",
-    ("monotonic", "subsample", 8): "ec6e32de0a2790c89a7e2a6ba4d7dc72201246a82d332348520fb48265120852",
-    ("tradeoff", "subsample", 8): "f13046c9f6a704ccce206b74c86deee04c7af56e863ff7d146d6b5abe2eb2e31",
+    ("general", "alg1", 6): "8c9ff426ed0a08c64de3ab1f0a13913a9352fcd0ce0c855f2a32767c09f7f47d",
+    ("monotonic", "alg1", 6): "7adfffe9946dc3362723549e8d5827df2739631c6319deb032d1ed3494723ce2",
+    ("tradeoff", "alg1", 6): "8eea1e0f1b06d782193d96559040993e15651f5513c21c65efa207da6781d2ba",
+    ("general", "exact_sum", 6): "779b27af4988723f65c4f26770eee131ebc86bf468f7574d2202e9039365820f",
+    ("monotonic", "exact_sum", 6): "1df6a3cff8df6522d83fd61b91e28179055385131d99ecea6b05f81f779a04d4",
+    ("tradeoff", "exact_sum", 6): "a9e036477e23d518b5a0eebf5b29c8ccb4cd9ecedccbc57c82fe6422a5ce9a60",
+    ("general", "subsample", 6): "489d2cf6a02e484f70758bc226c326a146c8c2cd2aa7edcb3fffcf350a534923",
+    ("monotonic", "subsample", 6): "2a650a7754023c25cc8e02191485d0574c63d41265f6f43c2f11e8951a869bbb",
+    ("tradeoff", "subsample", 6): "a34d0604b26d7d8d9b5c2969e0069033b066aff93f848849dfc813184320117a",
+    ("general", "alg1", 8): "4d08882ca55652ffe6f37fd41ff13db55af0daf836c7964456f458b950e6099e",
+    ("monotonic", "alg1", 8): "f1a306f171ea4cf3ab76c1707b9bea7df12ba36e193f8d15bd183fb786131df2",
+    ("tradeoff", "alg1", 8): "3035612cd472aa8b5720c10e58da972a9a3a9e6a215cd8061e7f00b24662cacd",
+    ("general", "exact_sum", 8): "2d2d5cde231b2ad5c9c6e85278155aa471d1affd21809e08850fb8fef4677310",
+    ("monotonic", "exact_sum", 8): "1e36b5889f8bd1ebcc1c4c7a66219bf98e7ba62dc1dae486a33bf84333ecbd8c",
+    ("tradeoff", "exact_sum", 8): "8ccbd7eded610e55d9a49adcc213f1d6c94e39b8da9af20d55c3c0eeeda5fe0f",
+    ("general", "subsample", 8): "cead37620683382f834e9b272f0cf5a1ce9e4c9734bdfdf92d3616718d87826b",
+    ("monotonic", "subsample", 8): "fa42fca416122a9dae9d430065cc2c0330daed94a4eadbf42e93853341d9632b",
+    ("tradeoff", "subsample", 8): "ead17e028589173ea64ee69b3128b8f234a47669947a7a42affe8ea772fc5f84",
     # one report for each rung of each audit's verdict ladder
     ("general", "infinite_pay", 4): "0e43ee44484a8cfc4fec80a8814d1afb3d9cfed899b927ceb2d691fdb0182fb1",
-    ("general", "pay_declared", 4): "3a99133244ff68fdd5e2666b9301611b067514d262dbefdd9b2c22fbee74bc9c",
-    ("general", "blurred_constant", 4): "cb6431e1b5e128f3c65bd0dba4d7eea97f73f2ad8c72be089ba69b4ab53214ff",
-    ("general", "blurred_alone", 4): "a44e689da2e666f12cc5bc52601bf6210f583b311328ff6b4c92e0bce9789060",
-    ("general", "constant", 4): "1a88101de37d3c03763ee38ffd9f574db9300bb7d121625c2579d4e3dfddbc79",
-    ("general", "alone", 4): "b49c2d2ae836217352e2e3d499a4dfa8c93055ddfdeab0a6121399daec0500cd",
+    ("general", "pay_declared", 4): "3b0d7c0fb7b7a400e64cfa001b539220a4440383073fe84e60460f9fb21d447f",
+    ("general", "blurred_constant", 4): "3508a00af4d02554685094846f8f36f4d7d978162877b9be0da63052ae3818d3",
+    ("general", "blurred_alone", 4): "a951403424da5af38a00ae78c4048d7257a705e3b9a5700d72e68a9f1e0c4eaf",
+    ("general", "constant", 4): "02341ab8a6e93b5df4f17708928170b37a18ea2594264e464858b9d6c2ceaf39",
+    ("general", "alone", 4): "227414c280a24a4cfa416fe24af73f9bde12c8117890efc9f8e547dbdd0f02cc",
     ("monotonic", "infinite_pay", 4): "a52ca4137a61ad1047ca8cd2531732e683fd8e79da917bda7b7970e7f51d8703",
-    ("monotonic", "pay_declared", 4): "9a3a6d30a28e2898ca3246d7810b34a7dc6dc65844357428b657a2175a19f244",
-    ("monotonic", "alg1_coarse", 4): "ff011b6bed4eb456d2a41690b1e0a7ba8ee83ef8241fb26d5bc72ee0d211661e",
-    ("monotonic", "blurred_alone", 4): "7f5b0cca53c51caa90b0178b75cf6ff3b3d9b9e6a48bf79cb48730bdb21149e2",
-    ("monotonic", "alone", 4): "0de93867a541469dbc6cd9547741cd43f9fcee30794540d481f3d5f02a517db2",
-    ("tradeoff", "underpaid_cap", 4): "ea99252cfb4a78f49f9f51cffa12e58caeb346111e152fc5d0e4a19b54914cb1",
-    ("tradeoff", "pay_declared", 4): "8bd00454aed8aec8115b4da39179c3d2e569a26c9157547d0e9b280fb740b72d",
-    ("tradeoff", "alg1_coarse", 4): "18ab6858a5a54261635fcb1750063fff46c5acdb53247b7bdd9d712dfb7d33d3",
-    ("tradeoff", "two_faced_blurred", 4): "32386f40789864af34e5f7fd1feb8321271c11e5eebd8a2c3f3f14dc08fb41b0",
-    ("tradeoff", "two_faced", 4): "b504533b9f37e9a5233b203534ea0daab3384e3956f92739d457dea13e4ed66e",
+    ("monotonic", "pay_declared", 4): "804898c3cce2cc878b903e1c5f10c8e6f269d3b312529f5d8e2aa5b4e60fcb4e",
+    ("monotonic", "alg1_coarse", 4): "f06431f7c295a893912d6bf34fdbc6fb426ff66a083232778f48d98a12f4bf0f",
+    ("monotonic", "blurred_alone", 4): "7f9aab63edb00208a82ac4cb42dafb24f606d0e188ce1e7a089833d7819809d3",
+    ("monotonic", "alone", 4): "53a46d5c8833a57230c6c8ef3613d2066e00d8286d57e990abbf7f3de6281276",
+    ("tradeoff", "underpaid_cap", 4): "fd1018f1a5414c59d6bf0595222a5278ba71d25cbf1fbaa57d0afb3bd882ba8a",
+    ("tradeoff", "pay_declared", 4): "d53e4c76c2148e284beb9595f816aa3e2749c0156d8c029604c452fa42b10a34",
+    ("tradeoff", "alg1_coarse", 4): "37dd0c33503dc7f9ed9653412eaa3a7dabfbca6e658e047ce764f1e87827cda8",
+    ("tradeoff", "two_faced_blurred", 4): "3cd0565e687334a4356dc90c8c077e36b022810190bc23824f2ced62adf2c46a",
+    ("tradeoff", "two_faced", 4): "d0655b572b66c1041cb490564d296bd9927b5be6ce602698fdaef1faa3087c9f",
 }
 
 # the verdict each rung pin reaches, and the rung it stands for
