@@ -329,14 +329,13 @@ def audit_general_impossibility(
     # hybrid 2i+2's pays and law keys do not depend on L, so they come first
     low, start = PlayerType(1, 0.0), _zeros(n)
     afters = [mech.retype(InputProfile((low,) * i + start.players[i:]), i, (low,), mass_tol)[0] for i in range(n)]
-    pays = [pay for pay, _, _ in afters]
     # a pay that is not finite, NaN included, leaves the cap unbounded
-    pay_cap = next((pay for pay in pays if not math.isfinite(pay)), max(pays))
+    who = next((i for i, (pay, _, _) in enumerate(afters) if not math.isfinite(pay)), None)
+    pay_cap = max(pay for pay, _, _ in afters) if who is None else afters[who][0]
     details = [f"payment cap over all-indifferent inputs: P = {pay_cap:g}"]
-    if not math.isfinite(pay_cap):
-        unbounded = "mechanism pays unboundedly even when all players are indifferent"
+    if who is not None:
         return _report(audit, mech, None, (), details, (("delta", delta), ("n", float(n))),
-                       {PAYMENTS_VIOLATED: [(None, unbounded)]})
+                       {PAYMENTS_VIOLATED: [(who, f"payment not finite at step {who}")]})
 
     # T is read only where the IR step needs L >= T: at probe 2i+1, whose
     # bits are i+1 ones then zeros and whose other valuations are all 0

@@ -207,6 +207,7 @@ def test_audits_flag_a_nan_pay_as_a_payment_violation(who):
     gen = audit_general_impossibility(NanPay(n, who), general_model(1.0 / (6 * n)))
     assert gen.verdict == "payments_violated" and gen.chain is None
     assert gen.details == ("payment cap over all-indifferent inputs: P = nan",)
+    assert gen.failing_step == who and gen.witness == f"payment not finite at step {who}"
     mon = audit_monotonic_impossibility(NanPay(n, who), monotonic_model(1.0 / (3 * n)))
     assert mon.verdict == "payments_violated" and mon.chain is None
     assert mon.failing_step == who
@@ -451,7 +452,7 @@ REPORT_SHA256 = {
     ("monotonic", "subsample", 8): "fa42fca416122a9dae9d430065cc2c0330daed94a4eadbf42e93853341d9632b",
     ("tradeoff", "subsample", 8): "ead17e028589173ea64ee69b3128b8f234a47669947a7a42affe8ea772fc5f84",
     # one report for each rung of each audit's verdict ladder
-    ("general", "infinite_pay", 4): "0e43ee44484a8cfc4fec80a8814d1afb3d9cfed899b927ceb2d691fdb0182fb1",
+    ("general", "infinite_pay", 4): "323acdb6c90e7fc0ea9fd27f760c85fca869b5f63a1e77a9abe6fd0a571c4b5b",
     ("general", "pay_declared", 4): "3b0d7c0fb7b7a400e64cfa001b539220a4440383073fe84e60460f9fb21d447f",
     ("general", "blurred_constant", 4): "3508a00af4d02554685094846f8f36f4d7d978162877b9be0da63052ae3818d3",
     ("general", "blurred_alone", 4): "a951403424da5af38a00ae78c4048d7257a705e3b9a5700d72e68a9f1e0c4eaf",
