@@ -555,7 +555,6 @@ def test_pinned_chains_move_one_player_per_step(audit, name, n):
             assert _differing_players(inputs[k], probes[k]) == [i] and probes[k].players[i] == chain.probe
 
 
-
 def _expand_report_chain(d):
     """The hybrids and probes a report's chain stands for, rebuilt from its
     JSON alone as the JSON of whole profiles: each move applied to the
@@ -583,6 +582,7 @@ def test_pinned_report_chains_expand_to_the_library_chain(audit, name, n):
     assert set(d) == {"start", "moves", "probe", "payments", "thresholds", "step_distances", "end_to_end"}
     want = ([x.to_json_dict() for x in report.chain.inputs], [x.to_json_dict() for x in report.chain.probes])
     assert json.dumps(_expand_report_chain(d)) == json.dumps(want)
+
 
 def test_rung_pins_cover_every_verdict():
     ladder = {

@@ -531,7 +531,6 @@ def test_run_runs_a_general_audit_at_n_40(tmp_path):
     assert [a["verdict"] for a in report["audits"]] == ["ir_violated"]
 
 
-
 def test_run_report_and_stdout_grow_linearly_in_n(tmp_path, capsys):
     # a chain is written as its start and one move per step, so each doubling
     # of n about doubles the report and stdout (whole hybrids would give x4)
@@ -552,6 +551,7 @@ def test_run_report_and_stdout_grow_linearly_in_n(tmp_path, capsys):
         sizes.append((os.path.getsize(out + ".json"), len(stdout.encode())))
     for (report0, stdout0), (report1, stdout1) in zip(sizes, sizes[1:]):
         assert report1 <= 2.3 * report0 and stdout1 <= 2.3 * stdout0, sizes
+
 
 @pytest.mark.parametrize("trials", [10**6 + 1, 10**400], ids=["cap_plus_one", "huge"])
 def test_run_refuses_monte_carlo_trials_above_the_cap(tmp_path, trials):
