@@ -8,12 +8,12 @@ are 0-based throughout the package.
 from __future__ import annotations
 
 import math
-import random
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Optional
 
 from .distributions import DEFAULT_MASS_TOL, CountDistribution, Interval, statistical_distance
 
@@ -169,10 +169,10 @@ class Mechanism(ABC):
     exactly representable (a shifted geometric, a scaled hypergeometric, or a
     point mass), so every verifier below works from closed forms. A custom
     mechanism sets ``name`` and ``player_count`` and implements
-    ``output_dist`` and ``pay_vector``; every other hook has a default. The
-    sampler, for Monte Carlo cross-checks only, is optional, and so is
-    ``max_zero_valuation_pay``: only the tradeoff audit needs a payment
-    cap, and a custom mechanism gives it there as ``max_pay``.
+    ``output_dist`` and ``pay_vector``; every other hook has a default.
+    Monte Carlo cross-checks draw from ``output_dist`` itself, and
+    ``max_zero_valuation_pay`` is optional: only the tradeoff audit needs a
+    payment cap, and a custom mechanism gives it there as ``max_pay``.
     """
 
     name: str
@@ -212,19 +212,14 @@ class Mechanism(ABC):
         Mechanisms with a closed form override it; the default refuses."""
         raise ValueError(f"mechanism {self.name!r} has no closed-form zero-valuation pay cap; give the tradeoff audit's max_pay")
 
-    def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
-        """Counts of ``trials`` independent draws under declarations ``x``
-        (already checked), as an iterator that takes from ``rng`` exactly
-        what ``trials`` successive one-draw calls would; none by default."""
-        raise ValueError(f"mechanism {self.name!r} has no sampler; check its accuracy with method 'exact'")
-
-    def sample_counts(self, x: InputProfile, rng, trials: int) -> Iterator[int]:
-        """Published counts of ``trials`` independent draws, drawn lazily;
-        ``rng`` is a seed int or a random.Random."""
-        if isinstance(rng, int):
-            rng = random.Random(rng)
+    def sample_counts(self, x: InputProfile, rng, trials: int, mass_tol: float = DEFAULT_MASS_TOL) -> Iterator[Optional[int]]:
+        """Published counts of ``trials`` independent draws from the law of
+        ``x``, drawn lazily by ``CountDistribution.sample``: one
+        ``rng.random()`` per draw, so a batch takes from ``rng`` what
+        ``trials`` one-draw calls would, and None for a draw in the
+        truncated tails. ``rng`` is a seed int or a random.Random."""
         self.require_profile(x)
-        return self._sample_counts(x, rng, trials)
+        return self.output_dist(x, mass_tol).sample(rng, trials)
 
     def candidate_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
         """Canonical finite candidate set, distribution-complete for this

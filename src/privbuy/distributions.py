@@ -12,12 +12,14 @@ integer k with probability ((1-a)/(1+a)) * a^|k| where a = exp(-eps).
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import lt, sub
+from typing import Optional
 
 # Default certified truncation budget for constructed distributions.
 DEFAULT_MASS_TOL = 1e-12
@@ -147,6 +149,22 @@ class CountDistribution:
 
     def prob(self, k: int) -> float:
         return self.atoms.get(k, 0.0)
+
+    @cached_property
+    def cdf(self) -> tuple[float, ...]:
+        """Running sums of ``probs``: the inverse-CDF table ``sample`` reads."""
+        return tuple(accumulate(self.probs))
+
+    def sample(self, rng, trials: int) -> Iterator[Optional[int]]:
+        """``trials`` independent counts, drawn lazily by table inversion
+        (Devroye 1986, ch. III): each draw takes one ``rng.random()`` u and
+        yields the first atom whose running mass exceeds u, or None when u is
+        at or past ``cdf[-1]``, a draw in the truncated tails. ``rng`` is a
+        seed int or a random.Random."""
+        if isinstance(rng, int):
+            rng = random.Random(rng)
+        cdf, counts, draw = self.cdf, self.support + (None,), rng.random
+        return (counts[bisect_right(cdf, draw())] for _ in repeat(None, trials))
 
     @classmethod
     def from_atoms(cls, atoms: dict[int, float], truncation_mass: float = 0.0) -> "CountDistribution":

@@ -6,12 +6,9 @@ baselines (pay-as-declared, exact sum).
 from __future__ import annotations
 
 import math
-import random
 from abc import abstractmethod
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 from .core import InputProfile, Mechanism, PlayerType, is_int
 from .distributions import (
@@ -19,7 +16,6 @@ from .distributions import (
     CountDistribution,
     GeomParams,
     Interval,
-    sample_geoms,
     shifted_geom_dist,
     statistical_distance,
 )
@@ -86,8 +82,8 @@ class CountedMechanism(Mechanism):
 
     Every law is fixed by the number of counted 1-bits, so that number is
     the law key, and the others' number is player i's ``others_key``. A
-    subclass gives the rule and the law of a count (``key_law``), and a
-    sampler if it has one; every key and every payment follows here. A
+    subclass gives the rule and the law of a count (``key_law``); every
+    key and every payment follows here. A
     subclass that overrides ``counts`` overrides ``_counted`` to match.
 
     Two things are kept on the instance. The last counted profile's
@@ -169,8 +165,8 @@ class CountedMechanism(Mechanism):
 
 class ShiftedGeometricMechanism(CountedMechanism):
     """Publish the count plus two-sided geometric noise at ``epsilon``: the
-    geometric mechanism of Ghosh, Roughgarden and Sundararajan, whose law,
-    log-pmf table and sampler follow from the count alone.
+    geometric mechanism of Ghosh, Roughgarden and Sundararajan, whose law
+    and log-pmf table follow from the count alone.
 
     Two shifted windows share one probability tuple, so their distance
     depends only on the shift difference d: the terms summed are the same
@@ -200,10 +196,6 @@ class ShiftedGeometricMechanism(CountedMechanism):
         # the closed form holds beyond the truncated window
         ln, eps = self.geom.log_norm, self.epsilon
         return tuple(ln - eps * abs(s - key) for s in support)
-
-    def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
-        c = self._count(x)
-        return (c + k for k in sample_geoms(self.geom, rng, trials))
 
 
 class BudgetMechanism(ShiftedGeometricMechanism):
@@ -258,12 +250,6 @@ class BudgetMechanism(ShiftedGeometricMechanism):
         )
 
 
-def _rescaled_count(n: int, m: int, k: int) -> int:
-    """round_half_even(n*m/k) in integer arithmetic."""
-    q, r = divmod(n * m, k)
-    return q + 1 if 2 * r > k or (2 * r == k and q % 2) else q
-
-
 @lru_cache(maxsize=None)
 def _subsample_law(n: int, k: int, ones: int) -> CountDistribution:
     """Exact law of round_half_even(n*m/k) with m hypergeometric(n, ones, k).
@@ -285,7 +271,7 @@ def _subsample_law(n: int, k: int, ones: int) -> CountDistribution:
     support, probs = [], []
     nm = n * lo
     for m in range(lo, hi + 1):
-        # _rescaled_count(n, m, k) from the running n * m, inline
+        # round_half_even(n * m / k) in integer arithmetic, from the running n * m
         q, r = divmod(nm, k)
         support.append(q + 1 if 2 * r > k or (2 * r == k and q % 2) else q)
         # int true division is correctly rounded, as float(Fraction(...)) is
@@ -315,13 +301,6 @@ class SubsampleMechanism(CountedMechanism):
 
     def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         return _subsample_law(self.params.n, self.params.sample_size, key)
-
-    def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
-        n, k = self.params.n, self.params.sample_size
-        bits, population = x.bits, range(n)
-        for _ in range(trials):
-            m = sum([bits[j] for j in rng.sample(population, k)])
-            yield _rescaled_count(n, m, k)
 
 
 class PayDeclaredMechanism(ShiftedGeometricMechanism):
@@ -368,10 +347,6 @@ class ExactSumMechanism(CountedMechanism):
 
     def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         return CountDistribution((key,), (1.0,), 0.0)
-
-    def _sample_counts(self, x: InputProfile, rng: random.Random, trials: int) -> Iterator[int]:
-        # the count is exact: no draws
-        return repeat(self._count(x), trials)
 
 
 def alg1(budget: float, epsilon: float, n: int) -> BudgetMechanism:

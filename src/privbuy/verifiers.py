@@ -211,8 +211,20 @@ def check_accuracy(
     """Probability that the count leaves the accuracy window, against beta.
 
     Exact mode sums the stored atoms outside the open window and treats the
-    truncation mass as one-sided slack. Monte Carlo mode uses a Wilson 99%
-    interval on the seeded empirical rate; a straddle is inconclusive.
+    truncation mass as one-sided slack. Monte Carlo mode draws ``trials``
+    counts from the same law (``CountDistribution.sample``, seeded) and puts
+    a Wilson 99% interval on the empirical miss rate; a straddle is
+    inconclusive.
+
+    A draw past the table's stored mass ``cdf[-1]`` yields None, which
+    counts as a miss, so the draws miss at rate S + tail (up to the
+    rounding of the running sums), with S the stored mass outside the
+    window and tail = 1 - cdf[-1]. The true law misses at
+    a rate in [S, S + T], T the truncation mass, since its truncated tails
+    may lie anywhere. That rate is at least (S + tail) - tail and at most
+    (S + tail) + max(0, T - tail), so the Wilson interval's low end drops by
+    tail and its high end rises by max(0, T - tail), and the widened
+    interval bounds the true law's miss rate, not the truncated table's.
     """
     mech.require_profile(x)
     if not (is_int(trials) and trials >= 1):
@@ -223,21 +235,24 @@ def check_accuracy(
     lo_edge = bbar_n - spec.alpha * x.n
     hi_edge = bbar_n + spec.alpha_prime * x.n
 
+    dist = mech.output_dist(x, mass_tol)
+    # the support is increasing: atoms at or below lo_edge are a prefix,
+    # those at or above hi_edge a suffix
+    below = bisect_right(dist.support, lo_edge)
+    above = max(below, bisect_left(dist.support, hi_edge))
     if method == "exact":
-        dist = mech.output_dist(x, mass_tol)
-        # the support is increasing: atoms at or below lo_edge are a prefix,
-        # those at or above hi_edge a suffix, and fsum ignores term order
-        below = bisect_right(dist.support, lo_edge)
-        above = max(below, bisect_left(dist.support, hi_edge))
+        # fsum ignores term order
         out_lo = math.fsum(chain(dist.probs[:below], dist.probs[above:]))
         out = Interval(out_lo, min(1.0, out_lo + dist.truncation_mass))
         detail = f"Pr[outside ({lo_edge:g}, {hi_edge:g})] in {out}"
     elif method == "monte_carlo":
-        counts = mech.sample_counts(x, random.Random(seed), trials)
-        # a generator, so memory does not grow with trials
-        misses = sum(1 for c in counts if not lo_edge < c < hi_edge)
+        # a draw misses unless it is a stored count inside the window (a None
+        # never is); the draws are a generator, so memory does not grow with trials
+        inside = set(dist.support[below:above])
+        misses = trials - sum(map(inside.__contains__, dist.sample(random.Random(seed), trials)))
+        tail = max(0.0, 1.0 - dist.cdf[-1]) if dist.cdf else 1.0
         w = wilson_interval(misses, trials)
-        out = Interval(w[0], w[1])
+        out = Interval(max(0.0, w[0] - tail), min(1.0, w[1] + max(0.0, dist.truncation_mass - tail)))
         detail = f"empirical {misses}/{trials}, wilson99 {out}"
     else:
         raise ValueError(f"unknown accuracy method {method!r}")

@@ -15,8 +15,6 @@ from privbuy.distributions import GeomParams, dp_level, shifted_geom_dist, stati
 from privbuy.mechanisms import (
     BudgetParams,
     CountedMechanism,
-    ShiftedGeometricMechanism,
-    SubsampleMechanism,
     SubsampleParams,
     _subsample_law,
     alg1,
@@ -36,7 +34,6 @@ from conftest import (
     bit_vectors,
     max_zero_valuation_pay_scan,
     neighbor_profiles,
-    oracle_sample_geom,
     profile,
 )
 
@@ -469,15 +466,16 @@ def test_empirical_law_matches_output_dist(mech, x):
 
 
 def one_draw_oracle(mech, x, rng):
-    """One published count drawn as the one-draw samplers did before the
-    batch hook: the counted bits plus one noise draw, a fresh k-subset, or no draw."""
-    if isinstance(mech, ShiftedGeometricMechanism):
-        return mech.law_key(x) + oracle_sample_geom(mech.geom, rng)
-    if isinstance(mech, SubsampleMechanism):
-        n, k = mech.params.n, mech.params.sample_size
-        m = sum(x.players[j].bit for j in rng.sample(range(n), k))
-        return round(Fraction(n * m, k))  # Fraction rounds half to even
-    return mech.output_dist(x).support[0]  # exact_sum
+    """One published count drawn by exact inversion of ``output_dist``: the
+    first atom whose running mass, summed as Fractions, exceeds one
+    ``rng.random()``, or None past the stored mass."""
+    u, run = Fraction(rng.random()), Fraction(0)
+    d = mech.output_dist(x)
+    for count, p in zip(d.support, d.probs):
+        run += Fraction(p)
+        if u < run:
+            return count
+    return None
 
 
 SAMPLED = [
@@ -486,7 +484,7 @@ SAMPLED = [
     subsample(1.0, 3, 6),
     pay_declared(0.5, 6),
     exact_sum(6, 0.5),
-    ConstantMechanism(6),  # no sampler
+    ConstantMechanism(6),  # a custom mechanism samples its law too
 ]
 
 
@@ -496,17 +494,38 @@ SAMPLED = [
 def test_sample_counts_draw_the_one_draw_stream(mech, seed, trials):
     x = profile([1, 1, 0, 1, 0, 1], [0.0, 3.0, 0.5, 0.1, 2.0, 0.2])
     rng_a, rng_b, rng_c = random.Random(seed), random.Random(seed), random.Random(seed)
-    if isinstance(mech, ConstantMechanism):
-        # a mechanism without a sampler refuses before it draws anything
-        with pytest.raises(ValueError, match="'constant' has no sampler; check its accuracy with method 'exact'"):
-            mech.sample_counts(x, rng_a, trials)
-        assert rng_a.getstate() == rng_c.getstate()
-        return
     batch = list(mech.sample_counts(x, rng_a, trials))
     assert batch == [c for _ in range(trials) for c in mech.sample_counts(x, rng_b, 1)]
     assert batch == [one_draw_oracle(mech, x, rng_c) for _ in range(trials)]
     assert rng_a.getstate() == rng_b.getstate() == rng_c.getstate()
     assert list(mech.sample_counts(x, seed, trials)) == batch  # a seed int works too
+
+
+class CountingRandom(random.Random):
+    """A random.Random that counts its ``random`` and ``getrandbits`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = {"random": 0, "getrandbits": 0}
+
+    def random(self):
+        self.calls["random"] += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.calls["getrandbits"] += 1
+        return super().getrandbits(k)
+
+
+def test_a_draw_takes_one_random_call_whatever_the_sample_size():
+    # one uniform per draw: a subsample draw no longer picks k players
+    n = 1000
+    mech = subsample(1.0, 500, n)
+    x = profile([1, 0] * (n // 2), [0.0] * n)
+    rng = CountingRandom(5)
+    counts = list(mech.sample_counts(x, rng, 1000))
+    assert rng.calls == {"random": 1000, "getrandbits": 0}
+    assert set(counts) <= set(mech.output_dist(x).support)
 
 
 def test_sample_counts_check_the_profile_before_drawing():

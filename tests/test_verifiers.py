@@ -39,7 +39,7 @@ from privbuy.verifiers import (
     wilson_interval,
 )
 
-from conftest import ConstantMechanism, SwapPayMechanism, profile
+from conftest import ConstantMechanism, PointMass, SwapPayMechanism, profile
 
 GEN, MON = NeighborRelation.GENERAL, NeighborRelation.MONOTONIC
 LN2 = math.log(2.0)
@@ -422,6 +422,22 @@ def test_accuracy_monte_carlo_counts_pinned():
     ]
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.25, 0.49])
+def test_accuracy_monte_carlo_bounds_the_true_law_of_a_truncated_table(beta):
+    # half the mass sits at 0, inside the window (-1, 1), and half is
+    # truncated: the true miss rate may be anything in [0, 0.5], so the
+    # sampled interval must enclose both ends and no beta inside is settled
+    mech, x = PointMass(2, 0.5, constant=True), profile([0, 0], [0.0, 0.0])
+    assert mech.output_dist(x) == CountDistribution((0,), (0.5,), 0.5)
+    spec = AccuracySpec(0.5, 0.5, beta)
+    exact = check_accuracy(mech, x, spec)
+    assert exact.witness.endswith("in [0, 0.5]")
+    row = check_accuracy(mech, x, spec, method="monte_carlo", trials=4000, seed=2)
+    lo, hi = map(float, row.witness.split("wilson99 [")[1].rstrip("]").split(", "))
+    assert lo <= 0.0 and hi >= 0.5
+    assert row.verdict == exact.verdict == INCONCLUSIVE
+
+
 @pytest.mark.parametrize("mech", [alg1(6.0, LN2, 6), exact_sum(6)], ids=lambda m: m.name)
 def test_accuracy_monte_carlo_memory_does_not_grow_with_trials(mech):
     x = profile([1, 1, 0, 1, 0, 1], [0.0, 3.0, 0.5, 0.1, 2.0, 0.2])
@@ -449,7 +465,7 @@ def test_accuracy_caps_monte_carlo_trials():
     for method in ("monte_carlo", "exact"):
         with pytest.raises(ValueError, match="trials must be at most the cap of 1000000"):
             check_accuracy(exact_sum(2), x, spec, method=method, trials=MAX_SAMPLE_TRIALS + 1, seed=1)
-    # the cap itself is allowed; an exact count makes its draws cheap
+    # the cap itself is allowed
     row = check_accuracy(exact_sum(2), x, spec, method="monte_carlo", trials=MAX_SAMPLE_TRIALS, seed=1)
     assert row.verdict == "pass" and "0/1000000" in row.witness
 
@@ -583,9 +599,10 @@ def test_two_hook_mechanism_runs_every_check_as_its_bundled_twin():
     got, want = ([json.dumps(r.to_json_dict(), sort_keys=True) for r in reports(m)] for m in (mech, twin))
     assert [r.replace('"bit_sum"', '"exact_sum"') for r in got] == want
     assert [json.loads(r)["verdict"] for r in got] == ["ir_violated"] * 3
-    # Monte Carlo needs a sampler, which this mechanism does not have
-    with pytest.raises(ValueError, match="'bit_sum' has no sampler; check its accuracy with method 'exact'"):
-        check_accuracy(mech, x, spec, method="monte_carlo", trials=10)
+    # Monte Carlo draws from the law itself: the same law draws the same stream
+    got, want = (check_accuracy(m, x, spec, method="monte_carlo", trials=1000, seed=4) for m in (mech, twin))
+    assert dataclasses.replace(got, mechanism="exact_sum") == want
+    assert got.verdict == PASS and got.witness.startswith("empirical 0/1000")
 
 
 def test_two_hook_mechanism_runs_the_general_audit_at_large_n():
