@@ -410,7 +410,8 @@ def test_accuracy_monte_carlo():
 
 
 def test_accuracy_monte_carlo_counts_pinned():
-    # misses drawn at the commit before batched sampling; the stream is the same
+    # misses drawn by inversion of each law, one rng.random() per draw; each
+    # lies within its Wilson interval of the exact rates 5/12, 5/12, 2/5, 0.458 and 0
     x = profile([1, 1, 0, 1, 0, 1], [0.0, 3.0, 0.5, 0.1, 2.0, 0.2])
     mechs = (alg1(6.0, LN2, 6), alg1_prime(6.0, LN2, 6), subsample(1.0, 3, 6), pay_declared(0.5, 6), exact_sum(6))
     got = [
@@ -418,7 +419,7 @@ def test_accuracy_monte_carlo_counts_pinned():
         for m in mechs
     ]
     assert [w.split(",")[0] for w in got] == [
-        "empirical 1219/3000", "empirical 1219/3000", "empirical 1236/3000", "empirical 1315/3000", "empirical 0/3000",
+        "empirical 1266/3000", "empirical 1266/3000", "empirical 1163/3000", "empirical 1331/3000", "empirical 0/3000",
     ]
 
 
