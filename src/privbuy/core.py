@@ -13,7 +13,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional
 
 from .distributions import DEFAULT_MASS_TOL, CountDistribution, Interval, statistical_distance
 
@@ -212,12 +211,10 @@ class Mechanism(ABC):
         Mechanisms with a closed form override it; the default refuses."""
         raise ValueError(f"mechanism {self.name!r} has no closed-form zero-valuation pay cap; give the tradeoff audit's max_pay")
 
-    def sample_counts(self, x: InputProfile, rng, trials: int, mass_tol: float = DEFAULT_MASS_TOL) -> Iterator[Optional[int]]:
-        """Published counts of ``trials`` independent draws from the law of
-        ``x``, drawn lazily by ``CountDistribution.sample``: one
-        ``rng.random()`` per draw, so a batch takes from ``rng`` what
-        ``trials`` one-draw calls would, and None for a draw in the
-        truncated tails. ``rng`` is a seed int or a random.Random."""
+    def sample_counts(self, x: InputProfile, rng, trials: int, mass_tol: float = DEFAULT_MASS_TOL) -> Iterator[int | None]:
+        """``trials`` published counts drawn lazily from ``output_dist(x)``
+        by ``CountDistribution.sample``, one ``rng.random()`` each, so a
+        batch draws what ``trials`` one-draw calls would."""
         self.require_profile(x)
         return self.output_dist(x, mass_tol).sample(rng, trials)
 

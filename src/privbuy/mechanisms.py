@@ -82,9 +82,9 @@ class CountedMechanism(Mechanism):
 
     Every law is fixed by the number of counted 1-bits, so that number is
     the law key, and the others' number is player i's ``others_key``. A
-    subclass gives the rule and the law of a count (``key_law``); every
-    key and every payment follows here. A
-    subclass that overrides ``counts`` overrides ``_counted`` to match.
+    subclass gives the rule and the law of a count (``key_law``); every key
+    and every payment follows here. A subclass that overrides ``counts``
+    overrides ``_counted`` to match.
 
     Two things are kept on the instance. The last counted profile's
     ``players`` tuple and its count sit in one slot, held by a strong

@@ -212,19 +212,16 @@ def check_accuracy(
 
     Exact mode sums the stored atoms outside the open window and treats the
     truncation mass as one-sided slack. Monte Carlo mode draws ``trials``
-    counts from the same law (``CountDistribution.sample``, seeded) and puts
-    a Wilson 99% interval on the empirical miss rate; a straddle is
-    inconclusive.
+    seeded counts by ``CountDistribution.sample`` and puts a Wilson 99%
+    interval on the empirical miss rate; a straddle is inconclusive.
 
-    A draw past the table's stored mass ``cdf[-1]`` yields None, which
-    counts as a miss, so the draws miss at rate S + tail (up to the
-    rounding of the running sums), with S the stored mass outside the
-    window and tail = 1 - cdf[-1]. The true law misses at
-    a rate in [S, S + T], T the truncation mass, since its truncated tails
-    may lie anywhere. That rate is at least (S + tail) - tail and at most
-    (S + tail) + max(0, T - tail), so the Wilson interval's low end drops by
-    tail and its high end rises by max(0, T - tail), and the widened
-    interval bounds the true law's miss rate, not the truncated table's.
+    A None draw, past the table's stored mass, counts as a miss, so the
+    draws miss at rate S + tail (up to the rounding of the running sums),
+    with S the stored mass outside the window and tail = 1 - cdf[-1]. The
+    true law's truncated mass T may lie anywhere, so its miss rate is in
+    [S, S + T], within [(S + tail) - tail, (S + tail) + max(0, T - tail)].
+    The Wilson interval's low end therefore drops by tail and its high end
+    rises by max(0, T - tail): it bounds the true law, not the table.
     """
     mech.require_profile(x)
     if not (is_int(trials) and trials >= 1):
