@@ -195,7 +195,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1.0 + Z99 * Z99 / trials
     center = (phat + Z99 * Z99 / (2 * trials)) / denom
     half = Z99 * math.sqrt(phat * (1 - phat) / trials + Z99 * Z99 / (4 * trials * trials)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    # at phat = 0 and 1 the bounds are exactly 0 and 1; center -+ half only rounds to them
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    return (lo, 1.0 if successes == trials else min(1.0, center + half))
 
 
 def check_accuracy(

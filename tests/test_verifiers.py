@@ -490,6 +490,21 @@ def test_wilson_interval_sane():
         wilson_interval(0, 0)
 
 
+@pytest.mark.parametrize("trials", [1000, 3000, 1_000_000])
+def test_wilson_interval_is_closed_at_no_and_all_successes(trials):
+    # center - half rounds to 2e-19 at 3000 trials and center + half to
+    # 1 - 2^-52 at 1000: the exact bounds are 0 and 1
+    assert wilson_interval(0, trials)[0] == 0.0
+    assert wilson_interval(trials, trials)[1] == 1.0
+
+
+def test_accuracy_monte_carlo_with_no_misses_never_fails_beta_zero():
+    # no sampled miss cannot certify a positive miss rate
+    x = profile([1, 1, 0, 1, 0, 1], [0.0, 3.0, 0.5, 0.1, 2.0, 0.2])
+    row = check_accuracy(exact_sum(6), x, AccuracySpec(0.2, 0.2, 0.0), method="monte_carlo", trials=3000, seed=11)
+    assert row.verdict == INCONCLUSIVE and row.witness.startswith("empirical 0/3000, wilson99 [0, ")
+
+
 # --- distinguishability --------------------------------------------------------
 
 def test_high_valuation_player_never_monotonically_distinguishable():
