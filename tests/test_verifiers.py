@@ -486,16 +486,12 @@ def test_wilson_interval_sane():
     assert 0.0 <= lo < 0.5 < hi <= 1.0
     lo0, hi0 = wilson_interval(0, 100)
     assert lo0 == 0.0 and hi0 < 0.15
+    # center - half rounds to 2e-19 at 0 of 3000 and center + half to
+    # 1 - 2^-52 at 1000 of 1000: the exact bounds are 0 and 1
+    for trials in (1000, 3000, 1_000_000):
+        assert wilson_interval(0, trials)[0] == 0.0 and wilson_interval(trials, trials)[1] == 1.0
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
-
-
-@pytest.mark.parametrize("trials", [1000, 3000, 1_000_000])
-def test_wilson_interval_is_closed_at_no_and_all_successes(trials):
-    # center - half rounds to 2e-19 at 3000 trials and center + half to
-    # 1 - 2^-52 at 1000: the exact bounds are 0 and 1
-    assert wilson_interval(0, trials)[0] == 0.0
-    assert wilson_interval(trials, trials)[1] == 1.0
 
 
 def test_accuracy_monte_carlo_with_no_misses_never_fails_beta_zero():
