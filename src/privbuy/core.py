@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -210,13 +209,6 @@ class Mechanism(ABC):
         vectors: the default ``max_pay`` of the CLI's tradeoff audit.
         Mechanisms with a closed form override it; the default refuses."""
         raise ValueError(f"mechanism {self.name!r} has no closed-form zero-valuation pay cap; give the tradeoff audit's max_pay")
-
-    def sample_counts(self, x: InputProfile, rng, trials: int, mass_tol: float = DEFAULT_MASS_TOL) -> Iterator[int | None]:
-        """``trials`` published counts drawn lazily from ``output_dist(x)``
-        by ``CountDistribution.sample``, one ``rng.random()`` each, so a
-        batch draws what ``trials`` one-draw calls would."""
-        self.require_profile(x)
-        return self.output_dist(x, mass_tol).sample(rng, trials)
 
     def candidate_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
         """Canonical finite candidate set, distribution-complete for this

@@ -215,7 +215,8 @@ def check_accuracy(
     Exact mode sums the stored atoms outside the open window and treats the
     truncation mass as one-sided slack. Monte Carlo mode draws ``trials``
     seeded counts by ``CountDistribution.sample`` and puts a Wilson 99%
-    interval on the empirical miss rate; a straddle is inconclusive.
+    interval on the empirical miss rate; a straddle is inconclusive. Both
+    modes build the law, so both refuse a window over ``MAX_WINDOW_ATOMS``.
 
     A None draw, past the table's stored mass, counts as a miss, so the
     draws miss at rate S + tail (up to the rounding of the running sums),
@@ -235,20 +236,19 @@ def check_accuracy(
     hi_edge = bbar_n + spec.alpha_prime * x.n
 
     dist = mech.output_dist(x, mass_tol)
-    # the support is increasing: atoms at or below lo_edge are a prefix,
-    # those at or above hi_edge a suffix
-    below = bisect_right(dist.support, lo_edge)
-    above = max(below, bisect_left(dist.support, hi_edge))
     if method == "exact":
-        # fsum ignores term order
+        # the support is increasing: atoms at or below lo_edge are a prefix,
+        # those at or above hi_edge a suffix, and fsum ignores term order
+        below = bisect_right(dist.support, lo_edge)
+        above = max(below, bisect_left(dist.support, hi_edge))
         out_lo = math.fsum(chain(dist.probs[:below], dist.probs[above:]))
         out = Interval(out_lo, min(1.0, out_lo + dist.truncation_mass))
         detail = f"Pr[outside ({lo_edge:g}, {hi_edge:g})] in {out}"
     elif method == "monte_carlo":
-        # a draw misses unless it is a stored count inside the window (a None
-        # never is); the draws are a generator, so memory does not grow with trials
-        inside = set(dist.support[below:above])
-        misses = trials - sum(map(inside.__contains__, dist.sample(random.Random(seed), trials)))
+        # a None draw is a miss; the draws are a generator, so memory does
+        # not grow with trials
+        counts = dist.sample(random.Random(seed), trials)
+        misses = sum(1 for c in counts if c is None or not lo_edge < c < hi_edge)
         tail = max(0.0, 1.0 - dist.cdf[-1]) if dist.cdf else 1.0
         w = wilson_interval(misses, trials)
         out = Interval(max(0.0, w[0] - tail), min(1.0, w[1] + max(0.0, dist.truncation_mass - tail)))

@@ -15,6 +15,9 @@ from privbuy.distributions import GeomParams, dp_level, shifted_geom_dist, stati
 from privbuy.mechanisms import (
     BudgetParams,
     CountedMechanism,
+    ExactSumMechanism,
+    ShiftedGeometricMechanism,
+    SubsampleMechanism,
     SubsampleParams,
     _subsample_law,
     alg1,
@@ -26,7 +29,7 @@ from privbuy.mechanisms import (
 )
 
 from privbuy.losses import increasing_threshold_model, neighbor_distances, zero_loss
-from privbuy.verifiers import check_truthful
+from privbuy.verifiers import AccuracySpec, check_accuracy, check_truthful
 
 from conftest import (
     ConstantMechanism,
@@ -34,6 +37,7 @@ from conftest import (
     bit_vectors,
     max_zero_valuation_pay_scan,
     neighbor_profiles,
+    oracle_sample_geom,
     profile,
 )
 
@@ -49,8 +53,8 @@ def test_alg1_worked_example():
     assert mech.params.theta == pytest.approx(2.0)
     assert mech.pay_vector(x) == (2.0, 0.0, 2.0, 2.0)
     assert mech.law_key(x) == 2
-    counts = list(mech.sample_counts(x, 11, 5))
-    assert list(mech.sample_counts(x, 11, 5)) == counts  # deterministic given the seed
+    counts = list(mech.output_dist(x).sample(11, 5))
+    assert list(mech.output_dist(x).sample(11, 5)) == counts  # deterministic given the seed
 
 
 def test_alg1_all_indifferent_pays_everyone():
@@ -303,7 +307,7 @@ def test_subsample_full_sample_is_exact():
     x = profile([1, 0, 1, 1], [2.0, 0.0, 1.0, 9.0])
     d = mech.output_dist(x)
     assert d.support == (3,) and d.probs == (1.0,)
-    assert list(mech.sample_counts(x, 3, 5)) == [3] * 5
+    assert list(d.sample(3, 5)) == [3] * 5
     assert mech.pay_vector(x) == (1.5,) * 4
 
 
@@ -400,7 +404,7 @@ def test_exact_sum_point_mass():
     d = mech.output_dist(x)
     assert d.support == (2,) and d.probs == (1.0,) and d.truncation_mass == 0.0
     assert mech.pay_vector(x) == (0.0,) * 3
-    assert list(mech.sample_counts(x, 0, 3)) == [2] * 3
+    assert list(d.sample(0, 3)) == [2] * 3
     assert exact_sum(3, flat_pay=1.5).pay_vector(x) == (1.5,) * 3
 
 
@@ -444,20 +448,43 @@ def test_general_audit_pay_cap_matches_closed_form_and_scan(n):
 
 # --- sampling agrees with the exact laws ------------------------------------
 
+def reference_draw(mech, x, rng):
+    """One published count drawn as each bundled mechanism is defined,
+    not from its law: the counted bits plus one geometric noise draw, the
+    rescaled 1-bits of a fresh k-subset, or the bit sum itself."""
+    if isinstance(mech, ShiftedGeometricMechanism):
+        count = sum(p.bit for p in x.players if mech.counts(p.valuation))
+        return count + oracle_sample_geom(mech.geom, rng)
+    if isinstance(mech, SubsampleMechanism):
+        n, k = mech.params.n, mech.params.sample_size
+        m = sum(x.players[j].bit for j in rng.sample(range(n), k))
+        return round(Fraction(n * m, k))  # Fraction rounds half to even
+    assert isinstance(mech, ExactSumMechanism)
+    return x.bit_sum()
+
+
 @pytest.mark.parametrize(
     "mech,x",
     [
         (alg1(8.0, math.log(2.0), 4), profile([1, 1, 0, 1], [0.0, 3.0, 0.0, 0.0])),
         (subsample(1.0, 2, 6), profile([1, 0, 1, 1, 0, 1], [0.0] * 6)),
+        (alg1_prime(6.0, 0.5, 6), profile([1, 1, 0, 1, 0, 1], [0.0, 3.0, 0.5, 0.1, 2.0, 0.2])),
+        (pay_declared(0.5, 4), profile([1, 0, 1, 1], [0.5, 2.0, 0.0, 1.0])),
+        # n*m/k = 2.5 at m = 1: round half to even gives 2
+        (subsample(1.0, 2, 5), profile([1, 1, 0, 1, 0], [0.0] * 5)),
+        (exact_sum(4), profile([1, 0, 1, 1], [0.0] * 4)),
     ],
 )
 def test_empirical_law_matches_output_dist(mech, x):
+    # the closed-form law against draws made as the mechanism is defined
     rng = random.Random(99)
     trials = 20000
     freq = {}
-    for c in mech.sample_counts(x, rng, trials):
+    for _ in range(trials):
+        c = reference_draw(mech, x, rng)
         freq[c] = freq.get(c, 0) + 1
     d = mech.output_dist(x)
+    assert set(freq) <= set(d.support)
     for k, p in zip(d.support, d.probs):
         if p < 1e-4:
             continue
@@ -494,11 +521,12 @@ SAMPLED = [
 def test_sample_counts_draw_the_one_draw_stream(mech, seed, trials):
     x = profile([1, 1, 0, 1, 0, 1], [0.0, 3.0, 0.5, 0.1, 2.0, 0.2])
     rng_a, rng_b, rng_c = random.Random(seed), random.Random(seed), random.Random(seed)
-    batch = list(mech.sample_counts(x, rng_a, trials))
-    assert batch == [c for _ in range(trials) for c in mech.sample_counts(x, rng_b, 1)]
+    d = mech.output_dist(x)
+    batch = list(d.sample(rng_a, trials))
+    assert batch == [c for _ in range(trials) for c in d.sample(rng_b, 1)]
     assert batch == [one_draw_oracle(mech, x, rng_c) for _ in range(trials)]
     assert rng_a.getstate() == rng_b.getstate() == rng_c.getstate()
-    assert list(mech.sample_counts(x, seed, trials)) == batch  # a seed int works too
+    assert list(d.sample(seed, trials)) == batch  # a seed int works too
 
 
 class CountingRandom(random.Random):
@@ -523,15 +551,18 @@ def test_a_draw_takes_one_random_call_whatever_the_sample_size():
     mech = subsample(1.0, 500, n)
     x = profile([1, 0] * (n // 2), [0.0] * n)
     rng = CountingRandom(5)
-    counts = list(mech.sample_counts(x, rng, 1000))
+    counts = list(mech.output_dist(x).sample(rng, 1000))
     assert rng.calls == {"random": 1000, "getrandbits": 0}
     assert set(counts) <= set(mech.output_dist(x).support)
 
 
 def test_sample_counts_check_the_profile_before_drawing():
-    mech = alg1(6.0, 0.5, 6)
+    # the law refuses a profile of the wrong size, so nothing is drawn from it
+    mech, x = alg1(6.0, 0.5, 6), profile([1, 0], [0.0, 0.0])
     with pytest.raises(ValueError, match="players"):
-        mech.sample_counts(profile([1, 0], [0.0, 0.0]), 0, 10)
+        mech.output_dist(x)
+    with pytest.raises(ValueError, match="players"):
+        check_accuracy(mech, x, AccuracySpec(0.5, 0.5, 0.5), method="monte_carlo", trials=10, seed=0)
 
 
 @pytest.mark.parametrize(
