@@ -37,7 +37,7 @@ _MASS_INVARIANT_SLOP = 1e-12
 MAX_WINDOW_ATOMS = 1_000_000
 
 # Most Monte Carlo draws one accuracy check makes. A draw costs one bisection
-# of the law's table: 1,000,000 take about 0.3 s on alg1 and 0.4 s on
+# of the law's table: 1,000,000 take about 0.4 s on alg1 and 0.5 s on
 # subsample(1, 500, 1000) (2-core x86-64 VM, Python 3.11).
 MAX_SAMPLE_TRIALS = 1_000_000
 
