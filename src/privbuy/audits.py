@@ -203,9 +203,10 @@ def audit_delta(relation: NeighborRelation, n: int, delta: Optional[float] = Non
 
 
 def _validate(mech: Mechanism, model: LossModel, relation: NeighborRelation, delta: Optional[float]) -> tuple[int, float]:
-    """n and delta (see ``audit_delta``) of an audit driven by an increasing model over ``relation``."""
+    """n and delta (see ``audit_delta``; the model's own delta when None) of
+    an audit driven by an increasing model over ``relation``."""
     n = mech.player_count
-    delta = audit_delta(relation, n, delta)
+    delta = audit_delta(relation, n, model.delta if delta is None else delta)
     if not model.respects_indifference:
         raise ValueError("audit needs a model that respects indifference")
     if model.threshold_fn is None:

@@ -11,7 +11,6 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .distributions import DEFAULT_MASS_TOL, CountDistribution, Interval, statistical_distance
 
@@ -108,17 +107,15 @@ class InputProfile:
     def n(self) -> int:
         return len(self.players)
 
-    @cached_property
+    @property
     def bits(self) -> tuple[int, ...]:
         return tuple([p.bit for p in self.players])
 
-    @cached_property
+    @property
     def valuations(self) -> tuple[float, ...]:
         return tuple([p.valuation for p in self.players])
 
     def bit_sum(self) -> int:
-        # not through ``bits``: on Python < 3.12 a cached_property's first
-        # read takes a lock shared by every instance
         return sum([p.bit for p in self.players])
 
     def with_player(self, i: int, player: PlayerType) -> "InputProfile":

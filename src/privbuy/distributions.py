@@ -12,7 +12,6 @@ integer k with probability ((1-a)/(1+a)) * a^|k| where a = exp(-eps).
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -158,16 +157,9 @@ class CountDistribution:
         """``trials`` independent counts drawn lazily by table inversion
         (Devroye 1986, ch. III): one ``rng.random()`` u per draw, the first
         atom whose ``cdf`` exceeds u, or None for a u at or past ``cdf[-1]``
-        (the truncated tails). ``rng`` is a seed int or a random.Random."""
-        if isinstance(rng, int):
-            rng = random.Random(rng)
+        (the truncated tails). ``rng`` is a random.Random."""
         cdf, counts, draw = self.cdf, self.support + (None,), rng.random
         return (counts[bisect_right(cdf, draw())] for _ in repeat(None, trials))
-
-    @classmethod
-    def from_atoms(cls, atoms: dict[int, float], truncation_mass: float = 0.0) -> "CountDistribution":
-        ks = tuple(sorted(atoms))
-        return cls(ks, tuple(atoms[k] for k in ks), truncation_mass)
 
 
 def _tail_index(a: float, one_a: float, log_a: float, m: float) -> int:
@@ -303,28 +295,18 @@ def dp_level(d1: CountDistribution, d2: CountDistribution) -> float:
     return best
 
 
-def sample_geoms(g: GeomParams, rng, trials: int) -> Iterator[int]:
-    """Draw ``trials`` noise values, one at a time: inverse-CDF magnitude on
-    a 64-bit uniform, then an independent fair sign bit when the magnitude
-    is nonzero.
+def sample_geom(g: GeomParams, rng) -> int:
+    """Draw one noise value: inverse-CDF magnitude on a 64-bit uniform, then
+    an independent fair sign bit when the magnitude is nonzero.
 
     This is an exact inverse-CDF over the two-sided pmf and is deterministic
-    given the generator state; a, 1 + a and ln a are computed once.
+    given the generator state.
     """
     a = g.alpha
-    one_a = 1.0 + a
-    log_a = math.log(a)
-    getrandbits = rng.getrandbits
-    for _ in range(trials):
-        # in [0, 1]: the top 1,024 of the 2^64 draws round to 1.0, whose
-        # 1 - u of 0 is read as 2^-53, the 1 - u of the largest double below
-        # 1; every other 1 - u is exact and at least 2^-53
-        u = getrandbits(64) / 2.0**64
-        # magnitude: smallest k >= 0 with CDF(k) = 1 - 2 a^{k+1}/(1+a) >= u
-        k = _tail_index(a, one_a, log_a, 1.0 - u or 2.0**-53)
-        yield -k if k and getrandbits(1) else k
-
-
-def sample_geom(g: GeomParams, rng) -> int:
-    """Draw one noise value: the first draw of ``sample_geoms``."""
-    return next(sample_geoms(g, rng, 1))
+    # in [0, 1]: the top 1,024 of the 2^64 draws round to 1.0, whose 1 - u
+    # of 0 is read as 2^-53, the 1 - u of the largest double below 1; every
+    # other 1 - u is exact and at least 2^-53
+    u = rng.getrandbits(64) / 2.0**64
+    # magnitude: smallest k >= 0 with CDF(k) = 1 - 2 a^{k+1}/(1+a) >= u
+    k = _tail_index(a, 1.0 + a, math.log(a), 1.0 - u or 2.0**-53)
+    return -k if k and rng.getrandbits(1) else k

@@ -274,8 +274,10 @@ def _subsample_law(n: int, k: int, ones: int) -> CountDistribution:
         # round_half_even(n * m / k) in integer arithmetic, from the running n * m
         q, r = divmod(nm, k)
         support.append(q + 1 if 2 * r > k or (2 * r == k and q % 2) else q)
-        # int true division is correctly rounded, as float(Fraction(...)) is
-        probs.append(w / total)
+        # int true division is correctly rounded, as float(Fraction(...)) is;
+        # a quotient that rounds to 0.0 is below 2^-1075, so the least
+        # subnormal bounds it and the atom stays on the support
+        probs.append(w / total or math.ulp(0.0))
         w = w * ((ones - m) * (k - m)) // ((m + 1) * (zeros - k + m + 1))
         nm += n
     return CountDistribution(tuple(support), tuple(probs), 0.0)

@@ -118,6 +118,8 @@ def test_general_audit_validations():
         audit_general_impossibility(mech, monotonic_model(1.0 / 12.0), delta=1.0 / 12.0)
     with pytest.raises(ValueError):
         audit_general_impossibility(mech, general_model(1.0 / 24.0), delta=1.0 / 12.0)  # delta mismatch
+    with pytest.raises(ValueError):
+        audit_general_impossibility(mech, general_model(0.2))  # the model's delta > 1/(6n)
 
 
 def test_general_audit_deterministic():
@@ -126,6 +128,22 @@ def test_general_audit_deterministic():
     b = audit_general_impossibility(mech, general_model(1.0 / 12.0), delta=1.0 / 12.0)
     assert a == b
     assert a.to_json_dict() == b.to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "audit, model, delta, verdict",
+    [
+        (audit_general_impossibility, general_model, 1.0 / 48.0, "ir_violated"),
+        (audit_monotonic_impossibility, monotonic_model, 1.0 / 24.0, "accuracy_sacrificed"),
+    ],
+    ids=["general", "monotonic"],
+)
+def test_audits_read_delta_from_the_model(audit, model, delta, verdict):
+    # below the cap 1/(6n) or 1/(3n), so the cap is not the delta the model was built for
+    mech = alg1(4.0, 0.5, 4)
+    report = audit(mech, model(delta))
+    assert report == audit(mech, model(delta), delta=delta)
+    assert report.verdict == verdict and dict(report.params)["delta"] == delta
 
 
 # --- monotonic impossibility ---------------------------------------------------

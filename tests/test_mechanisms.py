@@ -53,8 +53,8 @@ def test_alg1_worked_example():
     assert mech.params.theta == pytest.approx(2.0)
     assert mech.pay_vector(x) == (2.0, 0.0, 2.0, 2.0)
     assert mech.law_key(x) == 2
-    counts = list(mech.output_dist(x).sample(11, 5))
-    assert list(mech.output_dist(x).sample(11, 5)) == counts  # deterministic given the seed
+    counts = list(mech.output_dist(x).sample(random.Random(11), 5))
+    assert list(mech.output_dist(x).sample(random.Random(11), 5)) == counts  # deterministic given the seed
 
 
 def test_alg1_all_indifferent_pays_everyone():
@@ -307,7 +307,7 @@ def test_subsample_full_sample_is_exact():
     x = profile([1, 0, 1, 1], [2.0, 0.0, 1.0, 9.0])
     d = mech.output_dist(x)
     assert d.support == (3,) and d.probs == (1.0,)
-    assert list(d.sample(3, 5)) == [3] * 5
+    assert list(d.sample(random.Random(3), 5)) == [3] * 5
     assert mech.pay_vector(x) == (1.5,) * 4
 
 
@@ -365,6 +365,17 @@ def test_subsample_law_equals_fraction_oracle_at_large_n(n, k):
             assert d.support == tuple(n - c for c in reversed(support)) and d.probs == probs[::-1]
 
 
+@pytest.mark.parametrize("n", (1100, 2048))
+def test_subsample_law_stores_no_atom_as_zero(n):
+    # from n = 1082 at k = n/2 the outermost weights over C(n, k) round to
+    # 0.0; each is stored as the least subnormal, which bounds it from above
+    k = n // 2
+    for ones in (1, k - 1, k, k + 1, n - 1):
+        d = _subsample_law.__wrapped__(n, k, ones)
+        assert min(d.probs) > 0.0 and d.truncation_mass == 0.0, ones
+        assert (math.ulp(0.0) in d.probs) == (abs(ones - k) <= 1), ones
+
+
 def test_subsample_ignores_declarations():
     mech = subsample(1.0, 2, 5)
     bits = [1, 0, 1, 0, 0]
@@ -404,7 +415,7 @@ def test_exact_sum_point_mass():
     d = mech.output_dist(x)
     assert d.support == (2,) and d.probs == (1.0,) and d.truncation_mass == 0.0
     assert mech.pay_vector(x) == (0.0,) * 3
-    assert list(d.sample(0, 3)) == [2] * 3
+    assert list(d.sample(random.Random(0), 3)) == [2] * 3
     assert exact_sum(3, flat_pay=1.5).pay_vector(x) == (1.5,) * 3
 
 
@@ -526,7 +537,6 @@ def test_sample_counts_draw_the_one_draw_stream(mech, seed, trials):
     assert batch == [c for _ in range(trials) for c in d.sample(rng_b, 1)]
     assert batch == [one_draw_oracle(mech, x, rng_c) for _ in range(trials)]
     assert rng_a.getstate() == rng_b.getstate() == rng_c.getstate()
-    assert list(d.sample(seed, trials)) == batch  # a seed int works too
 
 
 class CountingRandom(random.Random):
