@@ -76,11 +76,8 @@ def test_ir_exact_sum_fails_tight_general():
 
 @pytest.mark.parametrize("relation", (GEN, MON))
 def test_ir_subsample_loss_is_infinite_where_atoms_underflow(relation):
-    # at n = 1100 the law's outermost atoms are below the least subnormal;
-    # outcome 1100 has probability 1/C(1100, 550) > 0 under the profile and
-    # none under the bit-0 neighbour, so the tight loss is +inf, not the
-    # 0.025 read off the finite atoms (general) or a NaN from -inf meeting
-    # a stored 0.0 (monotonic)
+    # outcome 1100 has probability 1/C(1100, 550), below the least
+    # subnormal, under the profile and none under the bit-0 neighbour
     n = 1100
     mech = subsample(1.0, n // 2, n)
     x = profile([1] * (n // 2) + [0] * (n // 2), [1.0] * n)
