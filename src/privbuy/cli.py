@@ -189,7 +189,9 @@ def _read_json(path: str):
         raise ValueError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # undecodable bytes, or an integer literal above the int-string digit limit
+    # undecodable bytes, an integer literal above the int-string digit limit,
+    # or arrays and objects nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -230,22 +230,11 @@ class Mechanism(ABC):
 
     def deviation_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
         """Default deviation grid: player i's own-bit types at the canonical
-        candidates' valuations plus the truth's, in first-seen order. Each is
-        the first candidate (or the truth) of player i's bit at that float,
-        so a candidate set holding both bits builds no type."""
+        candidates' valuations plus the truth's, in first-seen order (0.0 ==
+        -0.0 as a key, so the first-seen sign stays)."""
         p = x.players[i]
-        bit = p.bit
-        # valuation -> (its first-seen float, the first own-bit type at that float)
-        grid: dict = {}
-        for t in self.candidate_types(x, i) + (p,):
-            v = t.valuation
-            first = grid.get(v)
-            if first is None:
-                grid[v] = (v, t if t.bit == bit else None)
-            # 0.0 == -0.0 as a key, but the grid keeps its first-seen sign
-            elif first[1] is None and t.bit == bit and (v or math.copysign(1.0, v) == math.copysign(1.0, first[0])):
-                grid[v] = (first[0], t)
-        return tuple([t or PlayerType(bit, v) for v, t in grid.values()])
+        vals = dict.fromkeys([t.valuation for t in self.candidate_types(x, i)] + [p.valuation])
+        return tuple([PlayerType(p.bit, v) for v in vals])
 
     def claimed_truthful_players(self, x: InputProfile) -> tuple[int, ...]:
         """Players for whom this mechanism claims truthfulness."""

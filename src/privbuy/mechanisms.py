@@ -1,6 +1,6 @@
 """Concrete mechanisms: the budget-threshold mechanism and its variant that
 also pays high-valuation bit-0 players, uniform subsampling, and two
-baselines (pay-as-declared, exact sum).
+baselines (pay-as-declared, and the exact sum as subsampling at k = n).
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ class SubsampleParams:
         if not (is_int(self.sample_size) and 1 <= self.sample_size <= self.n):
             raise ValueError(f"sample_size must be in [1, n], got {self.sample_size!r}")
         c = self.distinguishability_budget
-        if math.isfinite(c) and not self.sample_size < c:
+        # NaN and -inf fail k < C too; +inf is the unconstrained default
+        if not self.sample_size < c:
             raise ValueError(f"sample_size {self.sample_size} must be < budget C {c}")
 
 
@@ -242,6 +243,12 @@ class BudgetMechanism(ShiftedGeometricMechanism):
         flipped = PlayerType(1 - p.bit, p.valuation)
         return self._landmark_types + ((p, flipped) if p.bit == 0 else (flipped, p))
 
+    def deviation_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
+        # player i's bit at 0, theta, 2 theta, and the truth off the landmarks
+        p = x.players[i]
+        own = self._landmark_types[p.bit :: 2]
+        return own if p.valuation in self._landmarks else own + (p,)
+
     def claimed_truthful_players(self, x: InputProfile) -> tuple[int, ...]:
         return tuple(
             i
@@ -286,7 +293,8 @@ def _subsample_law(n: int, k: int, ones: int) -> CountDistribution:
 class SubsampleMechanism(CountedMechanism):
     """Pay everyone the flat amount, average the bits of a uniform size-k
     subset, and publish the rescaled (rounded half-even) count. Declarations
-    are ignored entirely, which is what makes it trivially truthful."""
+    are ignored entirely, which is what makes it trivially truthful. At
+    k = n the count is the exact bit sum."""
 
     def __init__(self, params: SubsampleParams):
         super().__init__()
@@ -330,27 +338,6 @@ class PayDeclaredMechanism(ShiftedGeometricMechanism):
         return ()
 
 
-class ExactSumMechanism(CountedMechanism):
-    """Publish the exact bit sum and pay a flat amount (zero by default).
-    The canonical counterexample fed to the impossibility audits."""
-
-    def __init__(self, n: int, flat_pay: float = 0.0):
-        if not (is_int(n) and n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {n!r}")
-        if not (math.isfinite(flat_pay) and flat_pay >= 0):
-            raise ValueError(f"flat_pay must be finite and >= 0, got {flat_pay!r}")
-        super().__init__()
-        self.flat_pay = flat_pay
-        self.name = "exact_sum"
-        self.player_count = n
-
-    def pay(self, bit: int, valuation: float) -> float:
-        return self.flat_pay
-
-    def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
-        return CountDistribution((key,), (1.0,), 0.0)
-
-
 def alg1(budget: float, epsilon: float, n: int) -> BudgetMechanism:
     return BudgetMechanism(BudgetParams(budget, epsilon, n))
 
@@ -367,8 +354,13 @@ def pay_declared(epsilon: float, n: int) -> PayDeclaredMechanism:
     return PayDeclaredMechanism(epsilon, n)
 
 
-def exact_sum(n: int, flat_pay: float = 0.0) -> ExactSumMechanism:
-    return ExactSumMechanism(n, flat_pay)
+def exact_sum(n: int, flat_pay: float = 0.0) -> SubsampleMechanism:
+    """Publish the exact bit sum and pay a flat amount (zero by default): the
+    subsample mechanism at k = n, and the counterexample fed to the
+    impossibility audits."""
+    mech = SubsampleMechanism(SubsampleParams(flat_pay, n, n))
+    mech.name = "exact_sum"
+    return mech
 
 
 def max_zero_valuation_pay(mech: Mechanism) -> float:

@@ -648,6 +648,16 @@ def test_run_refuses_an_integer_literal_above_the_digit_limit(tmp_path, capsys):
     assert f"config error: {path}: " in capsys.readouterr().err
 
 
+DEEP = "[" * 100000 + "]" * 100000  # nested past the recursion limit json.load meets
+
+
+def test_run_refuses_a_config_nested_past_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP, encoding="utf-8")
+    assert main(["run", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
 @pytest.mark.parametrize("key", ["csv", "report"])
 @pytest.mark.parametrize("path", [None, "", 1, ["r.csv"]], ids=["null", "empty", "int", "list"])
 def test_run_refuses_output_paths_that_are_not_strings(tmp_path, capsys, key, path):
@@ -770,8 +780,9 @@ def test_run_refuses_a_profiles_file_that_is_not_a_path(tmp_path, path):
         ("[\n  {}\n  {}\n]", "line 3 column 3: Expecting ',' delimiter"),
         (b"\xff\xfe[]", "codec can't decode byte"),
         ('{"bits": [1, 0, 1, 0], "valuations": [0, 0, 0, 0]}', "must be a list of profiles, got dict"),
+        (DEEP, "maximum recursion depth exceeded"),
     ],
-    ids=["truncated", "missing_comma", "not_utf8", "object"],
+    ids=["truncated", "missing_comma", "not_utf8", "object", "nested_too_deeply"],
 )
 def test_run_refuses_a_profiles_file_that_is_not_a_json_list(tmp_path, capsys, content, message):
     pfile = tmp_path / "profiles.json"

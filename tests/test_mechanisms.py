@@ -15,7 +15,6 @@ from privbuy.distributions import GeomParams, dp_level, shifted_geom_dist, stati
 from privbuy.mechanisms import (
     BudgetParams,
     CountedMechanism,
-    ExactSumMechanism,
     ShiftedGeometricMechanism,
     SubsampleMechanism,
     SubsampleParams,
@@ -393,6 +392,11 @@ def test_subsample_params_validation():
     with pytest.raises(ValueError):
         SubsampleParams(-1.0, 2, 6)
     assert SubsampleParams(0.0, 2, 6, distinguishability_budget=3.0).sample_size == 2
+    # NaN and -inf are no budget k < C could meet; only +inf is unconstrained
+    for c in (math.nan, -math.inf, 2.0):
+        with pytest.raises(ValueError, match="must be < budget C"):
+            subsample(1.0, 2, 4, c)
+    assert subsample(1.0, 2, 4, math.inf).distinguishability_budget == math.inf
 
 
 # --- baselines -------------------------------------------------------------
@@ -409,14 +413,17 @@ def test_pay_declared_payments_and_law():
             pay_declared(eps, n)
 
 
-def test_exact_sum_point_mass():
-    mech = exact_sum(3)
-    x = profile([1, 1, 0], [5.0, 0.0, 2.0])
-    d = mech.output_dist(x)
-    assert d.support == (2,) and d.probs == (1.0,) and d.truncation_mass == 0.0
-    assert mech.pay_vector(x) == (0.0,) * 3
-    assert list(d.sample(random.Random(0), 3)) == [2] * 3
-    assert exact_sum(3, flat_pay=1.5).pay_vector(x) == (1.5,) * 3
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exact_sum_point_mass(n):
+    # a point mass at every count of ones, the even-n reflection included
+    mech = exact_sum(n)
+    for ones in range(n + 1):
+        x = profile([1] * ones + [0] * (n - ones), ([5.0, 0.0, 2.0, -1.0] * 2)[:n])
+        d = mech.output_dist(x)
+        assert (d.support, d.probs, d.truncation_mass) == ((ones,), (1.0,), 0.0), ones
+        assert list(d.sample(random.Random(0), 3)) == [ones] * 3
+        assert mech.pay_vector(x) == (0.0,) * n
+        assert exact_sum(n, flat_pay=1.5).pay_vector(x) == (1.5,) * n
 
 
 def test_max_zero_valuation_pay():
@@ -466,12 +473,12 @@ def reference_draw(mech, x, rng):
     if isinstance(mech, ShiftedGeometricMechanism):
         count = sum(p.bit for p in x.players if mech.counts(p.valuation))
         return count + oracle_sample_geom(mech.geom, rng)
-    if isinstance(mech, SubsampleMechanism):
-        n, k = mech.params.n, mech.params.sample_size
-        m = sum(x.players[j].bit for j in rng.sample(range(n), k))
-        return round(Fraction(n * m, k))  # Fraction rounds half to even
-    assert isinstance(mech, ExactSumMechanism)
-    return x.bit_sum()
+    if mech.name == "exact_sum":
+        return x.bit_sum()
+    assert isinstance(mech, SubsampleMechanism)
+    n, k = mech.params.n, mech.params.sample_size
+    m = sum(x.players[j].bit for j in rng.sample(range(n), k))
+    return round(Fraction(n * m, k))  # Fraction rounds half to even
 
 
 @pytest.mark.parametrize(
