@@ -40,6 +40,7 @@ from .distributions import (
     MAX_SAMPLE_TRIALS,
     GeomParams,
     dp_level,
+    geom_log_pmf,
     shifted_geom_dist,
     statistical_distance,
     window_radius,
@@ -608,10 +609,15 @@ def cmd_dist(args) -> int:
         g = GeomParams(args.epsilon)
         d1 = shifted_geom_dist(g, args.shift_a, args.mass_tol)
         d2 = shifted_geom_dist(g, args.shift_b, args.mass_tol)
-        level = dp_level(d1, d2)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    support = sorted(set(d1.support).union(d2.support))
+    try:
+        level = dp_level(geom_log_pmf(g, args.shift_a, support), geom_log_pmf(g, args.shift_b, support))
+    except OverflowError:
+        # |s - shift| past the float range: +inf bounds the level from above
+        level = math.inf
     dist = statistical_distance(d1, d2)
     print(f"statistical distance between shift {args.shift_a} and shift {args.shift_b} at eps={args.epsilon:g}: {dist}")
     print(f"dp level: {level:.12g}")

@@ -22,11 +22,6 @@ from operator import lt, sub
 # Default certified truncation budget for constructed distributions.
 DEFAULT_MASS_TOL = 1e-12
 
-# A stored atom at or below this mass cannot be told apart from the other
-# distribution's truncated tail, so dp_level skips it instead of declaring a
-# support mismatch. Matches the dp_level precondition scale.
-SUPPORT_ATOM_TOL = 1e-9
-
 _MASS_INVARIANT_SLOP = 1e-12
 
 # Largest window shifted_geom_dist will build: 2 t + 1 atoms for radius t.
@@ -99,18 +94,19 @@ def geom_pmf(g: GeomParams, k: int) -> float:
     return (1.0 - a) / (1.0 + a) * a ** abs(k)
 
 
-def geom_tail(g: GeomParams, t: int) -> float:
-    """Pr[|noise| >= t] = 2 a^t / (1+a) for integer t >= 1.
+def geom_log_pmf(g: GeomParams, shift: int, support) -> tuple[float, ...]:
+    """ln Pr[shift + noise = s] = ln((1-a)/(1+a)) - eps |s - shift| for each s
+    of ``support``: the closed form, exact beyond any truncated window."""
+    ln, eps = g.log_norm, g.epsilon
+    return tuple(ln - eps * abs(s - shift) for s in support)
 
-    Always strictly below the loose exponential bound 2 exp(-eps t), which is
-    asserted here because callers compare against that bound.
-    """
+
+def geom_tail(g: GeomParams, t: int) -> float:
+    """Pr[|noise| >= t] = 2 a^t / (1+a) for integer t >= 1."""
     if t < 1:
         raise ValueError(f"tail threshold must be >= 1, got {t}")
     a = g.alpha
-    val = 2.0 * a**t / (1.0 + a)
-    assert val < 2.0 * math.exp(-g.epsilon * t)
-    return val
+    return 2.0 * a**t / (1.0 + a)
 
 
 @dataclass(frozen=True)
@@ -260,39 +256,13 @@ def _shared_slices(s1: tuple[int, ...], s2: tuple[int, ...]):
     return (i1, j1, i2, j2) if s1[i1:j1] == s2[i2:j2] else None
 
 
-def dp_level(d1: CountDistribution, d2: CountDistribution) -> float:
-    """Pure-DP level between two near-complete distributions.
-
-    Returns the maximum of |ln(p1(k)/p2(k))| over atoms stored on both
-    sides, and +inf when an atom above ``SUPPORT_ATOM_TOL`` is stored on one
-    side only (the other side's truncated tail cannot account for it). Atoms
-    at or below it that are missing from the other side are within tail
-    noise and are skipped.
-
-    Both truncation masses must be <= 1e-9: the log-ratio requires
-    near-complete supports to mean anything. For shifted geometrics the
-    result equals eps times the shift difference as long as that difference
-    stays within the window radius; far beyond it the common atoms only see
-    tail-vs-tail ratios.
-    """
-    for d in (d1, d2):
-        if d.truncation_mass > 1e-9:
-            raise ValueError(f"dp_level needs truncation_mass <= 1e-9, got {d.truncation_mass}; lower mass_tol")
-    a1, a2 = d1.atoms, d2.atoms
-    keys = set(d1.support)
-    keys.update(d2.support)
-    best = 0.0
-    for k in keys:
-        p, q = a1.get(k, 0.0), a2.get(k, 0.0)
-        if p > 0.0 and q > 0.0:
-            r = abs(math.log(p) - math.log(q))
-            if r > best:
-                best = r
-        elif p <= 0.0 and q <= 0.0:
-            continue
-        elif max(p, q) > SUPPORT_ATOM_TOL:
-            return math.inf
-    return best
+def dp_level(log_p, log_q) -> float:
+    """Pure-DP level between two laws given as log-pmf rows over one
+    support: the largest |ln p(s) - ln q(s)|. An outcome impossible under
+    one law only (-inf on one side) gives +inf; one impossible under both
+    gives -inf - -inf, the only NaN (the one value unequal to itself), and
+    counts as 0."""
+    return max((abs(r) for r in map(sub, log_p, log_q) if r == r), default=0.0)
 
 
 def sample_geom(g: GeomParams, rng) -> int:

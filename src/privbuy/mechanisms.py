@@ -6,7 +6,9 @@ baselines (pay-as-declared, and the exact sum as subsampling at k = n).
 from __future__ import annotations
 
 import math
+import sys
 from abc import abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,6 +18,7 @@ from .distributions import (
     CountDistribution,
     GeomParams,
     Interval,
+    geom_log_pmf,
     shifted_geom_dist,
     statistical_distance,
 )
@@ -194,9 +197,7 @@ class ShiftedGeometricMechanism(CountedMechanism):
         return hit
 
     def log_pmf_table(self, key: int, support) -> tuple[float, ...]:
-        # the closed form holds beyond the truncated window
-        ln, eps = self.geom.log_norm, self.epsilon
-        return tuple(ln - eps * abs(s - key) for s in support)
+        return geom_log_pmf(self.geom, key, support)
 
 
 class BudgetMechanism(ShiftedGeometricMechanism):
@@ -311,6 +312,24 @@ class SubsampleMechanism(CountedMechanism):
 
     def key_law(self, key: int, mass_tol: float = DEFAULT_MASS_TOL) -> CountDistribution:
         return _subsample_law(self.params.n, self.params.sample_size, key)
+
+    def log_pmf_table(self, key: int, support) -> tuple[float, ...]:
+        # ln of the stored atom where it is normal; below 2^-1022 it has lost
+        # bits, so ln w - ln C(n, k) from the integer weight w of m = lo +
+        # index (the support increases in m, a reflected law's too)
+        n, k = self.params.n, self.params.sample_size
+        law, lo = self.key_law(key), max(0, k - (n - key))
+        out = []
+        for s in support:
+            p = law.prob(s)
+            if p >= sys.float_info.min:
+                out.append(math.log(p))
+            elif p == 0.0:  # off the support: no stored atom is 0
+                out.append(-math.inf)
+            else:
+                m = lo + bisect_left(law.support, s)
+                out.append(math.log(math.comb(key, m) * math.comb(n - key, k - m)) - math.log(math.comb(n, k)))
+        return tuple(out)
 
 
 class PayDeclaredMechanism(ShiftedGeometricMechanism):

@@ -328,12 +328,15 @@ def check_dp(
     profile_id: str = "",
 ) -> list[CheckResult]:
     """Pure-DP level of the count law across each player's admissible
-    neighbors, against ``bound`` (plus ``DP_SLACK``). Each distinct neighbor
-    law key is settled once per call."""
+    neighbors, against ``bound`` (plus ``DP_SLACK``): ``dp_level`` of the
+    ``log_pmf_table`` rows of x and of the neighbor on the union of their
+    stored supports, so +inf where only one law can publish an outcome.
+    Each distinct neighbor law key is settled once per call."""
     mech.require_profile(x)
     if math.isnan(bound):
         raise ValueError("bound must not be NaN")
-    base = mech.key_law(mech.law_key(x, mass_tol), mass_tol)
+    base_key = mech.law_key(x, mass_tol)
+    base = mech.key_law(base_key, mass_tol)
     levels: dict = {}
     out = []
     for i in range(x.n):
@@ -342,7 +345,8 @@ def check_dp(
         for cand, (_, key, _) in zip(cands, mech.retype(x, i, cands, mass_tol)):
             level = levels.get(key)
             if level is None:
-                level = levels[key] = dp_level(base, mech.key_law(key, mass_tol))
+                support = sorted(set(base.support).union(mech.key_law(key, mass_tol).support))
+                level = levels[key] = dp_level(mech.log_pmf_table(base_key, support), mech.log_pmf_table(key, support))
             if level > worst:
                 worst, worst_nbr = level, cand
         verdict = PASS if worst <= bound + DP_SLACK else FAIL

@@ -30,6 +30,7 @@ from privbuy.distributions import (
     GeomParams,
     Interval,
     dp_level,
+    geom_log_pmf,
     geom_pmf,
     geom_tail,
     shifted_geom_dist,
@@ -167,9 +168,10 @@ def test_criterion_4_distribution_oracles():
             )
             got = statistical_distance(shifted_geom_dist(g, 0), shifted_geom_dist(g, 1))
             assert abs(got.lo - oracle_dist) <= 1e-10
-            # dp level of m-shifted laws
+            # dp level of m-shifted laws, on the union of their windows
             for m in (1, 2, 3):
-                level = dp_level(shifted_geom_dist(g, 0), shifted_geom_dist(g, m))
+                support = sorted(set(shifted_geom_dist(g, 0).support).union(shifted_geom_dist(g, m).support))
+                level = dp_level(geom_log_pmf(g, 0, support), geom_log_pmf(g, m, support))
                 assert abs(level - eps * m) <= 1e-9
 
     _report(4, "distribution oracles (radius-200 brute force)", body)

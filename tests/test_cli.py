@@ -290,10 +290,10 @@ def test_dist_subcommand(capsys):
             "statistical distance between shift 0 and shift 1 at eps=0.693147: [0.333333333333, 0.333333333334]\n"
             "dp level: 0.69314718056\n"
         ),
-        # disjoint windows: every atom is one-sided
+        # disjoint windows: the closed form holds beyond them, so eps |200 - 0|
         ("0.5", "0", "200"): (
             "statistical distance between shift 0 and shift 200 at eps=0.5: [0.999999999999, 1]\n"
-            "dp level: inf\n"
+            "dp level: 100\n"
         ),
         ("0.05", "-7", "9"): (
             "statistical distance between shift -7 and shift 9 at eps=0.05: [0.329679953964, 0.329679953965]\n"
@@ -303,6 +303,10 @@ def test_dist_subcommand(capsys):
     for args, want in cases.items():
         assert main(["dist", *args]) == 0
         assert capsys.readouterr().out == want, args
+    # eps |shift| is 5e299 below the float range, and overflows beyond it
+    for shift, level in ((10**300, "5e+299"), (10**400, "inf")):
+        assert main(["dist", "0.5", "0", str(shift)]) == 0
+        assert capsys.readouterr().out.endswith(f"\ndp level: {level}\n")
 
 
 def test_version_subcommand(capsys):
@@ -325,6 +329,19 @@ def test_dp_bound_defaults_to_the_geometric_epsilon(tmp_path, mechanism):
         assert main(["run", write_config(tmp_path, f"{label}.json", cfg)]) == 0
         rows.append(json.loads(Path(output["report"]).read_text())["rows"])
     assert rows[0] and rows[0] == rows[1]
+
+
+def test_dp_check_gives_verdicts_at_a_coarse_mass_tol(tmp_path):
+    # the closed form holds beyond the window: verdicts do not move with mass_tol
+    rows = []
+    for tol in (1e-12, 1e-6):
+        output = {"csv": str(tmp_path / f"{tol}.csv"), "report": str(tmp_path / f"{tol}.json")}
+        cfg = base_config(tmp_path, checks=[{"check": "dp"}, {"check": "dp", "bound": 0.25}], mass_tol=tol, output=output)
+        assert main(["run", write_config(tmp_path, f"{tol}.json", cfg)]) == 1
+        rows.append(json.loads(Path(output["report"]).read_text())["rows"])
+    assert [r["verdict"] for r in rows[1]] == [r["verdict"] for r in rows[0]]
+    assert {r["verdict"] for r in rows[1]} == {"pass", "fail"}
+    assert [r["margin"] for r in rows[1]] == pytest.approx([r["margin"] for r in rows[0]], abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -357,7 +374,7 @@ def test_mass_tol_flag_goes_through_the_config_checks(tmp_path, capsys, mass_tol
 @pytest.mark.parametrize(
     "argv, field",
     [
-        (["dist", "0.5", "0", "1", "--mass-tol", "1e-6"], "mass_tol"),
+        (["dist", "0.5", "0", "1", "--mass-tol", "0"], "mass_tol"),
         (["dist", "1e-300", "0", "1"], "epsilon"),
         (["dist", "1e-10", "0", "1"], "cap of 1000000"),
     ],

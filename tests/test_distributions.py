@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from privbuy import distributions
 from privbuy.distributions import (
     MAX_WINDOW_ATOMS,
-    SUPPORT_ATOM_TOL,
     CountDistribution,
     GeomParams,
     Interval,
     dp_level,
+    geom_log_pmf,
     geom_pmf,
     geom_tail,
     sample_geom,
@@ -109,6 +109,14 @@ def test_tail_below_exponential_bound(eps):
     g = GeomParams(eps)
     for t in range(1, 30):
         assert geom_tail(g, t) < 2.0 * math.exp(-eps * t)
+
+
+@pytest.mark.parametrize("eps, t", [(40.0, 1), (100.0, 1), (1.0, 800)])
+def test_tail_where_the_exponential_bound_rounds_away(eps, t):
+    # 1 + a rounds to 1, or both sides underflow: the bound no longer holds
+    # in floats, and the closed form is still the answer
+    a = math.exp(-eps)
+    assert geom_tail(GeomParams(eps), t) == pytest.approx(2.0 * a**t / (1.0 + a))
 
 
 def test_tail_rejects_t_below_one():
@@ -341,123 +349,59 @@ def test_tightening_mass_tol_shrinks_hi():
     assert all(b <= a for a, b in zip(his, his[1:]))
 
 
-# --- dp_level --------------------------------------------------------------
+# --- geom_log_pmf and dp_level ----------------------------------------------
+
+def geom_levels(g, s1, s2, mass_tol=1e-12):
+    """dp_level of two shifted geometric laws on the union of their windows."""
+    support = sorted(set(shifted_geom_dist(g, s1, mass_tol).support).union(shifted_geom_dist(g, s2, mass_tol).support))
+    return dp_level(geom_log_pmf(g, s1, support), geom_log_pmf(g, s2, support))
+
+
+@pytest.mark.parametrize("eps", EPS_GRID)
+def test_geom_log_pmf_is_the_log_of_the_pmf(eps):
+    g = GeomParams(eps)
+    support = (-9, -1, 0, 2, 3, 40)
+    assert geom_log_pmf(g, 3, support) == pytest.approx([math.log(closed_pmf(eps, s - 3)) for s in support], abs=1e-12)
+    # beyond every window: the pmf underflows, its logarithm does not
+    assert geom_log_pmf(g, 0, (10**6,)) == (g.log_norm - eps * 10**6,)
+
 
 def test_dp_level_examples():
     g = GeomParams(0.5)
-    assert dp_level(shifted_geom_dist(g, 3), shifted_geom_dist(g, 4)) == pytest.approx(0.5, abs=1e-9)
-    assert dp_level(shifted_geom_dist(g, 0), shifted_geom_dist(g, 2)) == pytest.approx(1.0, abs=1e-9)
-    d = shifted_geom_dist(g, 1)
-    assert dp_level(d, d) == 0.0
+    assert geom_levels(g, 3, 4) == pytest.approx(0.5, abs=1e-9)
+    assert geom_levels(g, 0, 2) == pytest.approx(1.0, abs=1e-9)
+    assert geom_levels(g, 1, 1) == 0.0
+    assert dp_level((), ()) == 0.0
 
 
 @pytest.mark.parametrize("eps", EPS_GRID)
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_dp_level_shift_scaling(eps, m):
-    g = GeomParams(eps)
-    level = dp_level(shifted_geom_dist(g, 0), shifted_geom_dist(g, m))
-    assert level == pytest.approx(eps * m, abs=1e-9)
+    assert geom_levels(GeomParams(eps), 0, m) == pytest.approx(eps * m, abs=1e-9)
 
 
-def test_dp_level_requires_tiny_truncation():
-    g = GeomParams(0.5)
-    with pytest.raises(ValueError):
-        dp_level(shifted_geom_dist(g, 0, 1e-3), shifted_geom_dist(g, 1, 1e-3))
+@given(st.sampled_from(EPS_GRID + (0.05,)), st.integers(-300, 300), st.integers(-300, 300), st.sampled_from((1e-3, 1e-12)))
+@settings(deadline=None, max_examples=100)
+def test_geometric_dp_level_is_epsilon_times_the_shift(eps, s1, s2, tol):
+    # disjoint windows and coarse truncation included: the rows are exact
+    # beyond the window, so no outcome is one-sided
+    assert geom_levels(GeomParams(eps), s1, s2, tol) == pytest.approx(eps * abs(s1 - s2), rel=1e-12, abs=1e-12)
 
 
 def test_dp_level_disjoint_point_masses():
-    a = CountDistribution((0,), (1.0,), 0.0)
-    b = CountDistribution((1,), (1.0,), 0.0)
-    assert dp_level(a, b) == math.inf
+    # point masses at 0 and 1, as rows over the support (0, 1)
+    a, b = (0.0, -math.inf), (-math.inf, 0.0)
+    assert dp_level(a, b) == dp_level(b, a) == math.inf
 
 
-def oracle_dp_level(d1, d2):
-    """The per-key dict loop the dp_level kernel must reproduce exactly."""
-    a1, a2 = d1.atoms, d2.atoms
-    keys = set(d1.support)
-    keys.update(d2.support)
-    best = 0.0
-    for k in keys:
-        p, q = a1.get(k, 0.0), a2.get(k, 0.0)
-        if p > 0.0 and q > 0.0:
-            r = abs(math.log(p) - math.log(q))
-            if r > best:
-                best = r
-        elif p <= 0.0 and q <= 0.0:
-            continue
-        elif max(p, q) > SUPPORT_ATOM_TOL:
-            return math.inf
-    return best
-
-
-# one-sided atoms on either side of the skip threshold, zeros and tiny atoms
-SMALL_ATOMS = (
-    0.0,
-    1e-300,
-    math.nextafter(SUPPORT_ATOM_TOL, 0.0),
-    SUPPORT_ATOM_TOL,
-    math.nextafter(SUPPORT_ATOM_TOL, 1.0),
-    2.0 * SUPPORT_ATOM_TOL,
-)
-
-
-@st.composite
-def near_complete_laws(draw):
-    """Laws with truncation mass <= 1e-9 on integer ranges (overlapping,
-    touching or disjoint ones) and on sets with gaps. The small atoms keep
-    their exact values; the ordinary ones absorb the rest of the mass."""
-    if draw(st.booleans()):
-        start = draw(st.integers(-60, 60))
-        support = range(start, start + draw(st.integers(1, 40)))
-    else:
-        support = sorted(draw(st.sets(st.integers(-60, 60), min_size=1, max_size=30)))
-    small = st.sampled_from(SMALL_ATOMS if draw(st.booleans()) else SMALL_ATOMS[1:])
-    weights = draw(
-        st.lists(
-            st.one_of(small, st.floats(1e-300, 1e-12), st.floats(1e-6, 1.0)),
-            min_size=len(support),
-            max_size=len(support),
-        )
-    )
-    big = [j for j, w in enumerate(weights) if w >= 1e-6] or [draw(st.integers(0, len(support) - 1))]
-    trunc = draw(st.sampled_from((0.0, 1e-13, 1e-10)))
-    rest = 1.0 - trunc - math.fsum(w for j, w in enumerate(weights) if j not in big)
-    scale = rest / math.fsum(max(weights[j], 1e-6) for j in big)
-    for j in big:
-        weights[j] = max(weights[j], 1e-6) * scale
-    return CountDistribution(tuple(support), tuple(weights), trunc)
-
-
-@given(near_complete_laws(), near_complete_laws())
-@settings(deadline=None, max_examples=300)
-def test_dp_level_equals_dict_loop(d1, d2):
-    assert dp_level(d1, d2) == oracle_dp_level(d1, d2)
-    assert dp_level(d2, d1) == oracle_dp_level(d2, d1)
-
-
-def test_dp_level_one_sided_atoms_at_the_threshold():
-    point = CountDistribution((1,), (1.0,), 0.0)
-    nudged = {
-        math.nextafter(SUPPORT_ATOM_TOL, 1.0): math.inf,
-        SUPPORT_ATOM_TOL: -math.log1p(-SUPPORT_ATOM_TOL),
-        math.nextafter(SUPPORT_ATOM_TOL, 0.0): -math.log1p(-math.nextafter(SUPPORT_ATOM_TOL, 0.0)),
-    }
-    for tiny, want in nudged.items():
-        d = CountDistribution((0, 1), (tiny, 1.0 - tiny), 0.0)
-        assert dp_level(d, point) == dp_level(point, d) == oracle_dp_level(d, point)
-        assert dp_level(d, point) == pytest.approx(want, rel=1e-6)
-    # a zero atom inside a shared range is one-sided there
-    gap = CountDistribution((0, 1, 2), (0.5, 0.0, 0.5), 0.0)
-    flat = CountDistribution((0, 1, 2), (0.25, 0.5, 0.25), 0.0)
-    assert dp_level(gap, flat) == oracle_dp_level(gap, flat) == math.inf
-
-
-@given(st.sampled_from(EPS_GRID + (0.05,)), st.integers(-300, 300), st.integers(-300, 300), st.sampled_from((1e-9, 1e-12)))
-@settings(deadline=None, max_examples=100)
-def test_geometric_dp_level_equals_dict_loop(eps, s1, s2, tol):
-    g = GeomParams(eps)
-    d1, d2 = shifted_geom_dist(g, s1, tol), shifted_geom_dist(g, s2, 1e-12)
-    assert dp_level(d1, d2) == oracle_dp_level(d1, d2)
+def test_dp_level_reads_impossible_outcomes():
+    # -inf on one side only is +inf however unlikely the other side is; on
+    # both sides it counts as 0
+    tiny = math.log(5e-324)
+    assert dp_level((tiny, 0.0), (-math.inf, 0.0)) == math.inf
+    half, quarter = math.log(0.5), math.log(0.25)
+    assert dp_level((-math.inf, half, half), (-math.inf, quarter, math.log(0.75))) == pytest.approx(math.log(2.0))
+    assert dp_level((-math.inf,), (-math.inf,)) == 0.0
 
 
 # --- sampling --------------------------------------------------------------

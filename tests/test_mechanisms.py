@@ -245,7 +245,9 @@ def test_alg1_dp_level_within_epsilon():
             base = mech.output_dist(x)
             for i in range(3):
                 for nbr in neighbor_profiles(mech, x, i, NeighborRelation.GENERAL):
-                    assert dp_level(base, mech.output_dist(nbr)) <= eps + 1e-9
+                    support = sorted(set(base.support).union(mech.output_dist(nbr).support))
+                    rows = (mech.log_pmf_table(mech.law_key(y), support) for y in (x, nbr))
+                    assert dp_level(*rows) <= eps + 1e-9
 
 
 def test_alg1_monotonic_invariance_beyond_threshold():
@@ -373,6 +375,43 @@ def test_subsample_law_stores_no_atom_as_zero(n):
         d = _subsample_law.__wrapped__(n, k, ones)
         assert min(d.probs) > 0.0 and d.truncation_mass == 0.0, ones
         assert (math.ulp(0.0) in d.probs) == (abs(ones - k) <= 1), ones
+
+
+def _fraction_log_pmf(n, k, ones, pick=lambda ms: ms):
+    """{count: ln Pr[count]} of the subsample law at the m that ``pick``
+    keeps of its range (every m by default), from Fraction weights: each is
+    scaled into [1/2, 2] before its one rounding to a double, so none
+    underflows."""
+    out = {}
+    for m in pick(range(max(0, k - (n - ones)), min(k, ones) + 1)):
+        weight = Fraction(math.comb(ones, m) * math.comb(n - ones, k - m), math.comb(n, k))
+        e = weight.denominator.bit_length() - weight.numerator.bit_length()
+        out[round(Fraction(n * m, k))] = math.log(weight * Fraction(2) ** e) - e * math.log(2.0)
+    return out
+
+
+def test_subsample_log_pmf_table_equals_fraction_oracle():
+    for n in range(1, 25):
+        support = tuple(range(-1, n + 2))
+        for k in range(1, n + 1):
+            mech = subsample(1.0, k, n)
+            for ones in range(n + 1):
+                oracle = _fraction_log_pmf(n, k, ones)
+                want = [oracle.get(s, -math.inf) for s in support]
+                assert mech.log_pmf_table(ones, support) == pytest.approx(want, abs=1e-12), (n, k, ones)
+
+
+@pytest.mark.parametrize("n", (1100, 2048))
+def test_subsample_log_pmf_table_at_subnormal_atoms(n):
+    # the outermost atoms are subnormal or stored as 2^-1074; their ln comes
+    # from the integer weights (at (1100, 550, 550) the end atom's is
+    # -758.73, where ln 2^-1074 reads -744.44)
+    k = n // 2
+    mech = subsample(1.0, k, n)
+    for ones in (1, k - 1, k, k + 1, n - 1):
+        oracle = _fraction_log_pmf(n, k, ones, lambda ms: {*ms[:8], *ms[-8:]})
+        support = tuple(sorted(oracle))
+        assert mech.log_pmf_table(ones, support) == pytest.approx([oracle[s] for s in support], abs=1e-12), ones
 
 
 def test_subsample_ignores_declarations():
@@ -620,9 +659,12 @@ def test_budget_candidates_and_deviations_match_their_expressions(budget, eps, n
 def test_default_log_pmf_table_reads_a_law_stored_in_full():
     # -inf off the support; a truncated law is refused, and the geometric
     # closed form reaches beyond the window
-    assert exact_sum(3).log_pmf_table(2, (1, 2, 3)) == (-math.inf, 0.0, -math.inf)
+    assert Mechanism.log_pmf_table(exact_sum(3), 2, (1, 2, 3)) == (-math.inf, 0.0, -math.inf)
     law = _subsample_law(4, 2, 3)
-    assert subsample(1.0, 2, 4).log_pmf_table(3, (-1,) + law.support) == (-math.inf,) + tuple(map(math.log, law.probs))
+    want = (-math.inf,) + tuple(map(math.log, law.probs))
+    # subsample's own table agrees wherever the atoms are normal
+    for table in (Mechanism.log_pmf_table, SubsampleMechanism.log_pmf_table):
+        assert table(subsample(1.0, 2, 4), 3, (-1,) + law.support) == want
     mech = alg1(6.0, 0.5, 3)
     far = mech.key_law(2).support[-1] + 5
     assert mech.log_pmf_table(2, (far,)) == (mech.geom.log_norm - 0.5 * (far - 2),)

@@ -3,8 +3,11 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privbuy.audits import (
     TradeoffParams,
@@ -13,7 +16,7 @@ from privbuy.audits import (
     audit_payment_accuracy_tradeoff,
 )
 from privbuy.core import InputProfile, Mechanism, NeighborRelation, PlayerType
-from privbuy.distributions import MAX_SAMPLE_TRIALS, CountDistribution, Interval
+from privbuy.distributions import MAX_SAMPLE_TRIALS, CountDistribution, GeomParams, Interval, shifted_geom_dist
 from privbuy.losses import (
     LossModel,
     growing_sd_model,
@@ -39,7 +42,7 @@ from privbuy.verifiers import (
     wilson_interval,
 )
 
-from conftest import ConstantMechanism, PointMass, SwapPayMechanism, profile
+from conftest import ConstantMechanism, PointMass, SwapPayMechanism, neighbor_profiles, profile
 
 GEN, MON = NeighborRelation.GENERAL, NeighborRelation.MONOTONIC
 LN2 = math.log(2.0)
@@ -572,6 +575,88 @@ def test_dp_check_budget_mechanism():
     # NaN passes no comparison, so it would fail every row with margin nan
     with pytest.raises(ValueError, match="bound must not be NaN"):
         check_dp(mech, x, math.nan)
+
+
+@pytest.mark.parametrize("n", [34, 1000])
+def test_dp_check_fails_an_outcome_one_law_cannot_publish(n):
+    # a bit flip moves an end of the support: that outcome has mass
+    # 1/C(n, n/2) (4.3e-10 at n = 34, 3.7e-300 at n = 1000) under x and none
+    # under the neighbour, so the pure-DP level is +inf
+    x = profile([1] * (n // 2) + [0] * (n // 2), [1.0] * n)
+    results = check_dp(subsample(1.0, n // 2, n), x, 100.0)
+    assert [(r.verdict, r.margin) for r in results] == [(FAIL, -math.inf)] * n
+
+
+def test_dp_check_reads_the_closed_form_at_a_coarse_mass_tol():
+    # the rows hold beyond the window, so a coarse truncation moves no level
+    mech = alg1(8.0, 0.5, 3)
+    x = profile([1, 0, 1], [0.0, 1.0, 9.0])
+    for bound in (0.5, 0.5 / 3.0):
+        fine, coarse = check_dp(mech, x, bound), check_dp(mech, x, bound, mass_tol=1e-3)
+        assert [r.verdict for r in coarse] == [r.verdict for r in fine]
+        assert [r.margin for r in coarse] == pytest.approx([r.margin for r in fine], abs=1e-12)
+
+
+def test_dp_check_refuses_a_truncated_law_without_a_closed_form():
+    class Noisy(ConstantMechanism):
+        def output_dist(self, x, mass_tol=1e-12):
+            return shifted_geom_dist(GeomParams(0.5), x.bit_sum(), mass_tol)
+
+    with pytest.raises(ValueError, match="needs a law stored in full"):
+        check_dp(Noisy(2), profile([1, 0], [0.0, 0.0]), 1.0)
+
+
+def exact_law(mech, y):
+    """Law of the published count of ``y`` as {count: Fraction}, from the
+    hypergeometric weights, or for the geometric mechanisms the count alone."""
+    if isinstance(mech, ShiftedGeometricMechanism):
+        counted = mech.params.qualifies if mech.name == "alg1" else (lambda v: True)
+        return sum(p.bit for p in y.players if counted(p.valuation))
+    n, k, ones = mech.params.n, mech.params.sample_size, sum(y.bits)
+    return {
+        round(Fraction(n * m, k)): Fraction(math.comb(ones, m) * math.comb(n - ones, k - m), math.comb(n, k))
+        for m in range(max(0, k - (n - ones)), min(k, ones) + 1)
+    }
+
+
+def oracle_level(mech, x, y):
+    """max over outcomes of |ln Pr[s | x] - ln Pr[s | y]|, from exact laws."""
+    p, q = exact_law(mech, x), exact_law(mech, y)
+    if isinstance(mech, ShiftedGeometricMechanism):
+        # eps |s - q| - eps |s - p| peaks at eps |p - q| beyond both shifts
+        return mech.epsilon * abs(p - q)
+    return max(abs(math.log(p[s] / q[s])) if s in p and s in q else math.inf for s in set(p) | set(q))
+
+
+@st.composite
+def small_dp_cases(draw):
+    """A mechanism, a profile and a relation. Subsampling reaches n = 40,
+    where an outcome one law cannot publish has mass down to 1/C(40, 20)."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("subsample", "exact_sum", "alg1", "pay_declared")))
+    if kind == "subsample":
+        mech = subsample(1.0, draw(st.integers(1, n)), n)
+    elif kind == "exact_sum":
+        mech = exact_sum(n)
+    elif kind == "alg1":
+        mech = alg1(draw(st.sampled_from((1.0, 8.0))), draw(st.sampled_from((0.1, 0.5, LN2, 2.0))), n)
+    else:
+        mech = pay_declared(draw(st.sampled_from((0.1, 0.5, LN2))), n)
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    vals = draw(st.lists(st.sampled_from((0.0, 0.01, 0.5, 3.0, 40.0)), min_size=n, max_size=n))
+    return mech, profile(bits, vals), draw(st.sampled_from((GEN, MON))), draw(st.sampled_from((1e-12, 1e-6)))
+
+
+@given(small_dp_cases())
+@settings(deadline=None, max_examples=150)
+def test_dp_check_worst_level_is_the_exact_per_outcome_level(case):
+    mech, x, relation, mass_tol = case
+    bound = 1.0
+    for i, r in enumerate(check_dp(mech, x, bound, relation, mass_tol)):
+        want = max((oracle_level(mech, x, y) for y in neighbor_profiles(mech, x, i, relation)), default=0.0)
+        got = bound - r.margin
+        assert got == want or abs(got - want) <= 1e-12, (mech.name, str(x), i)
+        assert r.verdict == (PASS if want <= bound else FAIL)
 
 
 # --- a custom mechanism that implements only the two required hooks ----------
