@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, is_int
@@ -56,8 +55,7 @@ class HybridChain:
     count laws and ``end_to_end`` between the first and last. ``probe`` is
     the type the adaptive chains give each step's player to measure their
     pay (None when the probes are hybrids themselves). Reports write this
-    form; ``inputs`` (the hybrids) and ``probes`` (hybrid k with move k's
-    player at ``probe``) expand it into whole profiles, at O(n^2).
+    form, which is O(n) where the whole hybrids would be O(n^2).
     """
 
     start: InputProfile
@@ -83,19 +81,6 @@ class HybridChain:
         total = math.fsum(d.hi for d in self.step_distances)
         if self.end_to_end.lo > total + 1e-12:  # triangle inequality, float headroom
             raise ValueError(f"end-to-end distance {self.end_to_end.lo} exceeds step sum {total}")
-
-    @cached_property
-    def inputs(self) -> tuple[InputProfile, ...]:
-        out = [self.start]
-        for i, t in self.moves:
-            out.append(out[-1].with_player(i, t))
-        return tuple(out)
-
-    @cached_property
-    def probes(self) -> tuple[InputProfile, ...]:
-        if self.probe is None:
-            return ()
-        return tuple([x.with_player(i, self.probe) for x, (i, _) in zip(self.inputs, self.moves)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -327,9 +312,13 @@ def audit_general_impossibility(
     """
     n, delta = _validate(mech, model, NeighborRelation.GENERAL, delta)
     audit = "general_impossibility"
-    # hybrid 2i+2's pays and law keys do not depend on L, so they come first
+    # hybrid 2i+2's pays and law keys do not depend on L, so they come first:
+    # player i is retyped to (1, 0) at hybrid 2i, players 0..i-1 already there
     low, start = PlayerType(1, 0.0), _zeros(n)
-    afters = [mech.retype(InputProfile((low,) * i + start.players[i:]), i, (low,), mass_tol)[0] for i in range(n)]
+    afters, x = [], start
+    for i in range(n):
+        afters.append(mech.retype(x, i, (low,), mass_tol)[0])
+        x = mech.move(x, i, low)
     # a pay that is not finite, NaN included, leaves the cap unbounded
     who = next((i for i, (pay, _, _) in enumerate(afters) if not math.isfinite(pay)), None)
     pay_cap = max(pay for pay, _, _ in afters) if who is None else afters[who][0]
@@ -344,14 +333,15 @@ def audit_general_impossibility(
     threshold = max(model.threshold_fn(pay_cap, (1,) * (i + 1) + (0,) * (n - 1 - i), zeros) for i in range(n))
     details.append(f"threshold valuation: L = {threshold:g}")
 
-    # step i moves player i to (1, L), the probe, and then to (1, 0); retype
-    # on the probe counts its players once for the IR step to read again
+    # step i moves player i to (1, L), the probe, and then to (1, 0); each
+    # move starts from the last, so a counted mechanism's slot holds it
     high = PlayerType(1, threshold)
     keys = [mech.law_key(start, mass_tol)]
     found: dict = {TRUTHFULNESS_VIOLATED: [], IR_VIOLATED: [], INCONCLUSIVE: []}
     max_seen = 0.0
+    x = start
     for i, (pay_after, after_key, _) in enumerate(afters):
-        probe = InputProfile((low,) * i + (high,) + start.players[i + 1 :])
+        probe = mech.move(x, i, high)
         [(pay_probe, probe_key, _)] = mech.retype(probe, i, (high,), mass_tol)
         keys += (probe_key, after_key)
         ok = pay_probe <= pay_after
@@ -367,13 +357,14 @@ def audit_general_impossibility(
         hi = _ir_step(mech, model, probe, query, threshold, mass_tol, found, details, "probe hybrid",
                       f"P = {pay_cap:g} >= pay {pay_probe:g}", f"chain input {2 * i + 1}")
         max_seen = max(max_seen, hi)
+        x = mech.move(probe, i, low)
 
     steps, end = _consecutive_distances(mech, keys, mass_tol)
     moves = tuple((i, t) for i in range(n) for t in (high, low))
     chain = HybridChain(start, moves, (pay_cap,) * n, (threshold,) * n, steps, end)
     accuracy = (
         check_accuracy(mech, start, _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_zeros"),
-        check_accuracy(mech, InputProfile((low,) * n), _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_ones"),
+        check_accuracy(mech, x, _NONTRIVIAL, mass_tol=mass_tol, profile_id="all_ones"),
     )
     params = (("delta", delta), ("n", float(n)), ("P", pay_cap), ("L", threshold))
     details.extend(_escape_note(mech, max_seen))
@@ -435,7 +426,7 @@ def audit_monotonic_impossibility(
         )
         if not ok:
             found[TRUTHFULNESS_VIOLATED].append((i, f"indifferent player {i} gains by declaring L_{i} at hybrid {i + 1}"))
-        x = x.with_player(i, t)
+        x = mech.move(x, i, t)
         query = DistinguishabilityQuery(i, delta, NeighborRelation.MONOTONIC)
         hi = _ir_step(mech, model, x, query, level, mass_tol, found, details, "hybrid",
                       f"P_{i} = {pay_i:g} >= pay {pay_after:g}", f"hybrid {i + 1}")
@@ -501,8 +492,8 @@ def audit_payment_accuracy_tradeoff(
     acc_spec = AccuracySpec(params.eta + params.gamma, params.gamma, params.beta)
     probe = PlayerType(1, 0.0)
     start = x = _zeros(n)
-    # a hybrid's accuracy check counts its players, and the next step's
-    # retype reads that count from the one-slot memo
+    # each hybrid is reached by ``move``, so a counted mechanism carries its
+    # count there, and its accuracy check and the next retype read it
     keys = [mech.law_key(x, mass_tol)]
     accuracy = [check_accuracy(mech, x, acc_spec, mass_tol=mass_tol, profile_id="hybrid_0")]
     for i in range(h + g2):
@@ -515,7 +506,7 @@ def audit_payment_accuracy_tradeoff(
         if not pay_after <= pay_probe:
             found[TRUTHFULNESS_VIOLATED].append((i, f"truthfulness-for-indifferent fails at step {i}"))
             details.append(f"step {i}: indifferent player gains by declaring {high:g} ({pay_probe:g} -> {pay_after:g}): VIOLATED")
-        x = x.with_player(i, t)
+        x = mech.move(x, i, t)
         keys.append(key)
         accuracy.append(check_accuracy(mech, x, acc_spec, mass_tol=mass_tol, profile_id=f"hybrid_{i + 1}"))
         moves.append((i, t))

@@ -174,6 +174,8 @@ class Mechanism(ABC):
     player_count: int
     # C of "every player's neighbor distance stays below C/n"; none by default
     distinguishability_budget: float = math.inf
+    # losses.neighbor_distances' one slot: (players, i, relation, mass_tol, pairs)
+    _last_neighbors: tuple = (None, None, None, None, ())
 
     def require_profile(self, x: InputProfile) -> None:
         if x.n != self.player_count:
@@ -200,6 +202,12 @@ class Mechanism(ABC):
             pays = self.pay_vector(y)
             out.append((pays[i], self.law_key(y, mass_tol), pays[:i] + pays[i + 1 :]))
         return out
+
+    def move(self, x: InputProfile, i: int, t: PlayerType) -> InputProfile:
+        """``x`` with player i's type set to ``t``: one step of a hybrid
+        chain. Mechanisms that summarise a profile carry the summary across
+        the step, so a chain that walks by ``move`` never recomputes it."""
+        return x.with_player(i, t)
 
     def max_zero_valuation_pay(self) -> float:
         """Max payment to any player declaring valuation 0, over all bit

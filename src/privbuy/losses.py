@@ -74,13 +74,22 @@ def neighbor_distances(
     i: int,
     relation: NeighborRelation,
     mass_tol: float = DEFAULT_MASS_TOL,
-) -> list[tuple[PlayerType, Interval]]:
+) -> tuple[tuple[PlayerType, Interval], ...]:
     """``(candidate type, certified output-law distance)`` for each
     admissible candidate of player i, one ``law_distance`` per distinct
     neighbor law key. One ``retype`` settles the truth's key and every
-    candidate's."""
+    candidate's.
+
+    The last answer sits in one slot on ``mech``, keyed by ``x``'s players
+    tuple (held by a strong reference, so no other tuple can take its
+    identity), ``i``, ``relation`` and ``mass_tol``: an audit step and its
+    loss model's look at the same hybrid settle the neighbours once."""
+    players = x.players
+    seen, seen_i, seen_relation, seen_tol, pairs = mech._last_neighbors
+    if seen is players and seen_i == i and seen_relation is relation and seen_tol == mass_tol:
+        return pairs
     cands = admissible_candidates(x, i, relation, mech.candidate_types(x, i))
-    (_, base, _), *settled = mech.retype(x, i, (x.players[i], *cands), mass_tol)
+    (_, base, _), *settled = mech.retype(x, i, (players[i], *cands), mass_tol)
     distances: dict = {}
     out = []
     for cand, (_, key, _) in zip(cands, settled):
@@ -88,6 +97,8 @@ def neighbor_distances(
         if d is None:
             d = distances[key] = mech.law_distance(base, key, mass_tol)
         out.append((cand, d))
+    out = tuple(out)
+    mech._last_neighbors = (players, i, relation, mass_tol, out)
     return out
 
 

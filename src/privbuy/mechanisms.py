@@ -94,7 +94,9 @@ class CountedMechanism(Mechanism):
     ``players`` tuple and its count sit in one slot, held by a strong
     reference, so ``law_key``, ``others_key`` and ``retype`` on one profile
     count its players once, and no other tuple can take the held one's
-    identity; threads that race on the slot only miss it. Distances
+    identity; threads that race on the slot only miss it. ``move`` puts the
+    moved profile in the slot with its count carried across the move, so a
+    chain that walks by ``move`` counts only where it starts. Distances
     between keys at most one apart, the only pairs a change of one player
     makes, sit in a table: at most 2n + 1 entries per ``mass_tol``.
     """
@@ -138,6 +140,12 @@ class CountedMechanism(Mechanism):
     def others_key(self, x: InputProfile, i: int) -> int:
         p = x.players[i]
         return self._count(x) - (p.bit if self.counts(p.valuation) else 0)
+
+    def move(self, x: InputProfile, i: int, t: PlayerType) -> InputProfile:
+        y = x.with_player(i, t)
+        count = self.others_key(x, i) + (t.bit if self.counts(t.valuation) else 0)
+        self._last_count = (y.players, count)
+        return y
 
     def retype(self, x: InputProfile, i: int, types, mass_tol: float = DEFAULT_MASS_TOL) -> list[tuple]:
         # one test of ``counts`` keys each type, and a pay reads only its own

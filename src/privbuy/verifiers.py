@@ -280,7 +280,7 @@ def check_distinguishable(
 
 
 def distinguishability_verdict(
-    pairs: list[tuple[PlayerType, Interval]],
+    pairs: tuple[tuple[PlayerType, Interval], ...],
     query: DistinguishabilityQuery,
     mechanism: str,
     profile_id: str = "",

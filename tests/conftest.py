@@ -76,6 +76,24 @@ def max_zero_valuation_pay_scan(mech):
     return max(max(mech.pay_vector(profile(bits, zeros))) for bits in bit_vectors(mech.player_count))
 
 
+def chain_inputs(chain):
+    """The hybrids a ``HybridChain`` stands for, as whole profiles: its
+    start, then each move applied in turn. O(n^2): the reference expansion
+    that the audits' compact chains are checked against."""
+    out = [chain.start]
+    for i, t in chain.moves:
+        out.append(out[-1].with_player(i, t))
+    return tuple(out)
+
+
+def chain_probes(chain):
+    """Hybrid k with move k's player at the chain's ``probe``, for each k;
+    () when the chain has no probe type (its probes are hybrids)."""
+    if chain.probe is None:
+        return ()
+    return tuple([x.with_player(i, chain.probe) for x, (i, _) in zip(chain_inputs(chain), chain.moves)])
+
+
 def neighbor_profiles(mech, x, i, relation, candidates=None):
     """Player i's admissible neighbor profiles, built one by one from
     ``candidates`` (the mechanism's ``candidate_types`` by default): the

@@ -45,6 +45,8 @@ from privbuy.losses import (
 from privbuy.mechanisms import alg1, alg1_prime, exact_sum, pay_declared, subsample
 from privbuy.verifiers import AccuracySpec, check_accuracy, check_ir, check_truthful
 
+from conftest import chain_inputs
+
 GEN, MON = NeighborRelation.GENERAL, NeighborRelation.MONOTONIC
 LN2 = math.log(2.0)
 EPS_GRID = (0.5, LN2)
@@ -230,7 +232,7 @@ def test_criterion_6_audit_general_impossibility(tmp_path):
         assert report.verdict == IR_VIOLATED
         step = report.failing_step
         assert step is not None
-        witness_hybrid = report.chain.inputs[2 * step + 1]
+        witness_hybrid = chain_inputs(report.chain)[2 * step + 1]
         assert witness_hybrid.players[step].bit == 1  # the concrete flagged hybrid
         assert str(witness_hybrid) in report.witness
 
@@ -267,7 +269,7 @@ def test_criterion_7_audit_monotonic_impossibility():
             for d in report.chain.step_distances:
                 assert d.lo == 0.0 and d.hi <= 1e-12, d
             # endpoint (1^n, L^n): all bits one at the adaptive thresholds
-            final = report.chain.inputs[-1]
+            final = chain_inputs(report.chain)[-1]
             assert final.bits == (1,) * n
             assert final.valuations == report.chain.thresholds
             assert report.accuracy[1].profile == "all_ones_at_L"
@@ -293,7 +295,7 @@ def test_criterion_8_audit_tradeoff():
             assert report.failing_step == h + g2  # the final hybrid
             # exact hybrid laws: every flipped player sits beyond theta, so
             # each hybrid publishes pure geometric noise
-            for hyb in report.chain.inputs:
+            for hyb in chain_inputs(report.chain):
                 assert mech.output_dist(hyb) == shifted_geom_dist(GeomParams(eps), 0)
             # the final hybrid's outside probability clears the beta cap, so
             # accuracy fails there for every admissible beta

@@ -23,7 +23,7 @@ from privbuy.distributions import CountDistribution, Interval
 from privbuy.losses import growing_sd_model, increasing_threshold_model, zero_loss
 from privbuy.mechanisms import alg1, exact_sum, max_zero_valuation_pay, pay_declared, subsample
 
-from conftest import ConstantMechanism, PointMass, profile
+from conftest import ConstantMechanism, PointMass, chain_inputs, chain_probes, profile
 
 GEN, MON = NeighborRelation.GENERAL, NeighborRelation.MONOTONIC
 LN2 = math.log(2.0)
@@ -79,7 +79,7 @@ def test_exact_sum_flagged_at_ir():
         assert report.verdict == IR_VIOLATED
         assert report.failing_step == 0
         assert report.chain.end_to_end == Interval(1.0, 1.0)
-        assert len(report.chain.inputs) == 2 * n + 1
+        assert len(chain_inputs(report.chain)) == 2 * n + 1
         # P = 0 so the threshold valuation is T(0) = 1
         assert report.chain.thresholds == (1.0,) * n
 
@@ -162,8 +162,8 @@ def test_budget_mechanism_sacrifices_accuracy():
     assert report.chain.end_to_end.hi <= 2e-12
     # the all-ones endpoint at valuation L has counted sum 0: accuracy breaks there
     assert report.accuracy[1].verdict == "fail"
-    assert len(report.chain.inputs) == 3 and len(report.chain.probes) == 2
-    final = report.chain.inputs[-1]
+    assert len(chain_inputs(report.chain)) == 3 and len(chain_probes(report.chain)) == 2
+    final = chain_inputs(report.chain)[-1]
     assert final.bits == (1, 1) and final.valuations == (3.0, 3.0)
 
 
@@ -246,7 +246,7 @@ def test_tradeoff_budget_mechanism_fails_final_hybrid():
     assert report.verdict == ACCURACY_VIOLATED
     h, g2 = params.counts_for(8)
     assert report.failing_step == h + g2  # the final hybrid
-    assert len(report.chain.inputs) == h + g2 + 1
+    assert len(chain_inputs(report.chain)) == h + g2 + 1
     # premises hold: every step's law movement is certified below its cap
     for idx, d in enumerate(report.chain.step_distances):
         assert d.hi < params.max_pay / report.chain.thresholds[idx]
@@ -330,7 +330,7 @@ def test_chain_rejects_multi_player_jumps():
     # (True is the int 1) and an index outside the profile are refused
     a = profile([0, 0], [0.0, 0.0])
     one = PlayerType(1, 0.0)
-    assert _chain(a, [(1, one)]).inputs[1] == profile([0, 1], [0.0, 0.0])
+    assert chain_inputs(_chain(a, [(1, one)]))[1] == profile([0, 1], [0.0, 0.0])
     for bad in ((0, 1), True, -1, 2, 1.0):
         with pytest.raises(ValueError, match="not an index"):
             _chain(a, [(bad, one)])
@@ -346,10 +346,10 @@ def test_chain_compares_player_values_not_identities():
     with pytest.raises(ValueError, match="change its player's type"):
         _chain(a, [(1, (1, 1.0))])  # a tuple is not a PlayerType
     chain = _chain(a, [(1, PlayerType(1, 1.0))])
-    assert chain.inputs == (a, profile([0, 1, 0], [0.0, 1.0, 2.0]))
+    assert chain_inputs(chain) == (a, profile([0, 1, 0], [0.0, 1.0, 2.0]))
     # the check tracks the current types: moving back is a change, repeating the last move is not
     chain = _chain(a, [(1, PlayerType(1, 1.0)), (1, PlayerType(0, 1.0))])
-    assert chain.inputs[2] == a
+    assert chain_inputs(chain)[2] == a
     with pytest.raises(ValueError, match="change its player's type"):
         _chain(a, [(1, PlayerType(1, 1.0)), (2, PlayerType(1, 2.0)), (1, PlayerType(1, 1.0))])
     with pytest.raises(ValueError, match="at least one move"):
@@ -359,10 +359,10 @@ def test_chain_compares_player_values_not_identities():
 def test_chain_expands_probes_from_its_probe_type():
     a = profile([0, 0], [0.0, 0.0])
     moves = [(0, PlayerType(1, 3.0)), (1, PlayerType(1, 5.0))]
-    assert _chain(a, moves).probes == ()
+    assert chain_probes(_chain(a, moves)) == ()
     chain = _chain(a, moves, probe=PlayerType(1, 0.0))
-    assert chain.probes == (profile([1, 0], [0.0, 0.0]), profile([1, 1], [3.0, 0.0]))
-    assert chain.inputs[-1] == profile([1, 1], [3.0, 5.0])
+    assert chain_probes(chain) == (profile([1, 0], [0.0, 0.0]), profile([1, 1], [3.0, 0.0]))
+    assert chain_inputs(chain)[-1] == profile([1, 1], [3.0, 5.0])
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -377,7 +377,7 @@ def test_general_threshold_sees_the_probe_bits_in_chain_order(n):
 
     model = increasing_threshold_model(1.0 / (6 * n), recording_threshold, GEN)
     rep = audit_general_impossibility(exact_sum(n, 0.5), model)
-    probes = rep.chain.inputs[1::2]
+    probes = chain_inputs(rep.chain)[1::2]
     assert [bits for _, bits, _ in seen] == [x.bits for x in probes]
     assert [bits for _, bits, _ in seen] == [(1,) * (i + 1) + (0,) * (n - 1 - i) for i in range(n)]
     assert all(ell == 0.5 and v_minus == (0.0,) * (n - 1) for ell, _, v_minus in seen)
@@ -406,7 +406,7 @@ def test_monotonic_threshold_sees_the_chain_so_far(n, as_int):
     assert [v_minus for _, _, v_minus in seen] == [tuple(levels[:i]) + (0.0,) * (n - 1 - i) for i in range(n)]
     assert all(type(v) is float for _, _, v_minus in seen for v in v_minus)
     assert all(ell == 0.5 for ell, _, _ in seen)
-    for (_, bits, v_minus), (i, x) in zip(seen, enumerate(rep.chain.probes)):
+    for (_, bits, v_minus), (i, x) in zip(seen, enumerate(chain_probes(rep.chain))):
         assert bits == x.bits and v_minus == x.valuations[:i] + x.valuations[i + 1 :]
 
 
@@ -418,7 +418,7 @@ def test_general_threshold_that_reads_the_bits_is_maxed_over_the_probes(n):
     params = dict(rep.params)
     assert params["L"] == params["P"] + 1.0 + n == 1.5 + n
     assert rep.chain.thresholds == (1.5 + n,) * n
-    assert [x.players[i].valuation for i, x in enumerate(rep.chain.inputs[1::2])] == [1.5 + n] * n
+    assert [x.players[i].valuation for i, x in enumerate(chain_inputs(rep.chain)[1::2])] == [1.5 + n] * n
 
 
 def test_chain_rejects_distance_count_mismatch():
@@ -563,7 +563,7 @@ def test_pinned_chains_move_one_player_per_step(audit, name, n):
     # validated by: each next hybrid, and each probe, differs from its hybrid
     # in exactly the moved player
     chain = _pinned_report(audit, name, n).chain
-    inputs, probes = chain.inputs, chain.probes
+    inputs, probes = chain_inputs(chain), chain_probes(chain)
     assert len(inputs) == len(chain.moves) + 1 and inputs[0] == chain.start
     assert len(probes) == (0 if audit == "general" else len(chain.moves))
     for k, (i, t) in enumerate(chain.moves):
@@ -598,7 +598,8 @@ def test_pinned_report_chains_expand_to_the_library_chain(audit, name, n):
         assert d is None
         return
     assert set(d) == {"start", "moves", "probe", "payments", "thresholds", "step_distances", "end_to_end"}
-    want = ([x.to_json_dict() for x in report.chain.inputs], [x.to_json_dict() for x in report.chain.probes])
+    inputs, probes = chain_inputs(report.chain), chain_probes(report.chain)
+    want = ([x.to_json_dict() for x in inputs], [x.to_json_dict() for x in probes])
     assert json.dumps(_expand_report_chain(d)) == json.dumps(want)
 
 
@@ -653,36 +654,73 @@ def _count_calls(monkeypatch, calls, owner, attr, name):
     monkeypatch.setattr(owner, attr, wrapper)
 
 
-@pytest.mark.parametrize("name", ["alg1_ln2", "alg1_0.05", "exact_sum"])
-def test_monotonic_audit_counts_each_hybrid_once(monkeypatch, name):
-    # the neighbour pass counts each hybrid's players; the loss's second
-    # pass and the chain's law keys read the memo (the endpoints' accuracy
-    # checks and the start count the rest)
+_COUNTED_256 = {
+    "alg1_ln2": lambda n: alg1(2.0 * n, LN2, n),
+    "alg1_0.05": lambda n: alg1(2.0 * n, 0.05, n),
+    "exact_sum": exact_sum,
+    "subsample": lambda n: subsample(1.0, n // 2, n),
+}
+
+
+def _count_counts(monkeypatch):
     from privbuy.mechanisms import BudgetMechanism, CountedMechanism
 
     calls = {"_counted": 0}
     for cls in (CountedMechanism, BudgetMechanism):
         _count_calls(monkeypatch, calls, cls, "_counted", "_counted")
-    n = 256
-    mech = {"alg1_ln2": alg1(2.0 * n, LN2, n), "alg1_0.05": alg1(2.0 * n, 0.05, n), "exact_sum": exact_sum(n)}[name]
-    audit_monotonic_impossibility(mech, monotonic_model(1.0 / (3 * n)))
-    assert calls["_counted"] <= n + 3, calls
+    return calls
+
+
+# each hybrid is reached by ``move``, which carries its count across the
+# move, so an audit counts players only at its start and at the accuracy
+# checks of endpoints that are not the last hybrid reached
+
+@pytest.mark.parametrize("name", list(_COUNTED_256))
+def test_monotonic_audit_counts_each_hybrid_once(monkeypatch, name):
+    calls, n = _count_counts(monkeypatch), 256
+    audit_monotonic_impossibility(_COUNTED_256[name](n), monotonic_model(1.0 / (3 * n)))
+    assert calls["_counted"] <= 4, calls
+
+
+@pytest.mark.parametrize("name", list(_COUNTED_256))
+def test_general_audit_counts_each_hybrid_once(monkeypatch, name):
+    calls, n = _count_counts(monkeypatch), 256
+    audit_general_impossibility(_COUNTED_256[name](n), general_model(1.0 / (6 * n)))
+    assert calls["_counted"] <= 4, calls
 
 
 @pytest.mark.parametrize("eps", [LN2, 0.05])
 def test_tradeoff_audit_counts_each_hybrid_once(monkeypatch, eps):
-    # each hybrid's law key counts its players, and its accuracy check,
-    # taken right after, reads the one-slot count
-    from privbuy.mechanisms import BudgetMechanism, CountedMechanism
-
-    calls = {"_counted": 0}
-    for cls in (CountedMechanism, BudgetMechanism):
-        _count_calls(monkeypatch, calls, cls, "_counted", "_counted")
-    n = 256
+    calls, n = _count_counts(monkeypatch), 256
     params = TradeoffParams(tau=8.0, gamma=1.0 / n, eta=0.25, beta=0.25, max_pay=0.5)
     report = audit_payment_accuracy_tradeoff(alg1(n / 2.0, eps, n), growing_sd_model(), params)
-    assert len(report.chain.inputs) == 67
-    assert calls["_counted"] == len(report.chain.inputs), calls
+    assert len(report.chain.moves) == 66
+    assert calls["_counted"] <= 4, calls
+
+
+@pytest.mark.parametrize("name", ["exact_sum", "subsample"])
+def test_tradeoff_audit_counts_a_flat_pay_chain_once(monkeypatch, name):
+    calls, n = _count_counts(monkeypatch), 256
+    params = TradeoffParams(tau=8.0, gamma=1.0 / n, eta=0.25, beta=0.25, max_pay=1.0)
+    audit_payment_accuracy_tradeoff(_COUNTED_256[name](n), growing_sd_model(), params)
+    assert calls["_counted"] <= 4, calls
+
+
+@pytest.mark.parametrize("audit", ["general", "monotonic"])
+def test_audit_settles_each_steps_neighbours_once(monkeypatch, audit):
+    # the IR step and the model's loss look at the same hybrid; the second
+    # look reads neighbor_distances' slot
+    from privbuy.core import Mechanism
+
+    calls = {"candidate_types": 0}
+    _count_calls(monkeypatch, calls, Mechanism, "candidate_types", "candidate_types")
+    n = 256
+    if audit == "general":
+        report = audit_general_impossibility(exact_sum(n), general_model(1.0 / (6 * n)))
+    else:
+        report = audit_monotonic_impossibility(exact_sum(n), monotonic_model(1.0 / (3 * n)))
+    assert report.verdict == IR_VIOLATED
+    assert calls["candidate_types"] == n, calls
 
 
 def test_monotonic_audit_sums_each_step_distance_once(monkeypatch):

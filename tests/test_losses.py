@@ -392,6 +392,26 @@ MEMO_MECHANISMS = {
 }
 
 
+@pytest.mark.parametrize("name", list(MEMO_MECHANISMS))
+def test_neighbor_distances_slot_answers_as_a_fresh_instance(name):
+    # one instance's slot across repeats, a twin sharing the players tuple,
+    # an equal profile built anew, and a change of player, relation,
+    # mass_tol or profile; a repeat hands back the held tuple itself
+    n, make = 3, MEMO_MECHANISMS[name]
+    mech = make(n)
+    x = profile([1, 0, 1], [1.0, 2.0, 0.0])
+    other = profile([0, 0, 1], [1.0, 2.0, 0.0])
+    equal = profile([1, 0, 1], [1.0, 2.0, 0.0])
+    asks = [
+        (x, 0, GEN, 1e-12), (InputProfile(x.players), 0, GEN, 1e-12), (equal, 0, GEN, 1e-12), (x, 1, GEN, 1e-12),
+        (x, 1, MON, 1e-12), (x, 1, MON, 1e-6), (other, 1, MON, 1e-6), (x, 0, GEN, 1e-12),
+    ]
+    for args in asks:
+        got = neighbor_distances(mech, *args)
+        assert type(got) is tuple and got == neighbor_distances(make(n), *args), (name, args)
+        assert neighbor_distances(mech, *args) is got
+
+
 def _memo_grid(mech, n):
     """Every bit vector with valuations from {0, -0.0, -1, theta/2, theta,
     2 theta, 1e300}: all of them for n <= 2; for n = 3 the 49 vectors in

@@ -882,6 +882,38 @@ def test_counted_memo_answers_as_a_fresh_instance(name):
             assert mech.retype(y, i, types) == make(n).retype(y, i, types), (name, str(y), i)
 
 
+_MOVE_TYPES = st.builds(
+    PlayerType, st.integers(0, 1), st.sampled_from([0.0, 1.0, 2.0, 4.0, -1.0]) | st.floats(-50, 50, allow_nan=False)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(list(_COUNTED)), start=st.lists(_MOVE_TYPES, min_size=1, max_size=6), data=st.data())
+def test_move_carries_the_count_from_any_profile(name, start, data):
+    # moves from the profile in the slot, from earlier profiles and after a
+    # law_key on another profile: every profile reached keys as a recount
+    n, make = len(start), _COUNTED[name]
+    mech, reached = make(n), [InputProfile(tuple(start))]
+    for _ in range(data.draw(st.integers(1, 12))):
+        x = reached[data.draw(st.integers(0, len(reached) - 1))]
+        if data.draw(st.booleans()):
+            mech.law_key(x)
+            continue
+        i, t = data.draw(st.integers(0, n - 1)), data.draw(_MOVE_TYPES)
+        y = mech.move(x, i, t)
+        assert y == x.with_player(i, t)
+        assert mech.law_key(y) == mech._counted(y.players) == make(n).law_key(y), (name, str(x), i, t)
+        assert [mech.others_key(y, j) for j in range(n)] == [make(n).others_key(y, j) for j in range(n)]
+        reached.append(y)
+    for bad in (-1, n):
+        with pytest.raises(IndexError):
+            mech.move(reached[-1], bad, PlayerType(1, 0.0))
+    assert mech.law_key(reached[0]) == make(n).law_key(reached[0])
+    # a mechanism without a summary moves by with_player alone
+    x, t = reached[-1], data.draw(_MOVE_TYPES)
+    assert ConstantMechanism(n).move(x, n - 1, t) == x.with_player(n - 1, t)
+
+
 def test_counted_memo_shared_by_threads_only_misses():
     # more threads than cores hammer one instance's slot at a short switch
     # interval; a slot read torn between two profiles would give a wrong count
