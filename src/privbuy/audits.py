@@ -116,7 +116,7 @@ class AuditReport:
             "chain": None if self.chain is None else self.chain.to_json_dict(),
             "failing_step": self.failing_step,
             "witness": self.witness,
-            "accuracy": [r.to_json_dict() for r in self.accuracy],
+            "accuracy": [r._asdict() for r in self.accuracy],
             "details": list(self.details),
             "params": {k: v for k, v in self.params},
         }

@@ -412,7 +412,7 @@ def write_reports(cfg: RunConfig, code: int, rows: list[CheckResult], audits: li
         "version": __version__,
         "exit_code": code,
         "config": cfg.raw,
-        "rows": [r.to_json_dict() for r in rows],
+        "rows": [r._asdict() for r in rows],
         "audits": [a.to_json_dict() for a in audits],
     }
 

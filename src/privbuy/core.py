@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,23 +38,24 @@ def finite_valuation(value) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class PlayerType:
+class PlayerType(namedtuple("PlayerType", "bit valuation")):
     """One player's private information: a data bit and a privacy valuation.
 
     The bit cannot be falsified, only withheld; the valuation converts
     privacy loss into currency. Negative valuations are allowed (a player
-    may want to lose privacy), NaN/inf are not.
+    may want to lose privacy), NaN/inf are not. A tuple, so it is hashed
+    and compared in C; ``_make`` and ``_replace`` validate as ``__new__`` does.
     """
 
-    bit: int
-    valuation: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, bit: int, valuation: float):
         # exactly an int: a JSON true is a bool, and True == 1
-        if type(self.bit) is not int or self.bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {self.bit!r}")
-        object.__setattr__(self, "valuation", finite_valuation(self.valuation))
+        if type(bit) is not int or bit not in (0, 1):
+            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+        return tuple.__new__(cls, (bit, finite_valuation(valuation)))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it too
 
     def __str__(self) -> str:
         return f"({self.bit}, {self.valuation:g})"

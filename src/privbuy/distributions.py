@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -36,22 +37,24 @@ MAX_WINDOW_ATOMS = 1_000_000
 MAX_SAMPLE_TRIALS = 1_000_000
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", "lo hi")):
     """Closed interval [lo, hi] certifying a real quantity.
 
     Verdicts must only be claimed from the sound side: use ``hi`` for
     "quantity is small" claims and ``lo`` for "quantity is large" claims.
+    A tuple, hashed and compared in C; ``_make`` and ``_replace`` validate.
     """
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
+    def __new__(cls, lo: float, hi: float):
+        if math.isnan(lo) or math.isnan(hi):
             raise ValueError("interval endpoints must not be NaN")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it too
 
     def scale(self, factor: float) -> "Interval":
         """Interval for factor * x given x in self (factor may be negative)."""
@@ -75,6 +78,9 @@ class GeomParams:
         if math.exp(-eps) == 1.0:
             # the noise would not decay: no window or sampler exists
             raise ValueError(f"epsilon {eps!r} is too small: exp(-epsilon) rounds to 1")
+        if math.exp(-eps) == 0.0:
+            # the decay factor's logarithm, which windows and samplers read, is -inf
+            raise ValueError(f"epsilon {eps!r} is too large: exp(-epsilon) rounds to 0")
         object.__setattr__(self, "epsilon", float(eps))
 
     @cached_property

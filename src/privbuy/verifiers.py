@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
 
 from .core import InputProfile, Mechanism, NeighborRelation, PlayerType, admissible_candidates, is_int
 from .distributions import DEFAULT_MASS_TOL, MAX_SAMPLE_TRIALS, Interval, dp_level
@@ -64,19 +64,13 @@ class DistinguishabilityQuery:
             raise ValueError(f"delta must be > 0, got {self.delta}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "check mechanism profile player verdict margin witness", defaults=("",))):
     """One verdict row. margin is the signed distance to the threshold on
-    the sound side (>= 0 for pass); witness carries the deciding neighbor,
-    deviation, or refinement hint."""
+    the sound side (>= 0 for pass); player is None for a profile-wide check;
+    witness carries the deciding neighbor, deviation, or refinement hint.
+    A tuple, like ``core.PlayerType``; ``_asdict`` is its report form."""
 
-    check: str
-    mechanism: str
-    profile: str
-    player: Optional[int]
-    verdict: str
-    margin: float
-    witness: str = ""
+    __slots__ = ()
 
     def as_row(self) -> list:
         return [
@@ -88,10 +82,6 @@ class CheckResult:
             repr(self.margin),
             self.witness,
         ]
-
-    def to_json_dict(self) -> dict:
-        # every field is a scalar, so a shallow copy is asdict's result
-        return dict(vars(self))
 
 
 def check_ir(

@@ -377,6 +377,7 @@ def test_mass_tol_flag_goes_through_the_config_checks(tmp_path, capsys, mass_tol
         (["dist", "0.5", "0", "1", "--mass-tol", "0"], "mass_tol"),
         (["dist", "1e-300", "0", "1"], "epsilon"),
         (["dist", "1e-10", "0", "1"], "cap of 1000000"),
+        (["dist", "1e308", "0", "1"], "epsilon 1e+308 is too large"),
     ],
 )
 def test_dist_rejects_bad_numbers(capsys, argv, field):
@@ -393,6 +394,18 @@ def test_run_rejects_epsilon_whose_decay_rounds_to_one(tmp_path, capsys, mechani
     cfg = base_config(tmp_path, mechanism=mechanism)
     assert main(["run", write_config(tmp_path, "tiny.json", cfg)]) == 3
     assert "config error: mechanism: epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [{"name": "alg1", "budget": 8.0, "epsilon": 1000.0, "n": 4}, {"name": "pay_declared", "epsilon": 1e308, "n": 4}],
+)
+def test_run_rejects_epsilon_whose_decay_rounds_to_zero(tmp_path, capsys, mechanism):
+    cfg = base_config(tmp_path, mechanism=mechanism)
+    assert main(["run", write_config(tmp_path, "huge.json", cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "config error: mechanism: epsilon" in err and "too large" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_run_rejects_windows_above_the_cap(tmp_path, capsys):

@@ -87,6 +87,13 @@ def test_geom_params_validation():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             GeomParams(bad)
+    # exp(-eps) rounds to 0 from about 745.14: ln a, which every window and
+    # sampler reads, would be -inf
+    for big in (746.0, 1e308):
+        with pytest.raises(ValueError, match="too large: exp"):
+            GeomParams(big)
+    g = GeomParams(745.0)
+    assert g.alpha > 0.0 and window_radius(g, 1e-12) == 0
 
 
 # --- geom_tail -------------------------------------------------------------
