@@ -74,9 +74,6 @@ from .verifiers import (
     check_truthful,
 )
 
-CSV_COLUMNS = ["check", "mechanism", "profile", "player", "verdict", "margin", "witness"]
-
-
 class ConfigError(Exception):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
@@ -418,8 +415,8 @@ def write_reports(cfg: RunConfig, code: int, rows: list[CheckResult], audits: li
 
     def write_csv(fh):
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(r.as_row() for r in rows)
+        writer.writerow(CheckResult._fields)
+        writer.writerows(rows)
         writer.writerows([a.audit, a.mechanism, "", "", a.verdict, "", a.witness] for a in audits)
 
     def write_report(fh):

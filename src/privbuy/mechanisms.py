@@ -358,7 +358,9 @@ class PayDeclaredMechanism(ShiftedGeometricMechanism):
 
     def deviation_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
         p = x.players[i]
-        vals = dict.fromkeys((0.0, p.valuation + 1.0, 100.0 * (abs(p.valuation) + 1.0), p.valuation))
+        # capped, so a |v| past float max / 100 still has a largest deviation
+        big = min(100.0 * (abs(p.valuation) + 1.0), sys.float_info.max)
+        vals = dict.fromkeys((0.0, p.valuation + 1.0, big, p.valuation))
         return tuple(PlayerType(p.bit, v) for v in vals)
 
     def claimed_truthful_players(self, x: InputProfile) -> tuple[int, ...]:

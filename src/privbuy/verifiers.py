@@ -68,20 +68,24 @@ class CheckResult(namedtuple("CheckResult", "check mechanism profile player verd
     """One verdict row. margin is the signed distance to the threshold on
     the sound side (>= 0 for pass); player is None for a profile-wide check;
     witness carries the deciding neighbor, deviation, or refinement hint.
-    A tuple, like ``core.PlayerType``; ``_asdict`` is its report form."""
+    A tuple, like ``core.PlayerType``: ``_asdict`` is its JSON report form,
+    and the tuple itself its CSV line."""
 
     __slots__ = ()
 
-    def as_row(self) -> list:
-        return [
-            self.check,
-            self.mechanism,
-            self.profile,
-            "" if self.player is None else self.player,
-            self.verdict,
-            repr(self.margin),
-            self.witness,
-        ]
+
+def _settle(pass_margin: float, fail_margin: float) -> tuple[str, float]:
+    """The sound-side rule of check_ir, check_truthful and check_accuracy:
+    pass when the worst case clears the bar (``pass_margin >= 0``), fail when
+    the best case misses it (``fail_margin < 0``), otherwise inconclusive with
+    ``pass_margin``. The worst case never beats the best, so the chained
+    ``pass_margin <= fail_margin`` only makes a NaN in either margin (an
+    undefined inf - inf, say) fail both tests: it can only be inconclusive."""
+    if 0.0 <= pass_margin <= fail_margin:
+        return PASS, pass_margin
+    if pass_margin <= fail_margin < 0.0:
+        return FAIL, fail_margin
+    return INCONCLUSIVE, pass_margin
 
 
 def check_ir(
@@ -98,12 +102,7 @@ def check_ir(
     out = []
     for i, p in enumerate(x.players):
         loss = loss_expectation(model, mech, x, i, p.valuation, mass_tol)
-        if pays[i] >= loss.hi:
-            verdict, margin = PASS, pays[i] - loss.hi
-        elif pays[i] < loss.lo:
-            verdict, margin = FAIL, pays[i] - loss.lo
-        else:
-            verdict, margin = INCONCLUSIVE, pays[i] - loss.hi
+        verdict, margin = _settle(pays[i] - loss.hi, pays[i] - loss.lo)
         out.append(
             CheckResult("ir", mech.name, profile_id, i, verdict, margin, f"pay={pays[i]:g} loss={loss}")
         )
@@ -150,19 +149,16 @@ def check_truthful(
     for dev_type, (dev_pay, dev_key, dev_others) in zip(devs, settled):
         dev = dev_type.valuation
         if dev_key == truth_key and dev_others == truth_others and model.respects_identical_output_dists:
-            margin = truth_pay - dev_pay
-            verdict = PASS if margin >= 0.0 else FAIL
+            gap = truth_pay - dev_pay
+            verdict, margin = _settle(gap, gap)
         else:
             if truth_loss is None:
                 truth_loss = loss_expectation(model, mech, x, i, truth.valuation, mass_tol)
             dev_loss = loss_expectation(model, mech, x, i, dev, mass_tol)
-            margin = (truth_pay - truth_loss.hi) - (dev_pay - dev_loss.lo)
-            if margin >= 0.0:
-                verdict = PASS
-            elif (truth_pay - truth_loss.lo) < (dev_pay - dev_loss.hi):
-                verdict, margin = FAIL, (truth_pay - truth_loss.lo) - (dev_pay - dev_loss.hi)
-            else:
-                verdict = INCONCLUSIVE
+            verdict, margin = _settle(
+                (truth_pay - truth_loss.hi) - (dev_pay - dev_loss.lo),
+                (truth_pay - truth_loss.lo) - (dev_pay - dev_loss.hi),
+            )
         by_verdict[verdict].append((margin, dev))
 
     if by_verdict[FAIL]:
@@ -246,12 +242,7 @@ def check_accuracy(
     else:
         raise ValueError(f"unknown accuracy method {method!r}")
 
-    if out.hi <= spec.beta:
-        verdict, margin = PASS, spec.beta - out.hi
-    elif out.lo > spec.beta:
-        verdict, margin = FAIL, spec.beta - out.lo
-    else:
-        verdict, margin = INCONCLUSIVE, spec.beta - out.hi
+    verdict, margin = _settle(spec.beta - out.hi, spec.beta - out.lo)
     return CheckResult("accuracy", mech.name, profile_id, None, verdict, margin, detail)
 
 

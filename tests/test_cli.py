@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from privbuy.cli import main
+from privbuy.cli import main, parse_config, write_reports
+from privbuy.verifiers import CheckResult
 
 LN2 = math.log(2.0)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -640,6 +642,71 @@ def test_run_names_theta_when_two_theta_overflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: mechanism: 2 theta" in err and "must be finite" in err
     assert not (tmp_path / "report.json").exists()
+
+
+def pay_declared_config(tmp_path, epsilon, valuation):
+    return base_config(
+        tmp_path,
+        mechanism={"name": "pay_declared", "epsilon": epsilon, "n": 1},
+        loss_model={"kind": "dp_bounded_general"},
+        profiles=[{"bits": [1], "valuations": [valuation]}],
+        checks=["truthful"],
+    )
+
+
+FLOAT_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "valuation, code, witness",
+    [
+        (2e306, 1, "profitable deviation v'=1.79769e+308"),
+        (1e307, 1, "profitable deviation v'=1.79769e+308"),
+        (-1e307, 1, "profitable deviation v'=1.79769e+308"),
+        (FLOAT_MAX, 0, "tightest deviation v'=1.79769e+308"),
+    ],
+    ids=["2e306", "1e307", "-1e307", "float_max"],
+)
+def test_run_checks_pay_declared_truthfulness_at_huge_valuations(tmp_path, valuation, code, witness):
+    # the grid's 100 (|v| + 1) overflows past float max / 100; capped at
+    # float max, it is still >= v, and at float max it is the truth itself
+    cfg = pay_declared_config(tmp_path, 0.5, valuation)
+    assert main(["run", write_config(tmp_path, "huge_v.json", cfg)]) == code
+    (row,) = json.loads(Path(cfg["output"]["report"]).read_text())["rows"]
+    assert row["witness"].startswith(witness)
+    assert code == 1 or row["margin"] == 0.0
+
+
+def test_run_calls_an_undefined_truthfulness_gap_inconclusive(tmp_path):
+    # at eps = 700 the truth's pay 700e306 overflows to inf, and so do its
+    # deviations' above it: inf - inf is no gain, so the row is inconclusive
+    cfg = pay_declared_config(tmp_path, 700.0, 1e306)
+    assert main(["run", write_config(tmp_path, "nan_gap.json", cfg)]) == 2
+    (row,) = json.loads(Path(cfg["output"]["report"]).read_text())["rows"]
+    assert row["verdict"] == "inconclusive" and math.isnan(row["margin"])
+
+
+def old_csv_line(row):
+    """How a verdict row was formatted for the CSV before the row itself
+    became its line: "" for no player, repr for the margin."""
+    return [
+        row.check, row.mechanism, row.profile, "" if row.player is None else row.player,
+        row.verdict, repr(row.margin), row.witness,
+    ]
+
+
+def test_run_writes_each_row_as_its_own_csv_line(tmp_path):
+    margins = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1 / 3, 1e22]
+    rows = [
+        CheckResult("accuracy", "alg1", f"p{k}", None if k % 2 else k, "pass", m, 'say "a, b"')
+        for k, m in enumerate(margins)
+    ]
+    write_reports(parse_config(base_config(tmp_path)), 0, rows, [])
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["check", "mechanism", "profile", "player", "verdict", "margin", "witness"])
+    writer.writerows(old_csv_line(r) for r in rows)
+    assert (tmp_path / "report.csv").read_bytes() == want.getvalue().encode("utf-8")
 
 
 HUGE = 10**400  # json.dumps writes every digit, and json.load reads back an int

@@ -41,6 +41,7 @@ from privbuy.verifiers import (
     check_truthful,
     wilson_interval,
 )
+from privbuy.verifiers import _settle
 
 from conftest import ConstantMechanism, PointMass, SwapPayMechanism, neighbor_profiles, profile
 
@@ -174,6 +175,87 @@ def test_truthful_requires_deviations():
     mech = alg1(8.0, 0.5, 2)
     with pytest.raises(ValueError):
         check_truthful(mech, zero_loss(), profile([1, 0], [0.0, 0.0]), 0, deviations=[])
+
+
+# --- the sound-side rule ------------------------------------------------------
+
+def ladder_ir(pay, loss):
+    """check_ir's own verdict ladder before the rule was stated once."""
+    if pay >= loss.hi:
+        return PASS, pay - loss.hi
+    if pay < loss.lo:
+        return FAIL, pay - loss.lo
+    return INCONCLUSIVE, pay - loss.hi
+
+
+def ladder_accuracy(beta, out):
+    """check_accuracy's own verdict ladder before the rule was stated once."""
+    if out.hi <= beta:
+        return PASS, beta - out.hi
+    if out.lo > beta:
+        return FAIL, beta - out.lo
+    return INCONCLUSIVE, beta - out.hi
+
+
+def ladder_truthful(truth_pay, truth_loss, dev_pay, dev_loss, identical_laws):
+    """check_truthful's own verdict ladder, per deviation, before the rule
+    was stated once; its identical-law branch had no inconclusive rung."""
+    if identical_laws:
+        margin = truth_pay - dev_pay
+        return (PASS if margin >= 0.0 else FAIL), margin
+    margin = (truth_pay - truth_loss.hi) - (dev_pay - dev_loss.lo)
+    if margin >= 0.0:
+        return PASS, margin
+    if (truth_pay - truth_loss.lo) < (dev_pay - dev_loss.hi):
+        return FAIL, (truth_pay - truth_loss.lo) - (dev_pay - dev_loss.hi)
+    return INCONCLUSIVE, margin
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# small integers make ties, where the >= and < edges decide
+number = st.one_of(finite, st.integers(-3, 3).map(float), st.sampled_from([-0.0, 5e-324, -5e-324]))
+interval = st.lists(number, min_size=2, max_size=2).map(lambda ends: Interval(*sorted(ends)))
+
+
+@given(number, interval, number, interval, number, interval, st.booleans())
+@settings(max_examples=500)
+def test_settle_gives_the_old_ladders_verdicts_and_margins(pay, loss, beta, out, dev_pay, dev_loss, identical):
+    want = [
+        ladder_ir(pay, loss),
+        ladder_accuracy(beta, out),
+        ladder_truthful(pay, loss, dev_pay, dev_loss, identical),
+    ]
+    if identical:
+        truthful = _settle(pay - dev_pay, pay - dev_pay)
+    else:
+        truthful = _settle((pay - loss.hi) - (dev_pay - dev_loss.lo), (pay - loss.lo) - (dev_pay - dev_loss.hi))
+    got = [_settle(pay - loss.hi, pay - loss.lo), _settle(beta - out.hi, beta - out.lo), truthful]
+    # repr tells -0.0 from 0.0 and matches NaN to NaN
+    assert repr(got) == repr(want)
+
+
+@given(st.one_of(number, st.just(math.inf), st.just(-math.inf), st.just(math.nan)), st.booleans())
+def test_settle_calls_a_nan_margin_inconclusive(other, nan_first):
+    margins = (math.nan, other) if nan_first else (other, math.nan)
+    assert _settle(*margins)[0] == INCONCLUSIVE
+
+
+class InfinitePay(ConstantMechanism):
+    """Pays every player +inf and publishes 0 whatever they declare."""
+
+    def pay_vector(self, x):
+        self.require_profile(x)
+        return (math.inf,) * self.player_count
+
+
+def test_infinite_pay_against_an_infinite_loss_is_inconclusive():
+    # pay - loss is inf - inf, undefined: neither IR nor truthfulness is
+    # certified, and the truth is no profitable deviation from itself
+    mech, model = InfinitePay(2), straddling_model(math.inf, math.inf)
+    x = profile([1, 0], [1.0, 0.0])
+    rows = check_ir(mech, model, x) + [check_truthful(mech, model, x, i) for i in range(2)]
+    assert [r.verdict for r in rows] == [INCONCLUSIVE] * 4
+    assert all(math.isnan(r.margin) for r in rows)
 
 
 def parent_check_truthful(mech, model, x, i, deviations=None, mass_tol=1e-12, profile_id=""):
