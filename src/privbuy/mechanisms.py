@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import sys
 from abc import abstractmethod
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,8 +86,7 @@ class CountedMechanism(Mechanism):
     Every law is fixed by the number of counted 1-bits, so that number is
     the law key, and the others' number is player i's ``others_key``. A
     subclass gives the rule and the law of a count (``key_law``); every key
-    and every payment follows here. A subclass that overrides ``counts``
-    overrides ``_counted`` to match.
+    and every payment follows here.
 
     Two things are kept on the instance. The last counted profile's
     ``players`` tuple and its count sit in one slot, held by a strong
@@ -114,7 +112,8 @@ class CountedMechanism(Mechanism):
         """Payment to a player who declares ``valuation`` and holds ``bit``."""
 
     def _counted(self, players) -> int:
-        return sum([p.bit for p in players])
+        counts = self.counts
+        return sum([p.bit for p in players if counts(p.valuation)])
 
     def _count(self, x: InputProfile) -> int:
         """``_counted(x.players)``, read from the one-slot memo when ``x``'s
@@ -234,13 +233,9 @@ class BudgetMechanism(ShiftedGeometricMechanism):
         return self._two_eps * valuation <= self._share
 
     def pay(self, bit: int, valuation: float) -> float:
-        if self._two_eps * valuation <= self._share or (self.pay_all_zero_bits and bit == 0):
+        if self.counts(valuation) or (self.pay_all_zero_bits and bit == 0):
             return self._share
         return 0.0
-
-    def _counted(self, players) -> int:
-        two_eps, share = self._two_eps, self._share
-        return sum([p.bit for p in players if two_eps * p.valuation <= share])
 
     def candidate_types(self, x: InputProfile, i: int) -> tuple[PlayerType, ...]:
         # The law and the payments to others read player i's type only as
@@ -266,36 +261,42 @@ class BudgetMechanism(ShiftedGeometricMechanism):
         )
 
 
-@lru_cache(maxsize=None)
-def _subsample_law(n: int, k: int, ones: int) -> CountDistribution:
-    """Exact law of round_half_even(n*m/k) with m hypergeometric(n, ones, k).
-
-    The integer weight w = comb(ones, m) * comb(zeros, k - m) steps from m
-    to m + 1 as w * ((ones - m) * (k - m)) // ((m + 1) * (zeros - k + m + 1)),
-    an exact division, and w / comb(n, k) is the one rounding. Since k <= n
-    the rescaled counts strictly increase with m, so each m is one atom. For
-    even n a majority of ones reflects the law of n - ones: the weights are
-    the same and round_half_even(n - y) = n - round_half_even(y).
-    """
+def _subsample_weights(n: int, k: int, ones: int):
+    """Yield (round_half_even(n*m/k), w) for each m, increasing, with
+    w = comb(ones, m) * comb(zeros, k - m) the integer weight of m ones in a
+    size-k subset. w steps from m to m + 1 as
+    w * ((ones - m) * (k - m)) // ((m + 1) * (zeros - k + m + 1)), an exact
+    division. Since k <= n the rescaled counts strictly increase with m."""
     zeros = n - ones
-    if ones > zeros and n % 2 == 0:
-        d = _subsample_law(n, k, zeros)
-        return CountDistribution(tuple([n - c for c in reversed(d.support)]), d.probs[::-1], 0.0)
-    total = math.comb(n, k)
     lo, hi = max(0, k - zeros), min(k, ones)
     w = math.comb(ones, lo) * math.comb(zeros, k - lo)
-    support, probs = [], []
     nm = n * lo
     for m in range(lo, hi + 1):
         # round_half_even(n * m / k) in integer arithmetic, from the running n * m
         q, r = divmod(nm, k)
-        support.append(q + 1 if 2 * r > k or (2 * r == k and q % 2) else q)
+        yield (q + 1 if 2 * r > k or (2 * r == k and q % 2) else q), w
+        w = w * ((ones - m) * (k - m)) // ((m + 1) * (zeros - k + m + 1))
+        nm += n
+
+
+@lru_cache(maxsize=None)
+def _subsample_law(n: int, k: int, ones: int) -> CountDistribution:
+    """Exact law of round_half_even(n*m/k) with m hypergeometric(n, ones, k):
+    each m of ``_subsample_weights`` is one atom, rounded once as
+    w / comb(n, k). For even n a majority of ones reflects the law of
+    n - ones: the weights are the same and round_half_even(n - y) =
+    n - round_half_even(y)."""
+    if 2 * ones > n and n % 2 == 0:
+        d = _subsample_law(n, k, n - ones)
+        return CountDistribution(tuple([n - c for c in reversed(d.support)]), d.probs[::-1], 0.0)
+    total = math.comb(n, k)
+    support, probs = [], []
+    for count, w in _subsample_weights(n, k, ones):
+        support.append(count)
         # int true division is correctly rounded, as float(Fraction(...)) is;
         # a quotient that rounds to 0.0 is below 2^-1075, so the least
         # subnormal bounds it and the atom stays on the support
         probs.append(w / total or math.ulp(0.0))
-        w = w * ((ones - m) * (k - m)) // ((m + 1) * (zeros - k + m + 1))
-        nm += n
     return CountDistribution(tuple(support), tuple(probs), 0.0)
 
 
@@ -323,21 +324,15 @@ class SubsampleMechanism(CountedMechanism):
 
     def log_pmf_table(self, key: int, support) -> tuple[float, ...]:
         # ln of the stored atom where it is normal; below 2^-1022 it has lost
-        # bits, so ln w - ln C(n, k) from the integer weight w of m = lo +
-        # index (the support increases in m, a reflected law's too)
+        # bits, so ln w - ln C(n, k) from its integer weight w, read off one
+        # walk (whose counts and weights are a reflected law's too)
+        row, law, normal = super().log_pmf_table(key, support), self.key_law(key), sys.float_info.min
+        if min(law.probs) >= normal:
+            return row
         n, k = self.params.n, self.params.sample_size
-        law, lo = self.key_law(key), max(0, k - (n - key))
-        out = []
-        for s in support:
-            p = law.prob(s)
-            if p >= sys.float_info.min:
-                out.append(math.log(p))
-            elif p == 0.0:  # off the support: no stored atom is 0
-                out.append(-math.inf)
-            else:
-                m = lo + bisect_left(law.support, s)
-                out.append(math.log(math.comb(key, m) * math.comb(n - key, k - m)) - math.log(math.comb(n, k)))
-        return tuple(out)
+        ln_total = math.log(math.comb(n, k))
+        tiny = {c: math.log(w) - ln_total for c, w in _subsample_weights(n, k, key) if law.prob(c) < normal}
+        return tuple([tiny.get(s, v) for s, v in zip(support, row)])
 
 
 class PayDeclaredMechanism(ShiftedGeometricMechanism):

@@ -150,6 +150,8 @@ def check_truthful(
         dev = dev_type.valuation
         if dev_key == truth_key and dev_others == truth_others and model.respects_identical_output_dists:
             gap = truth_pay - dev_pay
+            if math.isnan(gap) and dev_type == truth:  # inf - inf: the truth gains nothing on itself
+                gap = 0.0
             verdict, margin = _settle(gap, gap)
         else:
             if truth_loss is None:
@@ -167,7 +169,8 @@ def check_truthful(
         return CheckResult("truthful", mech.name, profile_id, i, FAIL, margin, witness)
     if by_verdict[INCONCLUSIVE]:
         margin, dev = min(by_verdict[INCONCLUSIVE])
-        witness = f"deviation v'={dev:g} straddles; refine mass_tol"
+        why = "has an undefined utility gap; no mass_tol settles it" if math.isnan(margin) else "straddles; refine mass_tol"
+        witness = f"deviation v'={dev:g} {why}"
         return CheckResult("truthful", mech.name, profile_id, i, INCONCLUSIVE, margin, witness)
     margin, dev = min(by_verdict[PASS])
     return CheckResult("truthful", mech.name, profile_id, i, PASS, margin, f"tightest deviation v'={dev:g}")

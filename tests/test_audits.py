@@ -665,9 +665,12 @@ _COUNTED_256 = {
 def _count_counts(monkeypatch):
     from privbuy.mechanisms import BudgetMechanism, CountedMechanism
 
+    # wrap only a class that defines _counted itself: a subclass that
+    # inherits the wrapper would count each pass twice
     calls = {"_counted": 0}
     for cls in (CountedMechanism, BudgetMechanism):
-        _count_calls(monkeypatch, calls, cls, "_counted", "_counted")
+        if "_counted" in vars(cls):
+            _count_calls(monkeypatch, calls, cls, "_counted", "_counted")
     return calls
 
 

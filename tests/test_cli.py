@@ -684,6 +684,7 @@ def test_run_calls_an_undefined_truthfulness_gap_inconclusive(tmp_path):
     assert main(["run", write_config(tmp_path, "nan_gap.json", cfg)]) == 2
     (row,) = json.loads(Path(cfg["output"]["report"]).read_text())["rows"]
     assert row["verdict"] == "inconclusive" and math.isnan(row["margin"])
+    assert row["witness"] == "deviation v'=1e+308 has an undefined utility gap; no mass_tol settles it"
 
 
 def old_csv_line(row):

@@ -156,7 +156,7 @@ def test_budget_mechanism_matches_restated_rule(budget, eps, bits, vals):
     ids=["exact_tie", "theta_2", "ln2", "eps_3", "inexact_theta"],
 )
 def test_budget_rule_is_qualifies(budget, eps, n):
-    # counts, pay and the hoisted _counted give BudgetParams.qualifies at
+    # counts, pay and _counted (which reads counts) give BudgetParams.qualifies at
     # the threshold, one ulp either side of it, at zero of both signs and
     # far out; at 4 / (2 * 0.5 * 4) the tie 2 eps theta == B/n is exact
     params = BudgetParams(budget, eps, n)
@@ -174,6 +174,37 @@ def test_budget_rule_is_qualifies(budget, eps, n):
         assert mech._counted(players) == sum(p.bit for p in players if params.qualifies(p.valuation))
     if (budget, eps, n) == (4.0, 0.5, 4):
         assert params.qualifies(theta) and not params.qualifies(math.nextafter(theta, math.inf))
+
+
+class LowCounted(CountedMechanism):
+    """A bit-1 player is counted only below valuation 1; the subclass states
+    ``counts``, ``pay`` and ``key_law`` and nothing else of the rule."""
+
+    name = "low_counted"
+
+    def __init__(self, n):
+        super().__init__()
+        self.player_count = n
+
+    def counts(self, valuation):
+        return valuation < 1.0
+
+    def pay(self, bit, valuation):
+        return 0.0
+
+    def key_law(self, key, mass_tol=1e-12):
+        return _subsample_law(self.player_count, self.player_count, key)
+
+
+def test_counted_mechanism_counts_by_its_counts_rule():
+    # the count, the others' key, a retype and a move all read ``counts``
+    x = profile([1, 1, 0, 1], [0.5, 2.0, 0.0, 1.0])
+    mech = LowCounted(4)
+    assert mech.law_key(x) == 1 and mech.output_dist(x).support == (1,)
+    assert [mech.others_key(x, i) for i in range(4)] == [0, 1, 1, 1]
+    assert [key for _, key, _ in mech.retype(x, 1, (PlayerType(1, 0.0), PlayerType(1, 5.0)))] == [2, 1]
+    y = mech.move(x, 3, PlayerType(1, 0.0))
+    assert mech.law_key(y) == LowCounted(4).law_key(y) == 2
 
 
 def _every_mechanism(n):
@@ -412,6 +443,50 @@ def test_subsample_log_pmf_table_at_subnormal_atoms(n):
         oracle = _fraction_log_pmf(n, k, ones, lambda ms: {*ms[:8], *ms[-8:]})
         support = tuple(sorted(oracle))
         assert mech.log_pmf_table(ones, support) == pytest.approx([oracle[s] for s in support], abs=1e-12), ones
+
+
+def _per_atom_log_row(n, k, key, support):
+    """The subsample log row as it was once computed, kept as the
+    differential oracle: ln of a normal stored atom, and below 2^-1022
+    ln(C(key, m) C(n - key, k - m)) - ln C(n, k) with every comb taken
+    afresh for that atom."""
+    law, lo = _subsample_law(n, k, key), max(0, k - (n - key))
+    out = []
+    for s in support:
+        p = law.prob(s)
+        if p >= sys.float_info.min:
+            out.append(math.log(p))
+        elif p == 0.0:
+            out.append(-math.inf)
+        else:
+            m = lo + law.support.index(s)
+            out.append(math.log(math.comb(key, m) * math.comb(n - key, k - m)) - math.log(math.comb(n, k)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", (1100, 2047, 2048, 4096))
+def test_subsample_log_pmf_table_equals_the_per_atom_rule(n):
+    # bit for bit, off the support too; 2047 is odd, so none of its laws is
+    # a reflection
+    k = n // 2
+    mech, support = subsample(1.0, k, n), tuple(range(-1, n + 2))
+    for key in (1, 2, n // 3, k - 1, k, k + 1, n - 2, n - 1):
+        got, want = mech.log_pmf_table(key, support), _per_atom_log_row(n, k, key, support)
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), (n, key)
+
+
+@pytest.mark.parametrize("n", (2048, 4096))
+def test_subsample_log_pmf_table_takes_a_bounded_number_of_combs(monkeypatch, n):
+    # one walk of the weights and ln C(n, k) once, however many atoms are
+    # below 2^-1022 (the per-atom rule took 3 combs for each)
+    k = n // 2
+    mech = subsample(1.0, k, n)
+    law = mech.key_law(k)
+    assert sum(p < sys.float_info.min for p in law.probs) > 200
+    calls, comb = [], math.comb
+    monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or comb(*a))
+    mech.log_pmf_table(k, law.support)
+    assert len(calls) <= 3, len(calls)
 
 
 def test_subsample_ignores_declarations():

@@ -139,6 +139,19 @@ def test_truthful_deviation_equal_to_truth_keeps_zero_sign():
     assert margins == {("-0.0", "-0.0"): "0.0", ("-0.0", "0.0"): "-0.0", ("0.0", "-0.0"): "0.0", ("0.0", "0.0"): "0.0"}
 
 
+def test_truthful_names_an_undefined_gap_and_not_the_truth():
+    # at eps = 700 the truth's pay 700e306 overflows to inf: its gap against
+    # itself is inf - inf, yet it gains nothing on itself, so the row names
+    # the deviation above it, whose gap no mass_tol settles
+    mech = pay_declared(700.0, 1)
+    model, x = tight_dp_loss(mech, GEN), profile([1], [1e306])
+    own = check_truthful(mech, model, x, 0, deviations=[1e306])
+    assert own.verdict == PASS and repr(own.margin) == "0.0"
+    r = check_truthful(mech, model, x, 0)
+    assert r.verdict == INCONCLUSIVE and math.isnan(r.margin)
+    assert r.witness == "deviation v'=1e+308 has an undefined utility gap; no mass_tol settles it"
+
+
 def test_truthful_budget_mechanism_low_valuation():
     mech = alg1(8.0, 0.5, 4)
     theta = mech.params.theta
